@@ -36,27 +36,6 @@ let params_args cli =
          cores, 1 = sequential). Output is byte-identical for any value."
       0
   in
-  let classifier =
-    Cli.string cli [ "--classifier" ] ~docv:"BACKEND"
-      ~doc:
-        "Slow-path backend for the classifier experiment (tss | range | \
-         all). Other experiments ignore it."
-      "all"
-  in
-  let traffic =
-    Cli.string cli [ "--traffic" ] ~docv:"MODEL"
-      ~doc:
-        "Source model for the traffic experiment (heavy | onoff | churn | \
-         all). Other experiments ignore it."
-      "all"
-  in
-  let steering =
-    Cli.string cli [ "--steering" ] ~docv:"MODEL"
-      ~doc:
-        "NIC steering model for the traffic experiment (rss | fdir | all). \
-         Other experiments ignore it."
-      "all"
-  in
   let profile =
     Cli.flag cli [ "--profile" ]
       ~doc:
@@ -72,40 +51,25 @@ let params_args cli =
     | Some c ->
         if !jobs < 0 then Cli.die cli "--jobs must be >= 0";
         if !batch < 1 then Cli.die cli "--batch must be >= 1";
-        let classifier =
-          match Ppp_core.Runner.classifier_of_name !classifier with
-          | Some k -> k
-          | None ->
-              Cli.die cli
-                (Printf.sprintf
-                   "unknown --classifier backend %S (tss|range|all)"
-                   !classifier)
-        in
-        let traffic =
-          match Ppp_core.Runner.traffic_of_name !traffic with
-          | Some m -> m
-          | None ->
-              Cli.die cli
-                (Printf.sprintf
-                   "unknown --traffic model %S (heavy|onoff|churn|all)"
-                   !traffic)
-        in
-        let steering =
-          match Ppp_core.Runner.steering_of_name !steering with
-          | Some s -> s
-          | None ->
-              Cli.die cli
-                (Printf.sprintf "unknown --steering model %S (rss|fdir|all)"
-                   !steering)
-        in
-        Ppp_core.Parallel.set_jobs !jobs;
+        (* Validate the windows the run will use, after --quick's division:
+           a negative warmup would be accepted silently, and an empty
+           measurement window divides by zero into NaN drops. *)
         let div = if !quick then 4 else 1 in
+        let warmup = !warmup / div and measure = !measure / div in
+        let after = if !quick then " after --quick" else "" in
+        if warmup < 0 then
+          Cli.die cli
+            (Printf.sprintf "warmup window must be >= 0 cycles, got %d%s"
+               warmup after);
+        if measure < 1 then
+          Cli.die cli
+            (Printf.sprintf "measurement window must be >= 1 cycle, got %d%s"
+               measure after);
+        Ppp_core.Parallel.set_jobs !jobs;
         Ppp_core.Runner.Params.(
           default |> with_config c |> with_seed !seed
-          |> with_windows ~warmup:(!warmup / div) ~measure:(!measure / div)
-          |> with_batch !batch |> with_classifier classifier
-          |> with_traffic traffic |> with_steering steering
-          |> with_profile !profile))
+          |> with_windows ~warmup ~measure
+          |> with_batch !batch |> with_profile !profile))
 
 (* --- shared flags: telemetry (--trace / --metrics / --sample-cycles) --- *)
 
@@ -130,8 +94,8 @@ let telemetry_args cli =
       ~doc:
         "Export machine-readable metrics into DIR: series.csv \
          (simulated-time counter slices), spans.csv (wall-clock runner \
-         spans) and manifest.json (run provenance + per-experiment \
-         wall-clock)."
+         spans) and manifest.json (run provenance + each experiment's \
+         wall-clock and structured result)."
   in
   let profile_out =
     Cli.opt_string cli [ "--profile-out" ] ~docv:"DIR"
@@ -284,7 +248,8 @@ let run_experiment ~verbose params (e : Ppp_experiments.Registry.t) =
      byte-identical across job counts, seeds being equal. *)
   Ppp_telemetry.Recorder.record_experiment ~id
     ~title:e.Ppp_experiments.Registry.title
-    ~paper_ref:e.Ppp_experiments.Registry.paper_ref ~wall_s;
+    ~paper_ref:e.Ppp_experiments.Registry.paper_ref ~wall_s
+    ~data:out.Ppp_experiments.Output.data;
   if verbose then Printf.eprintf "[%s: %.1fs]\n%!" id wall_s;
   out
 
@@ -294,20 +259,11 @@ let print_text params ~verbose (e : Ppp_experiments.Registry.t) =
   let out = run_experiment ~verbose params e in
   Printf.printf "%s\n%!" out.Ppp_experiments.Output.text
 
-let json_envelope (e : Ppp_experiments.Registry.t) out =
-  Ppp_telemetry.Json.Obj
-    [
-      ("id", Ppp_telemetry.Json.Str e.Ppp_experiments.Registry.id);
-      ("title", Ppp_telemetry.Json.Str e.Ppp_experiments.Registry.title);
-      ( "paper_ref",
-        Ppp_telemetry.Json.Str e.Ppp_experiments.Registry.paper_ref );
-      ("data", out.Ppp_experiments.Output.data);
-    ]
-
 let print_json params ~verbose experiments =
   let envelopes =
     List.map
-      (fun e -> json_envelope e (run_experiment ~verbose params e))
+      (fun e ->
+        Ppp_experiments.Registry.envelope e (run_experiment ~verbose params e))
       experiments
   in
   (* One experiment prints one object; several print an array — either way
@@ -401,6 +357,16 @@ let parse_kinds names =
           exit 1)
     names
 
+(* mix and monitor place one flow per core, from core 0 up. *)
+let check_flows_fit cli params names =
+  let config = params.Ppp_core.Runner.config in
+  let cores = Ppp_hw.Topology.cores config.Ppp_hw.Machine.topology in
+  let n = List.length names in
+  if n > cores then
+    Cli.die cli
+      (Printf.sprintf "%d flows do not fit on config %s, which has %d cores" n
+         config.Ppp_hw.Machine.name cores)
+
 let mix_main () =
   let cli =
     Cli.create ~prog:"repro mix [options] FLOW..."
@@ -415,6 +381,7 @@ let mix_main () =
     | names -> names
   in
   let params = params () and telemetry = telemetry () in
+  check_flows_fit cli params names;
   setup_telemetry params telemetry;
   let kinds = parse_kinds names in
   let specs =
@@ -427,7 +394,7 @@ let mix_main () =
   in
   let results =
     Ppp_core.Runner.run
-      ~params:(Ppp_core.Runner.with_cell params "mix")
+      ~params:(Ppp_core.Runner.Params.with_cell "mix" params)
       specs
   in
   let t =
@@ -610,6 +577,7 @@ let monitor_main () =
   if !hysteresis < 1 then Cli.die cli "--hysteresis must be >= 1";
   let margin = float_arg cli margin ~name:"--margin" in
   let drop_margin = float_arg cli drop_margin ~name:"--drop-margin" in
+  check_flows_fit cli params names;
   setup_telemetry params telemetry;
   let kinds = parse_kinds names in
   let specs =
@@ -650,7 +618,7 @@ let monitor_main () =
     in
     let _ =
       Ppp_core.Runner.run
-        ~params:(Ppp_core.Runner.with_cell params cell)
+        ~params:(Ppp_core.Runner.Params.with_cell cell params)
         ~probe:(Ppp_monitor.Detector.probe det) ?wrap specs
     in
     Ppp_monitor.Detector.finalize det;

@@ -10,47 +10,6 @@ let flow_on ?node ~core kind =
   in
   { kind; core; data_node }
 
-type classifier = Tss | Range | All_backends
-
-let classifier_name = function
-  | Tss -> "tss"
-  | Range -> "range"
-  | All_backends -> "all"
-
-let classifier_of_name = function
-  | "tss" -> Some Tss
-  | "range" -> Some Range
-  | "all" -> Some All_backends
-  | _ -> None
-
-type traffic_model = Heavy_tail | Onoff | Churn | All_models
-
-let traffic_name = function
-  | Heavy_tail -> "heavy"
-  | Onoff -> "onoff"
-  | Churn -> "churn"
-  | All_models -> "all"
-
-let traffic_of_name = function
-  | "heavy" | "heavy_tail" | "heavy-tail" -> Some Heavy_tail
-  | "onoff" | "on-off" -> Some Onoff
-  | "churn" -> Some Churn
-  | "all" -> Some All_models
-  | _ -> None
-
-type steering = Rss | Flow_director | Both_steerings
-
-let steering_name = function
-  | Rss -> "rss"
-  | Flow_director -> "fdir"
-  | Both_steerings -> "all"
-
-let steering_of_name = function
-  | "rss" -> Some Rss
-  | "fdir" | "flow-director" | "flow_director" -> Some Flow_director
-  | "all" -> Some Both_steerings
-  | _ -> None
-
 type params = {
   config : Ppp_hw.Machine.config;
   seed : int;
@@ -58,9 +17,6 @@ type params = {
   measure_cycles : int;
   batch : int;
   cell : string;
-  classifier : classifier;
-  traffic : traffic_model;
-  steering : steering;
   profile : bool;
 }
 
@@ -72,24 +28,15 @@ let default_params =
     measure_cycles = 10_000_000;
     batch = 32;
     cell = "";
-    classifier = All_backends;
-    traffic = All_models;
-    steering = Both_steerings;
     profile = false;
   }
 
 let quick_params =
   {
+    default_params with
     config = Ppp_hw.Machine.tiny;
-    seed = 42;
     warmup_cycles = 300_000;
     measure_cycles = 1_000_000;
-    batch = 32;
-    cell = "";
-    classifier = All_backends;
-    traffic = All_models;
-    steering = Both_steerings;
-    profile = false;
   }
 
 module Params = struct
@@ -105,9 +52,6 @@ module Params = struct
 
   let with_batch batch p = { p with batch }
   let with_cell cell p = { p with cell }
-  let with_classifier classifier p = { p with classifier }
-  let with_traffic traffic p = { p with traffic }
-  let with_steering steering p = { p with steering }
   let with_profile profile p = { p with profile }
 end
 
@@ -227,15 +171,9 @@ let run ?(params = default_params) ?probe ?wrap specs =
       };
   results
 
-let run ?params ?probe ?wrap specs =
-  (* Results come back in input order already (Engine preserves it). *)
-  run ?params ?probe ?wrap specs
-
 let cell_params params label =
   { params with seed = Ppp_util.Rng.derive ~seed:params.seed label;
     cell = label }
-
-let with_cell params label = { params with cell = label }
 
 let solo ?(params = default_params) kind =
   (* A pure function of (params, kind): the seed is derived from the kind's

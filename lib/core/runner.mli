@@ -18,30 +18,6 @@ type spec = {
 val flow_on : ?node:int -> core:int -> Ppp_apps.App.kind -> spec
 (** [flow_on ~core kind] places data locally; [?node] overrides. *)
 
-type classifier = Tss | Range | All_backends
-(** Slow-path backend selection for the [classifier] experiment. *)
-
-val classifier_name : classifier -> string
-(** ["tss"] / ["range"] / ["all"]. *)
-
-val classifier_of_name : string -> classifier option
-
-type traffic_model = Heavy_tail | Onoff | Churn | All_models
-(** Source-model selection for the [traffic] experiment. *)
-
-val traffic_name : traffic_model -> string
-(** ["heavy"] / ["onoff"] / ["churn"] / ["all"]. *)
-
-val traffic_of_name : string -> traffic_model option
-
-type steering = Rss | Flow_director | Both_steerings
-(** NIC steering-model selection for the [traffic] experiment. *)
-
-val steering_name : steering -> string
-(** ["rss"] / ["fdir"] / ["all"]. *)
-
-val steering_of_name : string -> steering option
-
 type params = {
   config : Ppp_hw.Machine.config;
   seed : int;
@@ -55,15 +31,6 @@ type params = {
       (** Telemetry label of the experiment cell this run belongs to
           (e.g. "pair/IP/MON"); "" for unlabeled ad-hoc runs. Only consumed
           by the telemetry layer — it never influences the simulation. *)
-  classifier : classifier;
-      (** Backend selection for the [classifier] experiment. Only that
-          experiment reads it; every other experiment ignores the field. *)
-  traffic : traffic_model;
-      (** Source-model selection for the [traffic] experiment; ignored by
-          every other experiment. *)
-  steering : steering;
-      (** Steering-model selection for the [traffic] experiment; ignored by
-          every other experiment. *)
   profile : bool;
       (** When true, the run attributes cycles / instructions / L3 events /
           latency to (core, element) and records the per-element profile
@@ -81,7 +48,7 @@ val quick_params : params
     {!Params.quick}) through [with_*] setters instead of writing the
     record literal, so adding a knob never breaks existing call sites:
 
-    {[ Runner.Params.(default |> with_batch 8 |> with_classifier Tss) ]} *)
+    {[ Runner.Params.(default |> with_batch 8 |> with_seed 7) ]} *)
 module Params : sig
   type t = params
 
@@ -95,9 +62,11 @@ module Params : sig
 
   val with_batch : int -> t -> t
   val with_cell : string -> t -> t
-  val with_classifier : classifier -> t -> t
-  val with_traffic : traffic_model -> t -> t
-  val with_steering : steering -> t -> t
+  (** Sets only the telemetry [cell] label, leaving the seed untouched
+      (unlike {!cell_params}) — for cells that predate telemetry and must
+      keep their historical streams (changing their seed would invalidate
+      every golden snapshot). *)
+
   val with_profile : bool -> t -> t
 end
 
@@ -133,11 +102,6 @@ val cell_params : params -> string -> params
     Deriving each cell's stream from a label (instead of splitting a shared
     generator) keeps cells order-independent, so {!Parallel.map} over cells
     is byte-identical to a sequential loop. *)
-
-val with_cell : params -> string -> params
-(** Sets only the telemetry [cell] label, leaving the seed untouched — for
-    cells that predate telemetry and must keep their historical streams
-    (changing their seed would invalidate every golden snapshot). *)
 
 val solo : ?params:params -> Ppp_apps.App.kind -> Ppp_hw.Engine.result
 (** The kind alone on core 0, data local. Seeded from

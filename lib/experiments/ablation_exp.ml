@@ -42,8 +42,9 @@ let worst_case_run ?(label = "worst") ~params kind =
       ~competitor:Ppp_apps.App.syn_max ~target:kind
   in
   let params =
-    Runner.with_cell params
+    Runner.Params.with_cell
       (Printf.sprintf "ablation/%s/%s" label (Ppp_apps.App.name kind))
+      params
   in
   match Runner.run ~params specs with
   | t :: competitors ->
@@ -100,8 +101,9 @@ let measure_numa ~params =
       let local = Runner.solo ~params kind in
       let remote =
         let params =
-          Runner.with_cell params
+          Runner.Params.with_cell
             ("ablation/numa/" ^ Ppp_apps.App.name kind)
+            params
         in
         match
           Runner.run ~params [ { Runner.kind; core = 0; data_node = 1 } ]

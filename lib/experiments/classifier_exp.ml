@@ -6,6 +6,10 @@ type cell = {
   skew : float;
   hit_rate : float;
   upcalls_per_packet : float;
+  lookups : int;
+  hits : int;
+  upcalls : int;
+  installs : int;
   evictions : int;
   solo_pps : float;
   drop : float;
@@ -13,12 +17,6 @@ type cell = {
 }
 
 type data = { cells : cell list }
-
-let backends ~(params : Runner.params) =
-  match params.Runner.classifier with
-  | Runner.All_backends -> Ppp_classify.Classifier.all
-  | Runner.Tss -> [ Ppp_classify.Classifier.Tss ]
-  | Runner.Range -> [ Ppp_classify.Classifier.Range ]
 
 (* Rule-set sizes and skews of the sweep. Sizes scale down with the machine
    like every other working set in the repo so the tiny config stays fast. *)
@@ -136,7 +134,7 @@ let measure ?(params = Runner.default_params) () =
           (fun nrules ->
             List.map (fun skew -> (backend, nrules, skew)) skews)
           (rule_sizes scale))
-      (backends ~params)
+      Ppp_classify.Classifier.all
   in
   let cell (backend, nrules, skew) =
     let bname = Ppp_classify.Classifier.kind_name backend in
@@ -148,26 +146,19 @@ let measure ?(params = Runner.default_params) () =
     let hits = Ppp_classify.Flow_table.hits table in
     let misses = Ppp_classify.Flow_table.misses table in
     let lookups = hits + misses in
-    let packets = solo.Ppp_hw.Engine.packets in
-    Ppp_telemetry.Recorder.add_classifier
-      {
-        Ppp_telemetry.Recorder.cls_cell = label;
-        cls_backend = bname;
-        cls_rules = nrules;
-        cls_lookups = lookups;
-        cls_hits = hits;
-        cls_upcalls = Ppp_classify.Fastpath.upcalls fp;
-        cls_installs = Ppp_classify.Flow_table.installs table;
-        cls_evictions = Ppp_classify.Flow_table.evictions table;
-      };
+    let upcalls = Ppp_classify.Fastpath.upcalls fp in
     {
       backend = bname;
       rules = nrules;
       skew;
       hit_rate = float_of_int hits /. float_of_int (max 1 lookups);
       upcalls_per_packet =
-        float_of_int (Ppp_classify.Fastpath.upcalls fp)
-        /. float_of_int (max 1 packets);
+        float_of_int upcalls
+        /. float_of_int (max 1 solo.Ppp_hw.Engine.packets);
+      lookups;
+      hits;
+      upcalls;
+      installs = Ppp_classify.Flow_table.installs table;
       evictions = Ppp_classify.Flow_table.evictions table;
       solo_pps = solo.Ppp_hw.Engine.throughput_pps;
       drop = Runner.drop ~solo ~corun;
@@ -208,26 +199,18 @@ let render data =
     | [] -> 0.0
     | cs -> List.fold_left (fun a c -> a +. f c) 0.0 cs /. float_of_int (List.length cs)
   in
-  let narrative =
-    let tss = by_backend "tss" and range = by_backend "range" in
-    if tss <> [] && range <> [] then
-      Printf.sprintf
-        "\nskew moves the flow table's hit rate, and the backends only \
-         matter on the miss path: mean drop %s%% (tss) vs %s%% (range), \
-         mean solo aggressiveness %.3g vs %.3g L3 refs/s. The slow path's \
-         memory footprint is a contention story only in proportion to the \
-         upcall rate — a hot, skewed universe hides either backend.\n"
-        (Exp_common.pct (avg (fun c -> c.drop) tss))
-        (Exp_common.pct (avg (fun c -> c.drop) range))
-        (avg (fun c -> c.l3_refs_per_sec) tss)
-        (avg (fun c -> c.l3_refs_per_sec) range)
-    else
-      Printf.sprintf
-        "\nsingle-backend run (%s): skew moves the hit rate; drop and L3 \
-         refs/s follow the upcall rate.\n"
-        (match data.cells with c :: _ -> c.backend | [] -> "none")
-  in
-  Table.to_string t ^ narrative
+  let tss = by_backend "tss" and range = by_backend "range" in
+  Table.to_string t
+  ^ Printf.sprintf
+      "\nskew moves the flow table's hit rate, and the backends only matter \
+       on the miss path: mean drop %s%% (tss) vs %s%% (range), mean solo \
+       aggressiveness %.3g vs %.3g L3 refs/s. The slow path's memory \
+       footprint is a contention story only in proportion to the upcall \
+       rate — a hot, skewed universe hides either backend.\n"
+      (Exp_common.pct (avg (fun c -> c.drop) tss))
+      (Exp_common.pct (avg (fun c -> c.drop) range))
+      (avg (fun c -> c.l3_refs_per_sec) tss)
+      (avg (fun c -> c.l3_refs_per_sec) range)
 
 let data_json data =
   let open Output in
@@ -238,6 +221,10 @@ let data_json data =
       Col.num "skew" (fun c -> c.skew);
       Col.num "hit_rate" (fun c -> c.hit_rate);
       Col.num "upcalls_per_packet" (fun c -> c.upcalls_per_packet);
+      Col.int "lookups" (fun c -> c.lookups);
+      Col.int "hits" (fun c -> c.hits);
+      Col.int "upcalls" (fun c -> c.upcalls);
+      Col.int "installs" (fun c -> c.installs);
       Col.int "evictions" (fun c -> c.evictions);
       Col.num "solo_pps" (fun c -> c.solo_pps);
       Col.num "drop" (fun c -> c.drop);

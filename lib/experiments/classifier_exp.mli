@@ -14,6 +14,10 @@ type cell = {
   skew : float;  (** Zipf exponent of the flow popularity distribution *)
   hit_rate : float;
   upcalls_per_packet : float;
+  lookups : int;  (** fast-path probes = hits + upcalls (solo run) *)
+  hits : int;
+  upcalls : int;
+  installs : int;  (** megaflows installed after upcalls *)
   evictions : int;
   solo_pps : float;
   drop : float;  (** contention-induced drop vs 5 SYN_MAX *)
@@ -21,10 +25,6 @@ type cell = {
 }
 
 type data = { cells : cell list }
-
-val backends : params:Ppp_core.Runner.params -> Ppp_classify.Classifier.kind list
-(** The backends selected by [params.classifier] ("tss" | "range" | "all");
-    raises [Invalid_argument] on anything else. *)
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
 val render : data -> string

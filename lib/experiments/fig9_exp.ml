@@ -26,7 +26,9 @@ let measure ?(params = Runner.default_params) () =
   in
   (* Label only — the mix cell's seed predates telemetry and must not
      change (golden snapshots). *)
-  let results = Runner.run ~params:(Runner.with_cell params "fig9/mix") specs in
+  let results =
+    Runner.run ~params:(Runner.Params.with_cell "fig9/mix" params) specs
+  in
   let solos = Exp_common.solo_results ~params kinds in
   let flows =
     List.map2

@@ -33,7 +33,9 @@ let measure ?(params = Runner.default_params) () =
         ~competitor ~target
     in
     let params =
-      Runner.with_cell params ("latency/vs-" ^ Ppp_apps.App.name competitor)
+      Runner.Params.with_cell
+        ("latency/vs-" ^ Ppp_apps.App.name competitor)
+        params
     in
     match Runner.run ~params specs with
     | t :: _ -> row_of label t

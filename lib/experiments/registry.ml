@@ -120,14 +120,15 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 let ids () = List.map (fun e -> e.id) all
 
+let header e =
+  [
+    ("id", Output.Json.Str e.id);
+    ("title", Output.Json.Str e.title);
+    ("paper_ref", Output.Json.Str e.paper_ref);
+  ]
+
+let envelope e (out : Output.t) =
+  Output.Json.Obj (header e @ [ ("data", out.Output.data) ])
+
 let to_json () =
-  Ppp_telemetry.Json.Arr
-    (List.map
-       (fun e ->
-         Ppp_telemetry.Json.Obj
-           [
-             ("id", Ppp_telemetry.Json.Str e.id);
-             ("title", Ppp_telemetry.Json.Str e.title);
-             ("paper_ref", Ppp_telemetry.Json.Str e.paper_ref);
-           ])
-       all)
+  Output.Json.Arr (List.map (fun e -> Output.Json.Obj (header e)) all)

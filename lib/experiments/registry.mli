@@ -14,6 +14,11 @@ val all : t list
 val find : string -> t option
 val ids : unit -> string list
 
-val to_json : unit -> Ppp_telemetry.Json.t
-(** Machine-readable registry (id, title, paper figure) for tooling/CI:
-    what [repro list --json] prints. *)
+val envelope : t -> Output.t -> Output.Json.t
+(** [envelope e out] is [{id, title, paper_ref, data}]: one experiment's
+    structured result under its registry header — what [repro run --json]
+    prints per experiment. *)
+
+val to_json : unit -> Output.Json.t
+(** Machine-readable registry (the {!envelope} header fields, without
+    data) for tooling/CI: what [repro list --json] prints. *)

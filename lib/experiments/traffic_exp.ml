@@ -78,21 +78,8 @@ let curve_levels =
     (fun (reads, instrs) -> { Ppp_apps.App.reads; instrs })
     [ (2, 80_000); (16, 6_000); (32, 1_200); (64, 400); (256, 0) ]
 
-let models_of_params (params : Runner.params) =
-  let all = [ Heavy 1.9; Heavy 1.1; Onoff 32; Onoff 512; Churn 64; Churn 8 ] in
-  match params.Runner.traffic with
-  | Runner.All_models -> all
-  | Runner.Heavy_tail ->
-      List.filter (function Heavy _ -> true | _ -> false) all
-  | Runner.Onoff -> List.filter (function Onoff _ -> true | _ -> false) all
-  | Runner.Churn -> List.filter (function Churn _ -> true | _ -> false) all
-
-let steerings_of_params (params : Runner.params) =
-  match params.Runner.steering with
-  | Runner.Both_steerings ->
-      [ Ppp_traffic.Steering.Rss; Ppp_traffic.Steering.Flow_director ]
-  | Runner.Rss -> [ Ppp_traffic.Steering.Rss ]
-  | Runner.Flow_director -> [ Ppp_traffic.Steering.Flow_director ]
+let models = [ Heavy 1.9; Heavy 1.1; Onoff 32; Onoff 512; Churn 64; Churn 8 ]
+let steerings = [ Ppp_traffic.Steering.Rss; Ppp_traffic.Steering.Flow_director ]
 
 let uniform_source ~rng ~flows =
   let seqs = Array.make flows 0 in
@@ -293,51 +280,34 @@ let run_cell ~(params : Runner.params) ~curve
       (Runner.competing_refs_per_sec results ~target:corun_r)
   in
   let table = Ppp_classify.Fastpath.table fp in
-  let c =
-    {
-      model = mname;
-      knob = knob_name cfg;
-      steering = sname;
-      solo_pps = solo_r.Ppp_hw.Engine.throughput_pps;
-      measured_drop;
-      predicted_drop;
-      abs_err = Float.abs (measured_drop -. predicted_drop);
-      false_alerts;
-      reorders = Ppp_click.Flow.reorders victim;
-      migrations = Ppp_traffic.Steering.migrations st;
-      evictions = Ppp_classify.Flow_table.evictions table;
-      packets = corun_r.Ppp_hw.Engine.packets;
-      lat_p99_inorder =
-        Ppp_util.Histogram.percentile
-          corun_r.Ppp_hw.Engine.latency_inorder 99.0;
-      lat_p99_reordered =
-        Ppp_util.Histogram.percentile
-          corun_r.Ppp_hw.Engine.latency_reordered 99.0;
-    }
-  in
-  Ppp_telemetry.Recorder.add_traffic
-    {
-      Ppp_telemetry.Recorder.tr_cell = label;
-      tr_model = mname;
-      tr_steering = sname;
-      tr_packets = c.packets;
-      tr_reorders = c.reorders;
-      tr_migrations = c.migrations;
-      tr_evictions = c.evictions;
-      tr_false_alerts = c.false_alerts;
-      tr_predicted_drop = c.predicted_drop;
-      tr_measured_drop = c.measured_drop;
-    };
-  c
+  {
+    model = mname;
+    knob = knob_name cfg;
+    steering = sname;
+    solo_pps = solo_r.Ppp_hw.Engine.throughput_pps;
+    measured_drop;
+    predicted_drop;
+    abs_err = Float.abs (measured_drop -. predicted_drop);
+    false_alerts;
+    reorders = Ppp_click.Flow.reorders victim;
+    migrations = Ppp_traffic.Steering.migrations st;
+    evictions = Ppp_classify.Flow_table.evictions table;
+    packets = corun_r.Ppp_hw.Engine.packets;
+    lat_p99_inorder =
+      Ppp_util.Histogram.percentile
+        corun_r.Ppp_hw.Engine.latency_inorder 99.0;
+    lat_p99_reordered =
+      Ppp_util.Histogram.percentile
+        corun_r.Ppp_hw.Engine.latency_reordered 99.0;
+  }
 
 let measure ?(params = Runner.default_params) () =
   let twin_solo, curve = stationary_curve ~params in
   let syn_solo = Profile.solo ~params Ppp_apps.App.syn_max in
   let cells =
     List.concat_map
-      (fun cfg ->
-        List.map (fun steering -> (cfg, steering)) (steerings_of_params params))
-      (models_of_params params)
+      (fun cfg -> List.map (fun steering -> (cfg, steering)) steerings)
+      models
   in
   {
     twin_solo_pps = twin_solo.Ppp_hw.Engine.throughput_pps;

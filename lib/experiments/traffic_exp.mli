@@ -10,8 +10,8 @@
     (|measured - predicted| drop vs 5 SYN_MAX co-runners), how many false
     aggressor alerts the monitor raises with no aggressor present, and the
     reordering each steering model produces (one sequence inversion per
-    Flow-Director migration; zero under RSS). [params.traffic] and
-    [params.steering] select the sweep's slice. *)
+    Flow-Director migration; zero under RSS). Every run sweeps all six
+    model cells under both steering models. *)
 
 type cell = {
   model : string;  (** "heavy" | "onoff" | "churn" *)

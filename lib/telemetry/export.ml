@@ -5,7 +5,7 @@ let rec mkdir_p dir =
   end
 
 (* The one shared "make sure this output directory exists" entry point: the
-   CLIs' --metrics-dir / --trace / --profile-out all funnel through here. *)
+   CLIs' --metrics / --trace / --profile-out all funnel through here. *)
 let ensure_dir = mkdir_p
 
 let deterministic_trace ~meta =
@@ -32,11 +32,7 @@ let write_metrics_dir ~dir ~run =
   write_string (Filename.concat dir "spans.csv") (Csv.spans_csv spans);
   Json.write_file
     (Filename.concat dir "manifest.json")
-    (Manifest.json ~events
-       ~classifier:(Recorder.classifier ())
-       ~traffic:(Recorder.traffic ())
-       ~profile:(Recorder.profile ())
-       ~run
+    (Manifest.json ~events ~profile:(Recorder.profile ()) ~run
        ~experiments:(Recorder.experiments ())
        ~series ~spans ())
 

@@ -3,11 +3,12 @@
     Layout of a metrics directory:
     - [series.csv] — simulated-time counter series (deterministic)
     - [spans.csv] — wall-clock runner spans (nondeterministic)
-    - [manifest.json] — run provenance + per-experiment wall-clock *)
+    - [manifest.json] — run provenance + per-experiment wall-clock and
+      structured results *)
 
 val ensure_dir : string -> unit
 (** Creates the directory (and parents) if needed — the shared helper
-    behind the CLIs' [--metrics-dir], [--trace] and [--profile-out]
+    behind the CLIs' [--metrics], [--trace] and [--profile-out]
     destinations. Idempotent. *)
 
 val deterministic_trace : meta:(string * Json.t) list -> Json.t

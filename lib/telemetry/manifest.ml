@@ -9,8 +9,8 @@ type run = {
   sample_cycles : int option;
 }
 
-let schema = "ppp-telemetry/5"
-let schema_version = 5
+let schema = "ppp-telemetry/6"
+let schema_version = 6
 
 (* The alerts section summarizes monitor events. It is always present —
    an empty section (0 events) is the valid shape for non-monitor runs —
@@ -30,74 +30,6 @@ let alerts_json events =
     [
       ("events", Json.Int (List.length events));
       ("by_name", Json.Obj by_name);
-    ]
-
-(* Schema 3: the classifier section summarizes the fast-path/slow-path
-   counters recorded per experiment cell. Like alerts, it is always present;
-   an empty section (0 cells) is the valid shape for runs that never
-   exercise the classifier. *)
-let classifier_json (entries : Recorder.classifier_entry list) =
-  let sum f = List.fold_left (fun acc e -> acc + f e) 0 entries in
-  Json.Obj
-    [
-      ("cells", Json.Int (List.length entries));
-      ("lookups", Json.Int (sum (fun e -> e.Recorder.cls_lookups)));
-      ("hits", Json.Int (sum (fun e -> e.Recorder.cls_hits)));
-      ("upcalls", Json.Int (sum (fun e -> e.Recorder.cls_upcalls)));
-      ("installs", Json.Int (sum (fun e -> e.Recorder.cls_installs)));
-      ("evictions", Json.Int (sum (fun e -> e.Recorder.cls_evictions)));
-      ( "by_cell",
-        Json.Arr
-          (List.map
-             (fun (e : Recorder.classifier_entry) ->
-               Json.Obj
-                 [
-                   ("cell", Json.Str e.Recorder.cls_cell);
-                   ("backend", Json.Str e.Recorder.cls_backend);
-                   ("rules", Json.Int e.Recorder.cls_rules);
-                   ("lookups", Json.Int e.Recorder.cls_lookups);
-                   ("hits", Json.Int e.Recorder.cls_hits);
-                   ("upcalls", Json.Int e.Recorder.cls_upcalls);
-                   ("installs", Json.Int e.Recorder.cls_installs);
-                   ("evictions", Json.Int e.Recorder.cls_evictions);
-                 ])
-             entries) );
-    ]
-
-(* Schema 4: the traffic section summarizes the traffic-realism experiment
-   cells — reordering, steering migrations and predictor/monitor accuracy
-   under non-stationary load. Always present like alerts and classifier;
-   an empty section (0 cells) is the valid shape for runs that never
-   exercise the traffic experiment. *)
-let traffic_json (entries : Recorder.traffic_entry list) =
-  let sum f = List.fold_left (fun acc e -> acc + f e) 0 entries in
-  Json.Obj
-    [
-      ("cells", Json.Int (List.length entries));
-      ("packets", Json.Int (sum (fun e -> e.Recorder.tr_packets)));
-      ("reorders", Json.Int (sum (fun e -> e.Recorder.tr_reorders)));
-      ("migrations", Json.Int (sum (fun e -> e.Recorder.tr_migrations)));
-      ("evictions", Json.Int (sum (fun e -> e.Recorder.tr_evictions)));
-      ("false_alerts", Json.Int (sum (fun e -> e.Recorder.tr_false_alerts)));
-      ( "by_cell",
-        Json.Arr
-          (List.map
-             (fun (e : Recorder.traffic_entry) ->
-               Json.Obj
-                 [
-                   ("cell", Json.Str e.Recorder.tr_cell);
-                   ("model", Json.Str e.Recorder.tr_model);
-                   ("steering", Json.Str e.Recorder.tr_steering);
-                   ("packets", Json.Int e.Recorder.tr_packets);
-                   ("reorders", Json.Int e.Recorder.tr_reorders);
-                   ("migrations", Json.Int e.Recorder.tr_migrations);
-                   ("evictions", Json.Int e.Recorder.tr_evictions);
-                   ("false_alerts", Json.Int e.Recorder.tr_false_alerts);
-                   ( "predicted_drop",
-                     Json.Float e.Recorder.tr_predicted_drop );
-                   ("measured_drop", Json.Float e.Recorder.tr_measured_drop);
-                 ])
-             entries) );
     ]
 
 (* Schema 5: the profile section summarizes per-element attribution when a
@@ -136,8 +68,7 @@ let profile_json (entries : Recorder.profile_entry list) =
              (Profile.by_element entries)) );
     ]
 
-let json ?(events = []) ?(classifier = []) ?(traffic = []) ?(profile = [])
-    ~run ~experiments ~series ~spans () =
+let json ?(events = []) ?(profile = []) ~run ~experiments ~series ~spans () =
   let n_slices =
     List.fold_left
       (fun acc (s : Timeseries.t) -> acc + List.length s.Timeseries.slices)
@@ -185,6 +116,7 @@ let json ?(events = []) ?(classifier = []) ?(traffic = []) ?(profile = [])
                    ("title", Json.Str e.Recorder.exp_title);
                    ("paper_ref", Json.Str e.Recorder.exp_paper_ref);
                    ("wall_s", Json.Float e.Recorder.wall_s);
+                   ("data", e.Recorder.exp_data);
                  ])
              experiments) );
       ( "series",
@@ -195,8 +127,6 @@ let json ?(events = []) ?(classifier = []) ?(traffic = []) ?(profile = [])
             ("slices", Json.Int n_slices);
           ] );
       ("alerts", alerts_json events);
-      ("classifier", classifier_json classifier);
-      ("traffic", traffic_json traffic);
       ("profile", profile_json profile);
       ( "wall_clock",
         Json.Obj

@@ -7,7 +7,7 @@
     invocation and the simulation. *)
 
 type run = {
-  tool : string;  (** "repro" or "bench" *)
+  tool : string;  (** the writing program, e.g. "repro" *)
   machine : string;  (** config name: westmere | scaled | tiny *)
   seed : int;
   warmup_cycles : int;
@@ -19,8 +19,6 @@ type run = {
 
 val json :
   ?events:Event.t list ->
-  ?classifier:Recorder.classifier_entry list ->
-  ?traffic:Recorder.traffic_entry list ->
   ?profile:Recorder.profile_entry list ->
   run:run ->
   experiments:Recorder.experiment_entry list ->
@@ -28,14 +26,13 @@ val json :
   spans:Span.t list ->
   unit ->
   Json.t
-(** Schema "ppp-telemetry/5": a [schema_version] field, an [alerts] section
-    summarizing monitor events (count + per-name breakdown), a [classifier]
-    section summarizing fast-path/slow-path counters (totals + per-cell
-    breakdown), a [traffic] section summarizing the traffic-realism
-    cells (reorders, steering migrations, predictor/monitor accuracy), and
-    a [profile] section summarizing per-element attribution (totals +
-    per-element breakdown with worst-core latency percentiles).
-    All four sections are always emitted; with no data they are the
-    empty-but-valid shapes ({["events": 0]}, {["cells": 0]},
-    {["entries": 0]}), so runs that exercise none of the subsystems stay
-    schema-conforming. *)
+(** Schema "ppp-telemetry/6": a [schema_version] field, one [experiments]
+    entry per run experiment ({id, title, paper_ref, wall_s, data}, where
+    [data] is the experiment's structured result verbatim — what
+    [repro run --json] prints under the same key), an [alerts] section
+    summarizing monitor events (count + per-name breakdown), and a
+    [profile] section summarizing per-element attribution (totals +
+    per-element breakdown with worst-core latency percentiles). Both
+    sections span experiments and are always emitted; with no data they
+    are the empty-but-valid shapes ({["events": 0]}, {["entries": 0]}), so
+    runs that exercise neither subsystem stay schema-conforming. *)

@@ -3,30 +3,7 @@ type experiment_entry = {
   exp_title : string;
   exp_paper_ref : string;
   wall_s : float;
-}
-
-type classifier_entry = {
-  cls_cell : string;
-  cls_backend : string;
-  cls_rules : int;
-  cls_lookups : int;
-  cls_hits : int;
-  cls_upcalls : int;
-  cls_installs : int;
-  cls_evictions : int;
-}
-
-type traffic_entry = {
-  tr_cell : string;
-  tr_model : string;
-  tr_steering : string;
-  tr_packets : int;
-  tr_reorders : int;
-  tr_migrations : int;
-  tr_evictions : int;
-  tr_false_alerts : int;
-  tr_predicted_drop : float;
-  tr_measured_drop : float;
+  exp_data : Json.t;
 }
 
 type profile_entry = {
@@ -58,8 +35,6 @@ let acc_series : Timeseries.t list ref = ref []
 let acc_spans : Span.t list ref = ref []
 let acc_events : Event.t list ref = ref []
 let acc_experiments : experiment_entry list ref = ref []
-let acc_classifier : classifier_entry list ref = ref []
-let acc_traffic : traffic_entry list ref = ref []
 let acc_profile : profile_entry list ref = ref []
 
 let locked f =
@@ -80,8 +55,6 @@ let clear_data () =
       acc_spans := [];
       acc_events := [];
       acc_experiments := [];
-      acc_classifier := [];
-      acc_traffic := [];
       acc_profile := [])
 
 let reset () =
@@ -116,10 +89,16 @@ let add_events es =
   in
   locked (fun () -> acc_events := List.rev_append es !acc_events)
 
-let record_experiment ~id ~title ~paper_ref ~wall_s =
+let record_experiment ~id ~title ~paper_ref ~wall_s ~data =
   locked (fun () ->
       acc_experiments :=
-        { exp_id = id; exp_title = title; exp_paper_ref = paper_ref; wall_s }
+        {
+          exp_id = id;
+          exp_title = title;
+          exp_paper_ref = paper_ref;
+          wall_s;
+          exp_data = data;
+        }
         :: !acc_experiments)
 
 let series () =
@@ -134,27 +113,6 @@ let spans () =
 
 let events () = locked (fun () -> List.sort Event.compare !acc_events)
 let experiments () = locked (fun () -> List.rev !acc_experiments)
-
-let add_classifier e =
-  locked (fun () -> acc_classifier := e :: !acc_classifier)
-
-let classifier () =
-  locked (fun () ->
-      List.sort
-        (fun a b ->
-          compare (a.cls_cell, a.cls_backend) (b.cls_cell, b.cls_backend))
-        !acc_classifier)
-
-let add_traffic e = locked (fun () -> acc_traffic := e :: !acc_traffic)
-
-let traffic () =
-  locked (fun () ->
-      List.sort
-        (fun a b ->
-          compare
-            (a.tr_cell, a.tr_model, a.tr_steering)
-            (b.tr_cell, b.tr_model, b.tr_steering))
-        !acc_traffic)
 
 let add_profile es =
   locked (fun () -> acc_profile := List.rev_append es !acc_profile)

@@ -15,30 +15,7 @@ type experiment_entry = {
   exp_title : string;
   exp_paper_ref : string;
   wall_s : float;  (** wall-clock duration — nondeterministic *)
-}
-
-type classifier_entry = {
-  cls_cell : string;  (** experiment cell label, e.g. "classifier/tss/64/0.0" *)
-  cls_backend : string;
-  cls_rules : int;
-  cls_lookups : int;  (** fast-path probes = hits + upcalls *)
-  cls_hits : int;
-  cls_upcalls : int;
-  cls_installs : int;
-  cls_evictions : int;
-}
-
-type traffic_entry = {
-  tr_cell : string;  (** experiment cell label, e.g. "traffic/heavy/1.1/fdir" *)
-  tr_model : string;  (** traffic model name: "heavy" | "onoff" | "churn" *)
-  tr_steering : string;  (** steering model name: "rss" | "fdir" *)
-  tr_packets : int;  (** packets the victim forwarded or dropped *)
-  tr_reorders : int;  (** RFC 4737 reordered singletons seen by the victim *)
-  tr_migrations : int;  (** Flow-Director core migrations (0 under RSS) *)
-  tr_evictions : int;  (** flow-table evictions forced by the source *)
-  tr_false_alerts : int;  (** monitor alerts with no real aggressor present *)
-  tr_predicted_drop : float;  (** stationary-model predicted drop fraction *)
-  tr_measured_drop : float;  (** drop fraction actually measured *)
+  exp_data : Json.t;  (** the experiment's structured result ([Output.data]) *)
 }
 
 type profile_entry = {
@@ -93,10 +70,16 @@ val add_events : Event.t list -> unit
     {!current_experiment}. *)
 
 val record_experiment :
-  id:string -> title:string -> paper_ref:string -> wall_s:float -> unit
-(** Appends a manifest entry for a completed experiment (always recorded,
-    even when telemetry is off — recording a float is free and the CLIs
-    decide later whether a manifest is written). *)
+  id:string ->
+  title:string ->
+  paper_ref:string ->
+  wall_s:float ->
+  data:Json.t ->
+  unit
+(** Appends a manifest entry for a completed experiment, carrying its
+    structured result (always recorded, even when telemetry is off — the
+    result is already built and the CLIs decide later whether a manifest is
+    written). *)
 
 val series : unit -> Timeseries.t list
 (** Sorted with {!Timeseries.compare} — deterministic for a fixed seed and
@@ -113,23 +96,8 @@ val experiments : unit -> experiment_entry list
 (** In completion order (experiments run sequentially from the main
     domain, so this order is the CLI invocation order). *)
 
-val add_classifier : classifier_entry -> unit
-(** Thread-safe; always recorded (like {!record_experiment}) — a handful of
-    ints per cell, and the CLIs decide later whether a manifest is
-    written. *)
-
-val classifier : unit -> classifier_entry list
-(** Sorted by (cell, backend) — deterministic regardless of job count. *)
-
-val add_traffic : traffic_entry -> unit
-(** Thread-safe; always recorded (like {!add_classifier}). *)
-
-val traffic : unit -> traffic_entry list
-(** Sorted by (cell, model, steering) — deterministic regardless of job
-    count. *)
-
 val add_profile : profile_entry list -> unit
-(** Thread-safe; always recorded (like {!add_classifier}). *)
+(** Thread-safe; always recorded (like {!record_experiment}). *)
 
 val profile : unit -> profile_entry list
 (** Sorted by (cell, core, elem). Element names are stable across job

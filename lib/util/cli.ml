@@ -79,7 +79,6 @@ let usage t =
 
 let die t msg =
   prerr_endline (t.prog ^ ": " ^ msg);
-  prerr_string (usage t);
   exit 2
 
 let find_spec t name = List.find_opt (fun s -> List.mem name s.names) t.specs

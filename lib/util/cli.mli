@@ -8,8 +8,8 @@
 
     [--help] (or [-h]) prints the generated usage text and exits 0.
     Malformed input (unknown option, missing or non-integer value) prints a
-    one-line error plus the usage text to stderr and exits 2, mirroring how
-    the previous cmdliner-based interface behaved. *)
+    one-line error to stderr, prefixed with the usage line ([prog]), and
+    exits 2. *)
 
 type t
 
@@ -36,5 +36,6 @@ val parse : t -> ?start:int -> string array -> string list
     above. *)
 
 val die : t -> string -> 'a
-(** Print [msg] and the usage text to stderr, exit 2. For the caller's own
-    validation (unknown subcommand, bad positional argument, ...). *)
+(** Print ["prog: msg"] as one line to stderr, exit 2. For the caller's own
+    validation (unknown subcommand, bad positional argument, out-of-range
+    value, ...). *)

@@ -114,7 +114,7 @@ let test_throttle_contains () =
     <= data.Throttle_exp.attacker_refs_budget *. 1.05)
 
 let test_classifier_structure () =
-  (* "all" sweeps 2 backends x 2 rule sizes x 2 skews = 8 cells, and within
+  (* The sweep is 2 backends x 2 rule sizes x 2 skews = 8 cells, and within
      each (backend, rules) pair the Zipf-skewed traffic must cache at least
      as well as the uniform traffic. *)
   let data = Classifier_exp.measure ~params:fast () in
@@ -148,18 +148,7 @@ let test_classifier_structure () =
         in
         Alcotest.(check bool) "skewed traffic hits at least as often" true
           (c.Classifier_exp.hit_rate >= uniform.Classifier_exp.hit_rate))
-    cells;
-  (* Backend selection: single-backend params halve the sweep; unknown
-     backend names never reach the experiment — parsing rejects them. *)
-  let tss_only = Runner.Params.with_classifier Runner.Tss fast in
-  Alcotest.(check int) "tss-only selects one backend" 1
-    (List.length (Classifier_exp.backends ~params:tss_only));
-  Alcotest.(check bool) "unknown backend name rejected at parse" true
-    (Runner.classifier_of_name "bogus" = None);
-  Alcotest.(check bool) "known names parse" true
-    (Runner.classifier_of_name "tss" = Some Runner.Tss
-    && Runner.classifier_of_name "range" = Some Runner.Range
-    && Runner.classifier_of_name "all" = Some Runner.All_backends)
+    cells
 
 let test_fig4_monotone_cache_curves () =
   let data =

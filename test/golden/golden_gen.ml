@@ -9,20 +9,21 @@ let golden_params = Ppp_core.Runner.Params.quick
    measurement window. *)
 let golden_sample_cycles = 250_000
 
-let run_with_telemetry id =
+(* The registered experiment [id] and its output under [params]. *)
+let run ?(params = golden_params) id =
   match Ppp_experiments.Registry.find id with
-  | Some e ->
-      Ppp_telemetry.Recorder.configure ~sample_cycles:golden_sample_cycles
-        ~spans:false ();
-      Ppp_telemetry.Recorder.set_experiment id;
-      (* The rendered tables are covered by the <id>.expected snapshots;
-         here only the collected telemetry is printed. *)
-      ignore
-        (e.Ppp_experiments.Registry.run ~params:golden_params ()
-          : Ppp_experiments.Output.t)
+  | Some e -> (e, e.Ppp_experiments.Registry.run ~params ())
   | None ->
       Printf.eprintf "golden_gen: unknown experiment %S\n" id;
       exit 1
+
+let run_with_telemetry id =
+  Ppp_telemetry.Recorder.configure ~sample_cycles:golden_sample_cycles
+    ~spans:false ();
+  Ppp_telemetry.Recorder.set_experiment id;
+  (* The rendered tables are covered by the <id>.expected snapshots; here
+     only the collected telemetry is printed. *)
+  ignore (run id)
 
 let () =
   (* Snapshots are generated sequentially; the determinism suite separately
@@ -54,56 +55,26 @@ let () =
            d.Ppp_experiments.Monitor_exp.loud.Ppp_experiments.Monitor_exp
              .alerts);
       print_newline ()
-  | [| _; "top"; id |] -> (
+  | [| _; "top"; id |] ->
       (* The `repro top <id>` hot-spot report: the experiment run under the
          per-element profiler, rendered as the top-k table. Attribution is
          simulated-clock only and the report is keyed by element name, so
          the snapshot is stable across job counts. *)
-      match Ppp_experiments.Registry.find id with
-      | Some e ->
-          let params =
-            Ppp_core.Runner.Params.with_profile true golden_params
-          in
-          ignore
-            (e.Ppp_experiments.Registry.run ~params ()
-              : Ppp_experiments.Output.t);
-          print_string
-            (Ppp_telemetry.Profile.top ~title:id
-               (Ppp_telemetry.Recorder.profile ()))
-      | None ->
-          Printf.eprintf "golden_gen: unknown experiment %S\n" id;
-          exit 1)
-  | [| _; "json"; id |] -> (
+      ignore
+        (run ~params:(Ppp_core.Runner.Params.with_profile true golden_params)
+           id);
+      print_string
+        (Ppp_telemetry.Profile.top ~title:id
+           (Ppp_telemetry.Recorder.profile ()))
+  | [| _; "json"; id |] ->
       (* The `repro run <id> --json` envelope, byte-for-byte: the structured
          result wrapped in {id, title, paper_ref, data}. *)
-      match Ppp_experiments.Registry.find id with
-      | Some e ->
-          let out = e.Ppp_experiments.Registry.run ~params:golden_params () in
-          print_string
-            (Ppp_telemetry.Json.to_string
-               (Ppp_telemetry.Json.Obj
-                  [
-                    ("id", Ppp_telemetry.Json.Str e.Ppp_experiments.Registry.id);
-                    ( "title",
-                      Ppp_telemetry.Json.Str e.Ppp_experiments.Registry.title );
-                    ( "paper_ref",
-                      Ppp_telemetry.Json.Str
-                        e.Ppp_experiments.Registry.paper_ref );
-                    ("data", out.Ppp_experiments.Output.data);
-                  ]));
-          print_newline ()
-      | None ->
-          Printf.eprintf "golden_gen: unknown experiment %S\n" id;
-          exit 1)
-  | [| _; id |] -> (
-      match Ppp_experiments.Registry.find id with
-      | Some e ->
-          print_string
-            (e.Ppp_experiments.Registry.run ~params:golden_params ())
-              .Ppp_experiments.Output.text
-      | None ->
-          Printf.eprintf "golden_gen: unknown experiment %S\n" id;
-          exit 1)
+      let e, out = run id in
+      print_string
+        (Ppp_telemetry.Json.to_string
+           (Ppp_experiments.Registry.envelope e out));
+      print_newline ()
+  | [| _; id |] -> print_string (snd (run id)).Ppp_experiments.Output.text
   | _ ->
       Printf.eprintf
         "usage: golden_gen [trace|metrics|alerts|json|top] <experiment-id>\n";

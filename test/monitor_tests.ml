@@ -176,7 +176,7 @@ let monitored_run ~params ~cell ?wrap kinds =
   in
   let _ =
     Ppp_core.Runner.run
-      ~params:(Ppp_core.Runner.with_cell params cell)
+      ~params:(Ppp_core.Runner.Params.with_cell cell params)
       ~probe:(Detector.probe det) ?wrap specs
   in
   Detector.finalize det;

@@ -1,4 +1,4 @@
-(* The perf-gate report behind `bench --perf-gate`: the committed
+(* The perf-gate report behind `bench/main.exe`: the committed
    BENCH_engine.json must keep its schema (CI parses it), and the recorded
    trajectory must never lose points. *)
 

@@ -209,7 +209,7 @@ let minified_contains s needle =
 let test_manifest_shape () =
   with_recorder ~sample_cycles:100_000 (fun () ->
       Recorder.record_experiment ~id:"fig2" ~title:"t" ~paper_ref:"Figure 2"
-        ~wall_s:1.5;
+        ~wall_s:1.5 ~data:Json.Null;
       let j =
         Manifest.json ~run:manifest_run
           ~experiments:(Recorder.experiments ())
@@ -222,7 +222,7 @@ let test_manifest_shape () =
             (Printf.sprintf "manifest mentions %s" needle)
             true (minified_contains s needle))
         [
-          "ppp-telemetry/5"; "\"schema_version\":5"; "\"tool\":\"test\"";
+          "ppp-telemetry/6"; "\"schema_version\":6"; "\"tool\":\"test\"";
           "\"fig2\""; "wall_clock"; "\"profile\":{\"entries\":0";
         ])
 
@@ -261,74 +261,129 @@ let test_manifest_alerts_shape () =
         (minified_contains s
            {|"alerts":{"events":3,"by_name":{"monitor.hidden_aggressor":2,"monitor.recovered":1}}|}))
 
-let test_manifest_classifier_shape () =
-  (* Schema 3's classifier section mirrors the alerts contract: always
-     present, empty-but-valid without data, per-cell counters with some. *)
+let test_manifest_experiment_data () =
+  (* Schema 6: each experiments[] entry carries the experiment's
+     Output.data verbatim as [data], and the cross-experiment sections stay
+     present (empty-but-valid) whatever the experiments emitted. *)
   with_recorder ~sample_cycles:100_000 (fun () ->
-      let manifest classifier =
-        Json.to_string ~minify:true
-          (Manifest.json ~classifier ~run:manifest_run ~experiments:[]
-             ~series:[] ~spans:[] ())
+      let row = [ ("lookups", Json.Int 1000); ("drop", Json.Float 0.0125) ] in
+      let data = Json.Arr [ Json.Obj row ] in
+      Recorder.record_experiment ~id:"classifier" ~title:"t"
+        ~paper_ref:"extension" ~wall_s:0.5 ~data;
+      let j =
+        Manifest.json ~run:manifest_run
+          ~experiments:(Recorder.experiments ())
+          ~series:[] ~spans:[] ()
       in
-      let empty = manifest [] in
-      Alcotest.(check bool) "empty classifier section is the valid shape" true
-        (minified_contains empty
-           {|"classifier":{"cells":0,"lookups":0,"hits":0,"upcalls":0,"installs":0,"evictions":0,"by_cell":[]}|});
-      let entry =
-        {
-          Recorder.cls_cell = "classifier/tss/128/0.0";
-          cls_backend = "tss";
-          cls_rules = 128;
-          cls_lookups = 1000;
-          cls_hits = 700;
-          cls_upcalls = 300;
-          cls_installs = 290;
-          cls_evictions = 12;
-        }
+      (match j with
+      | Json.Obj kvs -> (
+          match List.assoc_opt "experiments" kvs with
+          | Some (Json.Arr [ Json.Obj e ]) ->
+              Alcotest.(check bool) "data embedded verbatim" true
+                (List.assoc_opt "data" e = Some data)
+          | _ -> Alcotest.fail "expected exactly one experiments[] entry")
+      | _ -> Alcotest.fail "manifest is not an object");
+      let s = Json.to_string ~minify:true j in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "manifest mentions %s" needle)
+            true (minified_contains s needle))
+        [ {|"alerts":{"events":0,"by_name":{}}|}; {|"profile":{"entries":0|} ])
+
+(* The per-cell counters of the former bespoke classifier and traffic
+   sections reach the manifest as columns of their experiment's data. *)
+let manifest_of_experiment ~id ~data =
+  with_recorder ~sample_cycles:100_000 (fun () ->
+      Recorder.record_experiment ~id ~title:"t" ~paper_ref:"extension"
+        ~wall_s:0.5 ~data;
+      let j =
+        Manifest.json ~run:manifest_run
+          ~experiments:(Recorder.experiments ())
+          ~series:[] ~spans:[] ()
       in
-      let s = manifest [ entry ] in
-      Alcotest.(check bool) "totals summed over cells" true
-        (minified_contains s
-           {|"cells":1,"lookups":1000,"hits":700,"upcalls":300,"installs":290,"evictions":12|});
-      Alcotest.(check bool) "per-cell entry carries backend and cell label"
-        true
-        (minified_contains s
-           {|{"cell":"classifier/tss/128/0.0","backend":"tss","rules":128,|}))
+      (match j with
+      | Json.Obj kvs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "no bespoke top-level %s section" id)
+            false (List.mem_assoc id kvs)
+      | _ -> Alcotest.fail "manifest is not an object");
+      Json.to_string ~minify:true j)
+
+let check_mentions s needles =
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "manifest mentions %s" needle)
+        true (minified_contains s needle))
+    needles
+
+let test_manifest_classifier_shape () =
+  let cell =
+    {
+      Ppp_experiments.Classifier_exp.backend = "tss";
+      rules = 128;
+      skew = 0.0;
+      hit_rate = 0.7;
+      upcalls_per_packet = 0.3;
+      lookups = 1000;
+      hits = 700;
+      upcalls = 300;
+      installs = 290;
+      evictions = 12;
+      solo_pps = 1e6;
+      drop = 0.1;
+      l3_refs_per_sec = 2e7;
+    }
+  in
+  let s =
+    manifest_of_experiment ~id:"classifier"
+      ~data:
+        (Ppp_experiments.Classifier_exp.data_json
+           { Ppp_experiments.Classifier_exp.cells = [ cell ] })
+  in
+  check_mentions s
+    [
+      {|"id":"classifier"|};
+      {|{"backend":"tss","rules":128,|};
+      {|"lookups":1000,"hits":700,"upcalls":300,"installs":290,"evictions":12,|};
+    ]
 
 let test_manifest_traffic_shape () =
-  (* Schema 4's traffic section follows the same contract: always present,
-     empty-but-valid without data, per-cell counters with some. *)
-  with_recorder ~sample_cycles:100_000 (fun () ->
-      let manifest traffic =
-        Json.to_string ~minify:true
-          (Manifest.json ~traffic ~run:manifest_run ~experiments:[] ~series:[]
-             ~spans:[] ())
-      in
-      let empty = manifest [] in
-      Alcotest.(check bool) "empty traffic section is the valid shape" true
-        (minified_contains empty
-           {|"traffic":{"cells":0,"packets":0,"reorders":0,"migrations":0,"evictions":0,"false_alerts":0,"by_cell":[]}|});
-      let entry =
-        {
-          Recorder.tr_cell = "traffic/heavy/1.1/fdir";
-          tr_model = "heavy";
-          tr_steering = "fdir";
-          tr_packets = 5000;
-          tr_reorders = 17;
-          tr_migrations = 17;
-          tr_evictions = 42;
-          tr_false_alerts = 1;
-          tr_predicted_drop = 0.25;
-          tr_measured_drop = 0.31;
-        }
-      in
-      let s = manifest [ entry ] in
-      Alcotest.(check bool) "totals summed over cells" true
-        (minified_contains s
-           {|"cells":1,"packets":5000,"reorders":17,"migrations":17,"evictions":42,"false_alerts":1|});
-      Alcotest.(check bool) "per-cell entry carries model and steering" true
-        (minified_contains s
-           {|{"cell":"traffic/heavy/1.1/fdir","model":"heavy","steering":"fdir",|}))
+  let cell =
+    {
+      Ppp_experiments.Traffic_exp.model = "heavy";
+      knob = "alpha=1.1";
+      steering = "fdir";
+      solo_pps = 1e6;
+      measured_drop = 0.31;
+      predicted_drop = 0.25;
+      abs_err = 0.06;
+      false_alerts = 1;
+      reorders = 17;
+      migrations = 17;
+      evictions = 42;
+      packets = 5000;
+      lat_p99_inorder = 900;
+      lat_p99_reordered = 1200;
+    }
+  in
+  let s =
+    manifest_of_experiment ~id:"traffic"
+      ~data:
+        (Ppp_experiments.Traffic_exp.data_json
+           {
+             Ppp_experiments.Traffic_exp.twin_solo_pps = 1e6;
+             curve_points = [];
+             cells = [ cell ];
+           })
+  in
+  check_mentions s
+    [
+      {|"id":"traffic"|};
+      {|{"model":"heavy","knob":"alpha=1.1","steering":"fdir",|};
+      {|"false_alerts":1,"reorders":17,"migrations":17,"evictions":42,"packets":5000,|};
+    ]
 
 let test_trace_shape () =
   with_recorder ~sample_cycles:100_000 (fun () ->
@@ -392,6 +447,8 @@ let tests =
       test_manifest_classifier_shape;
     Alcotest.test_case "manifest traffic section" `Quick
       test_manifest_traffic_shape;
+    Alcotest.test_case "manifest experiment data" `Quick
+      test_manifest_experiment_data;
     Alcotest.test_case "deterministic trace shape" `Quick test_trace_shape;
     Alcotest.test_case "recorder validation and defaults" `Quick
       test_recorder_validation;
