@@ -50,26 +50,19 @@ let params_args cli =
     | None -> Cli.die cli (Printf.sprintf "unknown config %S" !config)
     | Some c ->
         if !jobs < 0 then Cli.die cli "--jobs must be >= 0";
-        if !batch < 1 then Cli.die cli "--batch must be >= 1";
-        (* Validate the windows the run will use, after --quick's division:
-           a negative warmup would be accepted silently, and an empty
-           measurement window divides by zero into NaN drops. *)
+        (* Validate the windows the run will use, after --quick's division. *)
         let div = if !quick then 4 else 1 in
-        let warmup = !warmup / div and measure = !measure / div in
-        let after = if !quick then " after --quick" else "" in
-        if warmup < 0 then
-          Cli.die cli
-            (Printf.sprintf "warmup window must be >= 0 cycles, got %d%s"
-               warmup after);
-        if measure < 1 then
-          Cli.die cli
-            (Printf.sprintf "measurement window must be >= 1 cycle, got %d%s"
-               measure after);
+        let params =
+          Ppp_core.Runner.Params.(
+            default |> with_config c |> with_seed !seed
+            |> with_windows ~warmup:(!warmup / div) ~measure:(!measure / div)
+            |> with_batch !batch |> with_profile !profile)
+        in
+        (match Ppp_core.Runner.Params.validate params with
+        | Ok () -> ()
+        | Error e -> Cli.die cli (if !quick then e ^ " after --quick" else e));
         Ppp_core.Parallel.set_jobs !jobs;
-        Ppp_core.Runner.Params.(
-          default |> with_config c |> with_seed !seed
-          |> with_windows ~warmup ~measure
-          |> with_batch !batch |> with_profile !profile))
+        params)
 
 (* --- shared flags: telemetry (--trace / --metrics / --sample-cycles) --- *)
 

@@ -53,9 +53,25 @@ module Params = struct
   let with_batch batch p = { p with batch }
   let with_cell cell p = { p with cell }
   let with_profile profile p = { p with profile }
+
+  let validate p =
+    if p.warmup_cycles < 0 then
+      Error
+        (Printf.sprintf "warmup window must be >= 0 cycles, got %d"
+           p.warmup_cycles)
+    else if p.measure_cycles < 1 then
+      Error
+        (Printf.sprintf "measurement window must be >= 1 cycle, got %d"
+           p.measure_cycles)
+    else if p.batch < 1 then
+      Error (Printf.sprintf "batch must be >= 1, got %d" p.batch)
+    else Ok ()
 end
 
 let run ?(params = default_params) ?probe ?wrap specs =
+  (match Params.validate params with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Runner.run: " ^ e));
   if specs = [] then invalid_arg "Runner.run: no flows";
   let t_wall = Ppp_telemetry.Span.now_s () in
   let config = params.config in

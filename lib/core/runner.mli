@@ -68,6 +68,13 @@ module Params : sig
       every golden snapshot). *)
 
   val with_profile : bool -> t -> t
+
+  val validate : t -> (unit, string) result
+  (** [Ok ()] iff the windows and the burst budget can be run: warmup >= 0,
+      measure >= 1 and batch >= 1. A negative warmup would otherwise run
+      silently, and an empty window yields 0 pps and NaN drops. The error
+      is one line naming the bad value, e.g.
+      ["measurement window must be >= 1 cycle, got 0"]. *)
 end
 
 val run :
@@ -78,7 +85,9 @@ val run :
   spec list ->
   Ppp_hw.Engine.result list
 (** Builds a fresh machine, instantiates each spec as a flow, runs, and
-    returns results in spec order. When the {!Ppp_telemetry.Recorder} is
+    returns results in spec order. Raises [Invalid_argument] with the
+    {!Params.validate} message before building anything when [params] are
+    not runnable. When the {!Ppp_telemetry.Recorder} is
     configured, the run additionally feeds it: a per-core simulated-time
     counter series (sampling) and a wall-clock span, both tagged with
     [params.cell].

@@ -8,7 +8,8 @@
     state is preallocated flat int arrays indexed [core * Eid.max_ids +
     elem], so profiling adds no allocation to the engine's op path; with no
     [?attrib] the engine skips attribution behind one hoisted branch and
-    its hot path is untouched (the perf gate proves 0 B/op either way).
+    its hot path is untouched (the [alloc] test suite pins 0 B per op
+    either way).
 
     Window totals follow the engine's snapshot convention exactly (warmup
     crossing op excluded, window-end crossing op included), so for every

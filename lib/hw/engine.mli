@@ -77,8 +77,8 @@ type result = {
           [latency] exactly *)
   engine_ops : int;
       (** trace operations the engine replayed for this core over the whole
-          run, warmup included — the simulator's own work, used by the bench
-          perf gate to report replay throughput (ops/sec) *)
+          run, warmup included — the simulator's own work, the
+          denominator of host cost per op *)
 }
 
 val run :
@@ -99,7 +99,7 @@ val run :
     into the per-(core, element) latency histograms. Attribution reads the
     simulation but never perturbs it: results are byte-identical with and
     without [attrib], and without it the op path pays a single hoisted
-    branch (still allocation-free — the perf gate pins both).
+    branch (still allocation-free — the [alloc] test suite pins both).
 
     [batch] (default 32; must be >= 1) caps how many trace operations the
     scheduled core executes per scheduling decision. The engine bursts the

@@ -20,13 +20,17 @@ let set_dst p mac =
   Packet.blit_string mac p 0
 
 let mac_of_string s =
+  let octet x =
+    let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    let n = String.length x in
+    if n < 1 || n > 2 || not (String.for_all hex x) then
+      invalid_arg "Ethernet.mac_of_string: bad octet";
+    Char.chr (int_of_string ("0x" ^ x))
+  in
   match String.split_on_char ':' s with
-  | [ a; b; c; d; e; f ] ->
-      let byte x = Char.chr (int_of_string ("0x" ^ x)) in
-      let buf = Bytes.create 6 in
-      List.iteri (fun i x -> Bytes.set buf i (byte x)) [ a; b; c; d; e; f ];
-      Bytes.to_string buf
-  | _ -> invalid_arg "Ethernet.mac_of_string"
+  | [ _; _; _; _; _; _ ] as octets ->
+      String.of_seq (List.to_seq (List.map octet octets))
+  | _ -> invalid_arg "Ethernet.mac_of_string: expected xx:xx:xx:xx:xx:xx"
 
 let mac_to_string m =
   check_mac m;

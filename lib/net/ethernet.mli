@@ -11,6 +11,7 @@ val src : Packet.t -> string
 val dst : Packet.t -> string
 val set_dst : Packet.t -> string -> unit
 val mac_of_string : string -> string
-(** Parses "aa:bb:cc:dd:ee:ff" into a 6-byte MAC. *)
+(** Parses "aa:bb:cc:dd:ee:ff" into a 6-byte MAC. Each octet is one or two
+    hex digits; anything else raises [Invalid_argument]. *)
 
 val mac_to_string : string -> string

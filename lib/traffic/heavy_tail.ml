@@ -4,8 +4,8 @@
    realized size in packets is drawn by inverting the bounded-Pareto CDF.
    From then on everything is integers: the per-flow sizes become a prefix
    sum, and [sample] is one bounded [Rng.int] draw plus a binary search —
-   allocation-free, so a heavy-tailed source passes the perf gate's
-   zero-alloc audit. *)
+   allocation-free, so a heavy-tailed source's fill loop passes the
+   [alloc] test suite. *)
 
 type t = {
   flows : int;

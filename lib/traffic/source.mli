@@ -10,8 +10,8 @@
 
     The fill hot path is allocation-free by contract: [status] has constant
     constructors only, and the built-in sources draw integers (never
-    floats) from {!Ppp_util.Rng}. The perf gate audits this
-    ([source_fill] in BENCH_engine.json). *)
+    floats) from {!Ppp_util.Rng}. The [alloc] test suite pins a heavy-tail
+    fill loop at zero bytes. *)
 
 type status =
   | Filled  (** the packet holds the next input frame *)

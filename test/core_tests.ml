@@ -102,6 +102,17 @@ let test_runner_rejects_bad_core () =
     (fun () ->
       ignore (Runner.run ~params:quick [ { Runner.kind = Ppp_apps.App.IP; core = 99; data_node = 0 } ]))
 
+let test_runner_rejects_bad_params () =
+  let rejects what msg params =
+    Alcotest.check_raises what (Invalid_argument ("Runner.run: " ^ msg))
+      (fun () -> ignore (Runner.run ~params [ Runner.flow_on ~core:0 Ppp_apps.App.IP ]))
+  in
+  rejects "negative warmup" "warmup window must be >= 0 cycles, got -5"
+    Runner.Params.(quick |> with_windows ~warmup:(-5) ~measure:1_000);
+  rejects "empty window" "measurement window must be >= 1 cycle, got 0"
+    Runner.Params.(quick |> with_windows ~warmup:0 ~measure:0);
+  rejects "zero batch" "batch must be >= 1, got 0" Runner.Params.(quick |> with_batch 0)
+
 let test_runner_corun_drop_positive () =
   let solo = Runner.solo ~params:quick Ppp_apps.App.MON in
   let specs =
@@ -369,6 +380,7 @@ let tests =
     Alcotest.test_case "runner solo sane" `Quick test_runner_solo_sane;
     Alcotest.test_case "runner deterministic" `Quick test_runner_determinism;
     Alcotest.test_case "runner bad core" `Quick test_runner_rejects_bad_core;
+    Alcotest.test_case "runner bad params" `Quick test_runner_rejects_bad_params;
     Alcotest.test_case "runner co-run drop" `Quick test_runner_corun_drop_positive;
     Alcotest.test_case "competing refs sum" `Quick test_competing_refs_sums_others;
     Alcotest.test_case "profile consistency" `Quick test_profile_consistency;

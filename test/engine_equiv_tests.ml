@@ -3,8 +3,8 @@
    verbatim in Ref_engine: for random flow sets, seeds and probe grids the
    two must produce the same result list — including [engine_ops], the
    count of replayed trace operations — and the same probe samples in the
-   same order. This is what licenses every hot-path change behind the perf
-   gate: faster, but observationally identical. *)
+   same order. This is what licenses every hot-path change: faster, but
+   observationally identical. *)
 
 open Ppp_hw
 

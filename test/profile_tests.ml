@@ -13,26 +13,10 @@
 
 open Ppp_hw
 
-let kinds = Ppp_apps.App.[ IP; MON; FW; RE; VPN ]
-
-let mk_flows ~config ~seed kind_ixs =
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed in
-  List.mapi
-    (fun core ix ->
-      let kind = List.nth kinds (ix mod List.length kinds) in
-      let label = Printf.sprintf "%s#%d" (Ppp_apps.App.name kind) core in
-      let flow =
-        Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
-          ~scale:config.Machine.scale ~label ()
-      in
-      { Engine.core; label; source = Ppp_click.Flow.source flow })
-    kind_ixs
-
 let run_attributed ?(reorder_every = 0) ~batch ~seed kind_ixs =
   let config = Machine.tiny in
   let hier = Machine.build config in
-  let flows = mk_flows ~config ~seed kind_ixs in
+  let flows = Engine_equiv_tests.mk_flows ~config ~seed kind_ixs in
   let flows =
     if reorder_every <= 0 then flows
     else
@@ -148,7 +132,7 @@ let test_attrib_pure () =
   let config = Machine.tiny in
   let run ~attrib =
     let hier = Machine.build config in
-    let flows = mk_flows ~config ~seed:42 [ 0; 3 ] in
+    let flows = Engine_equiv_tests.mk_flows ~config ~seed:42 [ 0; 3 ] in
     let attrib =
       if attrib then
         Some (Attrib.create ~cores:(Topology.cores config.Machine.topology))

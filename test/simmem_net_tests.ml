@@ -162,8 +162,21 @@ let test_incremental_update_matches_recompute () =
 (* --- Ethernet / Ipv4 / Transport / Flowid --- *)
 
 let test_mac_string_roundtrip () =
-  let m = Ethernet.mac_of_string "02:00:5e:10:00:ff" in
-  Alcotest.(check string) "roundtrip" "02:00:5e:10:00:ff" (Ethernet.mac_to_string m)
+  List.iter
+    (fun s ->
+      Alcotest.(check string) s "02:00:5e:10:00:ff"
+        (Ethernet.mac_to_string (Ethernet.mac_of_string s)))
+    [ "02:00:5e:10:00:ff"; "2:0:5E:10:0:FF" ]
+
+let test_mac_string_rejects_garbage () =
+  List.iter
+    (fun s ->
+      Alcotest.check_raises s (Invalid_argument "Ethernet.mac_of_string: bad octet")
+        (fun () -> ignore (Ethernet.mac_of_string s)))
+    [ "zz:00:00:00:00:00"; ":::::"; "1ff:00:00:00:00:00"; "-1:0:0:0:0:0" ];
+  Alcotest.check_raises "five octets"
+    (Invalid_argument "Ethernet.mac_of_string: expected xx:xx:xx:xx:xx:xx")
+    (fun () -> ignore (Ethernet.mac_of_string "00:00:00:00:00"))
 
 let test_addr_string_roundtrip () =
   let a = Ipv4.addr_of_string "192.168.3.44" in
@@ -268,6 +281,7 @@ let tests =
     Alcotest.test_case "checksum validates" `Quick test_checksum_validates;
     Alcotest.test_case "incremental checksum" `Quick test_incremental_update_matches_recompute;
     Alcotest.test_case "mac string roundtrip" `Quick test_mac_string_roundtrip;
+    Alcotest.test_case "mac string rejects garbage" `Quick test_mac_string_rejects_garbage;
     Alcotest.test_case "addr string roundtrip" `Quick test_addr_string_roundtrip;
     Alcotest.test_case "addr rejects garbage" `Quick test_addr_string_rejects_garbage;
     Alcotest.test_case "ipv4 build/parse" `Quick test_ipv4_header_build_parse;

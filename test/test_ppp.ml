@@ -13,7 +13,7 @@ let () =
       ("core", Core_tests.tests);
       ("experiments", Experiments_tests.tests);
       ("engine-equiv", Engine_equiv_tests.tests);
-      ("perf-gate", Perf_gate_tests.tests);
+      ("alloc", Alloc_tests.tests);
       ("determinism", Determinism_tests.tests);
       ("profile", Profile_tests.tests);
       ("telemetry", Telemetry_tests.tests);
