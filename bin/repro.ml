@@ -691,7 +691,7 @@ let toplevel_usage =
   \  capture  Write a flow type's generated traffic to a pcap file.\n\
    Run `repro COMMAND --help` for the command's options.\n"
 
-let () =
+let main () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "" with
   | "list" -> list_main ()
   | "run" -> run_all_main ~all:false ()
@@ -710,4 +710,13 @@ let () =
   | cmd ->
       prerr_endline ("repro: unknown command " ^ cmd);
       prerr_string toplevel_usage;
+      exit 2
+
+(* The libraries reject inputs the flag checks cannot see, such as a
+   window too short for one packet, with Invalid_argument or Failure: one
+   line and exit 2, like any other bad input. *)
+let () =
+  try main () with
+  | Invalid_argument msg | Failure msg ->
+      prerr_endline ("repro: " ^ msg);
       exit 2

@@ -6,36 +6,40 @@ let window = 32
 let modulus = (1 lsl 31) - 1
 let base = 263
 
-let mulmod a b = a * b mod modulus
+type state = int
 
-type state = { fp : int }
+(* x mod p without a division, for 0 <= x < 2^41: since 2^31 = 1 (mod p)
+   the bits above 31 fold onto the low ones, landing below p + 2^10 < 2p,
+   and one subtraction makes the result canonical. Every x below is at
+   most (2p - 2) * base + 256 < 2^41. *)
+let[@inline] reduce x =
+  let y = (x land modulus) + (x lsr 31) in
+  if y >= modulus then y - modulus else y
 
-(* base^(window-1) mod p, for removing the outgoing byte. *)
+(* base^(window-1) mod p, the weight of the outgoing byte. *)
 let top_coeff =
-  let rec go acc n = if n = 0 then acc else go (mulmod acc base) (n - 1) in
+  let rec go acc n = if n = 0 then acc else go (acc * base mod modulus) (n - 1) in
   go 1 (window - 1)
 
-let addmod a b =
-  let s = a + b in
-  if s >= modulus then s - modulus else s
-
-let submod a b = if a >= b then a - b else a + modulus - b
+(* remove.(c) = -(c+1) * base^(window-1) mod p, in [1, p-1]: adding it
+   drops outgoing byte c and keeps the sum non-negative. *)
+let remove = Array.init 256 (fun c -> modulus - ((c + 1) * top_coeff mod modulus))
 
 let init b ~pos =
-  if pos < 0 || pos + window > Bytes.length b then invalid_arg "Rabin.init";
+  (* Bounds written so that no sum can overflow: the reads are unchecked. *)
+  if pos < 0 || pos > Bytes.length b - window then invalid_arg "Rabin.init";
   let fp = ref 0 in
   for i = pos to pos + window - 1 do
-    fp := addmod (mulmod !fp base) (Char.code (Bytes.get b i) + 1)
+    fp := reduce ((!fp * base) + Char.code (Bytes.unsafe_get b i) + 1)
   done;
-  { fp = !fp }
+  !fp
 
 let roll st b ~pos =
-  if pos < 1 || pos + window > Bytes.length b then invalid_arg "Rabin.roll";
-  let outgoing = Char.code (Bytes.get b (pos - 1)) + 1 in
-  let incoming = Char.code (Bytes.get b (pos + window - 1)) + 1 in
-  let fp = submod st.fp (mulmod outgoing top_coeff) in
-  { fp = addmod (mulmod fp base) incoming }
+  if pos < 1 || pos > Bytes.length b - window then invalid_arg "Rabin.roll";
+  let outgoing = Char.code (Bytes.unsafe_get b (pos - 1)) in
+  let incoming = Char.code (Bytes.unsafe_get b (pos + window - 1)) in
+  reduce (((st + Array.unsafe_get remove outgoing) * base) + incoming + 1)
 
-let value st = st.fp
-let fingerprint b ~pos = value (init b ~pos)
+let value st = st
+let fingerprint b ~pos = init b ~pos
 let is_sample fp ~mask = fp land mask = 0

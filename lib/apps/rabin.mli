@@ -6,13 +6,19 @@ val window : int
 (** Fingerprint window in bytes (32). *)
 
 type state
+(** An immediate value (an [int] underneath): holding or passing one never
+    allocates. *)
 
 val init : Bytes.t -> pos:int -> state
-(** Fingerprint of the window starting at [pos] (requires [window] bytes). *)
+(** Fingerprint of the window starting at [pos] (requires [window] bytes;
+    [Invalid_argument] otherwise). *)
 
 val roll : state -> Bytes.t -> pos:int -> state
 (** [roll st b ~pos] slides the window one byte: [pos] is the new start
-    position; byte [pos-1] leaves, byte [pos+window-1] enters. *)
+    position; byte [pos-1] leaves, byte [pos+window-1] enters. One table
+    lookup, one multiply-add and a division-free reduction; allocates
+    nothing. [Invalid_argument] unless [1 <= pos] and the new window fits
+    in [b]. *)
 
 val value : state -> int
 (** The current fingerprint (non-negative, < modulus). *)

@@ -202,6 +202,9 @@ let solo ?(params = default_params) kind =
 
 let drop ~solo ~corun =
   let ts = solo.Ppp_hw.Engine.throughput_pps in
+  if ts <= 0.0 then
+    invalid_arg
+      "Runner.drop: solo run completed no packets in its measurement window";
   (ts -. corun.Ppp_hw.Engine.throughput_pps) /. ts
 
 let competing_refs_per_sec results ~target =

@@ -72,9 +72,9 @@ module Params : sig
   val validate : t -> (unit, string) result
   (** [Ok ()] iff the windows and the burst budget can be run: warmup >= 0,
       measure >= 1 and batch >= 1. A negative warmup would otherwise run
-      silently, and an empty window yields 0 pps and NaN drops. The error
-      is one line naming the bad value, e.g.
-      ["measurement window must be >= 1 cycle, got 0"]. *)
+      silently. A valid window may still complete no packet; {!drop}
+      rejects such a solo baseline. The error is one line naming the bad
+      value, e.g. ["measurement window must be >= 1 cycle, got 0"]. *)
 end
 
 val run :
@@ -118,7 +118,10 @@ val solo : ?params:params -> Ppp_apps.App.kind -> Ppp_hw.Engine.result
     a kind identical wherever it is computed. *)
 
 val drop : solo:Ppp_hw.Engine.result -> corun:Ppp_hw.Engine.result -> float
-(** Fractional contention-induced drop, >= -epsilon in practice. *)
+(** Fractional contention-induced drop, >= -epsilon in practice. Raises
+    [Invalid_argument] when [solo] completed no packet in its window (a
+    window that {!Params.validate} accepts can still be too short for one
+    packet), instead of returning NaN. *)
 
 val competing_refs_per_sec :
   Ppp_hw.Engine.result list -> target:Ppp_hw.Engine.result -> float

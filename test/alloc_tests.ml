@@ -103,38 +103,38 @@ let test_source_fill () =
   fill 1024;
   check_loop "heavy-tail Source.fill" (allocated (fun () -> fill iterations))
 
-(* The contended fig2 placement, IP against 5 MON on one socket of the
-   scaled machine, whose flows generate their traces without allocating.
-   Engine.run then allocates a fixed window setup (result records, latency
-   histograms, the profiler's lazily created per-element histograms) and
-   nothing per op, so quadrupling the measured window must not add a
-   single byte, with the profiler off or on. *)
-let test_engine_window () =
+(* The bytes Engine.run allocates over a 250k-cycle warmup and a window of
+   [measure_cycles] on the scaled machine, and its (engine ops, packets).
+   [kinds] index Engine_equiv_tests.kinds, one flow per core. *)
+let engine_window ?(attrib = false) kinds measure_cycles =
   let config = Machine.scaled in
-  (* The bytes one window allocates, and its (engine ops, packets). *)
-  let window ~attrib measure_cycles =
-    let hier = Machine.build config in
-    let flows =
-      Engine_equiv_tests.mk_flows ~config ~seed:42 [ 0; 1; 1; 1; 1; 1 ]
-    in
-    let attrib =
-      if attrib then
-        Some (Attrib.create ~cores:(Topology.cores config.Machine.topology))
-      else None
-    in
-    let results = ref [] in
-    let bytes =
-      allocated (fun () ->
-          results :=
-            Engine.run ?attrib hier ~flows ~warmup_cycles:250_000
-              ~measure_cycles)
-    in
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 !results in
-    (bytes, (sum (fun r -> r.Engine.engine_ops), sum (fun r -> r.Engine.packets)))
+  let hier = Machine.build config in
+  let flows = Engine_equiv_tests.mk_flows ~config ~seed:42 kinds in
+  let attrib =
+    if attrib then
+      Some (Attrib.create ~cores:(Topology.cores config.Machine.topology))
+    else None
   in
+  let results = ref [] in
+  let bytes =
+    allocated (fun () ->
+        results :=
+          Engine.run ?attrib hier ~flows ~warmup_cycles:250_000 ~measure_cycles)
+  in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 !results in
+  (bytes, (sum (fun r -> r.Engine.engine_ops), sum (fun r -> r.Engine.packets)))
+
+(* The contended fig2 placement, IP against 5 MON on one socket, whose
+   flows generate their traces without allocating. Engine.run then
+   allocates a fixed window setup (result records, latency histograms, the
+   profiler's lazily created per-element histograms) and nothing per op,
+   so quadrupling the measured window must not add a single byte, with the
+   profiler off or on. *)
+let test_engine_window () =
+  let contended = [ 0; 1; 1; 1; 1; 1 ] in
   let check_marginal ~attrib what =
-    let short, _ = window ~attrib 500_000 in
-    let long, work = window ~attrib 2_000_000 in
+    let short, _ = engine_window ~attrib contended 500_000 in
+    let long, work = engine_window ~attrib contended 2_000_000 in
     Alcotest.(check (float 0.0))
       (what ^ ": window bytes independent of its length")
       short long;
@@ -148,10 +148,26 @@ let test_engine_window () =
   Alcotest.(check (pair int int)) "profiled window replays the plain one"
     plain profiled
 
+(* 3 VPN and 3 RE: AES-CTR and Rabin fingerprinting run on every packet, so
+   a boxed block state or fingerprint costs hundreds of bytes per op. What
+   remains is per packet, not per op: RE's per-packet payload generator,
+   an option per fingerprint-table hit and the match list. The bound is a
+   marginal rate over the extra 1.5M cycles, which is deterministic. *)
+let test_crypto_window () =
+  let crypto = [ 4; 4; 4; 3; 3; 3 ] in
+  let short, (short_ops, _) = engine_window crypto 500_000 in
+  let long, (long_ops, packets) = engine_window crypto 2_000_000 in
+  Alcotest.(check bool) "packets flowed" true (packets > 0);
+  let per_op = (long -. short) /. float_of_int (long_ops - short_ops) in
+  if per_op > 1.0 then
+    Alcotest.failf "crypto mix allocated %.2f B per marginal engine op (bound 1.0)"
+      per_op
+
 let tests =
   [
     Alcotest.test_case "cache-hit loop" `Quick test_hit_path;
     Alcotest.test_case "flow-table lookup loop" `Quick test_flow_table;
     Alcotest.test_case "source-fill loop" `Quick test_source_fill;
     Alcotest.test_case "contended engine window" `Quick test_engine_window;
+    Alcotest.test_case "crypto engine window" `Quick test_crypto_window;
   ]

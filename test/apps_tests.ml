@@ -269,6 +269,93 @@ let prop_aes_roundtrip =
       Aes.decrypt_block key b ~src:0 ~dst:0;
       Bytes.to_string b = pt)
 
+(* NIST SP 800-38A F.1.1 (ECB-AES128): four blocks under one key, for the
+   cipher and for its reference. *)
+let test_aes_sp800_38a_ecb () =
+  let k = hex "2b7e151628aed2a6abf7158809cf4f3c" in
+  let key = Aes.expand_key k and ref_key = Ref_aes.expand_key k in
+  List.iter
+    (fun (pt, ct) ->
+      let b = Bytes.of_string (hex pt) in
+      Aes.encrypt_block key b ~src:0 ~dst:0;
+      Alcotest.(check string) ("Aes " ^ pt) (hex ct) (Bytes.to_string b);
+      Alcotest.(check string) ("Ref_aes " ^ pt) (hex ct) (Ref_aes.encrypt ref_key (hex pt)))
+    [
+      ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
+      ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
+      ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688");
+      ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4");
+    ]
+
+let test_aes_rejects_bad_input () =
+  Alcotest.check_raises "15-byte key"
+    (Invalid_argument "Aes.expand_key: need 16 bytes") (fun () ->
+      ignore (Aes.expand_key (String.make 15 'k')));
+  let key = Aes.expand_key (String.make 16 'k') and b = Bytes.make 64 '\000' in
+  let ctr ?(nonce = "01234567") (pos, len) () =
+    Aes.ctr_transform key ~nonce ~counter:0 b ~pos ~len
+  in
+  Alcotest.check_raises "7-byte nonce"
+    (Invalid_argument "Aes.ctr_transform: 8-byte nonce")
+    (ctr ~nonce:"0123456" (0, 16));
+  (* The last two would overflow a naive [pos + len] bound. *)
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d" pos len)
+        (Invalid_argument "Aes.ctr_transform: range")
+        (ctr (pos, len)))
+    [ (-1, 16); (0, -1); (60, 5); (1, max_int); (max_int, 1) ]
+
+(* Counters near the carry out of the counter block's low 32-bit word and
+   at the top of the int range, plus anything in between. *)
+let counter_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound 1_000_000;
+        map (fun d -> (1 lsl 32) - d) (int_bound 20);
+        map (fun d -> max_int - 64 - d) (int_bound 1_000);
+        int_bound (max_int - 64);
+      ])
+
+let prop_aes_ctr_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* pos = int_range 0 300 and* len = int_range 0 300 and* tail = int_range 0 20 in
+      let* data = string_size (return (pos + len + tail)) in
+      let* key = string_size (return 16) and* nonce = string_size (return 8) in
+      let+ counter = counter_gen in
+      (key, nonce, counter, pos, len, data))
+  in
+  let print (key, nonce, counter, pos, len, data) =
+    Printf.sprintf "key=%S nonce=%S counter=%d pos=%d len=%d data=%S" key nonce
+      counter pos len data
+  in
+  QCheck.Test.make ~count:200 ~name:"AES-CTR = byte-oriented FIPS-197 reference"
+    (QCheck.make ~print gen)
+    (fun (key, nonce, counter, pos, len, data) ->
+      let b = Bytes.of_string data and r = Bytes.of_string data in
+      Aes.ctr_transform (Aes.expand_key key) ~nonce ~counter b ~pos ~len;
+      Ref_aes.ctr_transform (Ref_aes.expand_key key) ~nonce ~counter r ~pos ~len;
+      let outside s = String.sub s 0 pos ^ String.sub s (pos + len) (String.length s - pos - len) in
+      Bytes.equal b r && outside (Bytes.to_string b) = outside data)
+
+(* Source and destination anywhere in a 32-byte buffer, overlapping or not. *)
+let prop_aes_block_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"AES block = byte-oriented FIPS-197 reference"
+    QCheck.(
+      quad (string_of_size (Gen.return 16)) (string_of_size (Gen.return 32))
+        (int_bound 16) (int_bound 16))
+    (fun (key, data, src, dst) ->
+      let b = Bytes.of_string data in
+      Aes.encrypt_block (Aes.expand_key key) b ~src ~dst;
+      let expected = Bytes.of_string data in
+      Bytes.blit_string
+        (Ref_aes.encrypt (Ref_aes.expand_key key) (String.sub data src 16))
+        0 expected dst 16;
+      Bytes.equal b expected)
+
 (* --- Rabin --- *)
 
 let test_rabin_roll_equals_init () =
@@ -295,6 +382,75 @@ let prop_rabin_roll_consistency =
       let b = Bytes.of_string s in
       let st = Rabin.init b ~pos:(pos - 1) in
       Rabin.value (Rabin.roll st b ~pos) = Rabin.fingerprint b ~pos)
+
+(* The fingerprint as the plain Horner sum, reduced with [mod] after every
+   step: no folding, no precomputed table. *)
+let horner b ~pos =
+  let p = (1 lsl 31) - 1 in
+  let acc = ref 0 in
+  for i = pos to pos + Rabin.window - 1 do
+    acc := ((!acc * 263) + Char.code (Bytes.get b i) + 1) mod p
+  done;
+  !acc
+
+(* Windows whose fingerprint is 0 mod p: a run, then 4 bytes found by a
+   meet-in-the-middle search. Reducing the last Horner step folds to p
+   exactly, and only the final conditional subtraction makes it 0. *)
+let zero_windows =
+  [ String.make 28 '\000' ^ "\xaf\x0d\xe2\x16"; String.make 28 '\255' ^ "\xd2\xd5\xa5\x46" ]
+
+(* Runs of 0x00 and 0xFF are the reduction's edge cases: every window term
+   is then the smallest (1) or the largest (256) byte value. *)
+let rabin_input_gen =
+  QCheck.Gen.(
+    let run c = map (fun n -> String.make n c) (int_range 0 80) in
+    let+ parts =
+      list_size (int_range 1 8)
+        (oneof
+           [ string_size (int_range 0 64); run '\000'; run '\255'; oneofl zero_windows ])
+    and+ pad = oneofl [ '\000'; '\255' ] in
+    let s = String.concat "" parts in
+    s ^ String.make (max 0 (Rabin.window - String.length s)) pad)
+
+let prop_rabin_matches_horner =
+  QCheck.Test.make ~count:200 ~name:"rabin init and every roll = naive Horner"
+    (QCheck.make ~print:String.escaped rabin_input_gen)
+    (fun s ->
+      let b = Bytes.of_string s in
+      let st = ref (Rabin.init b ~pos:0) in
+      let ok = ref (Rabin.value !st = horner b ~pos:0) in
+      for pos = 1 to Bytes.length b - Rabin.window do
+        st := Rabin.roll !st b ~pos;
+        ok := !ok && Rabin.value !st = horner b ~pos
+      done;
+      !ok)
+
+let test_rabin_fold_boundary () =
+  List.iter
+    (fun w ->
+      let b = Bytes.of_string ("x" ^ w) in
+      Alcotest.(check int) "reference" 0 (horner b ~pos:1);
+      Alcotest.(check int) "init" 0 (Rabin.fingerprint b ~pos:1);
+      Alcotest.(check int) "roll" 0 (Rabin.value (Rabin.roll (Rabin.init b ~pos:0) b ~pos:1)))
+    zero_windows
+
+let test_rabin_rejects_out_of_range () =
+  let b = Bytes.make 40 'a' in
+  let st = Rabin.init b ~pos:8 in
+  (* max_int would overflow a naive [pos + window] bound. *)
+  List.iter
+    (fun pos ->
+      Alcotest.check_raises
+        (Printf.sprintf "init at %d" pos)
+        (Invalid_argument "Rabin.init")
+        (fun () -> ignore (Rabin.init b ~pos));
+      Alcotest.check_raises
+        (Printf.sprintf "roll to %d" pos)
+        (Invalid_argument "Rabin.roll")
+        (fun () -> ignore (Rabin.roll st b ~pos)))
+    [ -1; 9; max_int ];
+  Alcotest.check_raises "roll to 0" (Invalid_argument "Rabin.roll") (fun () ->
+      ignore (Rabin.roll st b ~pos:0))
 
 (* --- Packet store --- *)
 
@@ -525,9 +681,16 @@ let tests =
     Alcotest.test_case "AES-CTR matches block cipher" `Quick test_aes_ctr_matches_block_cipher;
     Alcotest.test_case "AES-CTR involutive" `Quick test_aes_ctr_involutive;
     QCheck_alcotest.to_alcotest prop_aes_roundtrip;
+    Alcotest.test_case "AES SP 800-38A F.1.1" `Quick test_aes_sp800_38a_ecb;
+    Alcotest.test_case "AES rejects bad input" `Quick test_aes_rejects_bad_input;
+    QCheck_alcotest.to_alcotest prop_aes_ctr_matches_reference;
+    QCheck_alcotest.to_alcotest prop_aes_block_matches_reference;
     Alcotest.test_case "rabin roll = init" `Quick test_rabin_roll_equals_init;
     Alcotest.test_case "rabin content determined" `Quick test_rabin_content_determined;
     QCheck_alcotest.to_alcotest prop_rabin_roll_consistency;
+    QCheck_alcotest.to_alcotest prop_rabin_matches_horner;
+    Alcotest.test_case "rabin fold boundary" `Quick test_rabin_fold_boundary;
+    Alcotest.test_case "rabin rejects out of range" `Quick test_rabin_rejects_out_of_range;
     Alcotest.test_case "packet store roundtrip" `Quick test_store_append_read;
     Alcotest.test_case "packet store wraparound" `Quick test_store_wraparound;
     Alcotest.test_case "packet store byte_at" `Quick test_store_byte_at;

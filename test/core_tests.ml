@@ -124,6 +124,15 @@ let test_runner_corun_drop_positive () =
       Alcotest.(check bool) "drop >= 0" true (d >= -0.02)
   | [] -> Alcotest.fail "no results"
 
+(* One cycle is a valid window but completes no packet: no drop exists. *)
+let test_runner_drop_rejects_empty_solo () =
+  let params = Runner.Params.(quick |> with_windows ~warmup:0 ~measure:1) in
+  let solo = Runner.solo ~params Ppp_apps.App.MON in
+  Alcotest.check_raises "no solo packets"
+    (Invalid_argument
+       "Runner.drop: solo run completed no packets in its measurement window")
+    (fun () -> ignore (Runner.drop ~solo ~corun:solo))
+
 let test_competing_refs_sums_others () =
   let specs =
     List.init 2 (fun i -> { Runner.kind = Ppp_apps.App.IP; core = i; data_node = 0 })
@@ -382,6 +391,8 @@ let tests =
     Alcotest.test_case "runner bad core" `Quick test_runner_rejects_bad_core;
     Alcotest.test_case "runner bad params" `Quick test_runner_rejects_bad_params;
     Alcotest.test_case "runner co-run drop" `Quick test_runner_corun_drop_positive;
+    Alcotest.test_case "runner drop rejects empty solo" `Quick
+      test_runner_drop_rejects_empty_solo;
     Alcotest.test_case "competing refs sum" `Quick test_competing_refs_sums_others;
     Alcotest.test_case "profile consistency" `Quick test_profile_consistency;
     Alcotest.test_case "profile table renders" `Quick test_profile_table_renders;
