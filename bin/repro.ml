@@ -102,7 +102,9 @@ let telemetry_args cli =
     Cli.int cli [ "--sample-cycles" ] ~docv:"K"
       ~doc:
         "Counter-sampling slice length in simulated cycles (0 = \
-         measure_cycles / 20). Only meaningful with --trace or --metrics."
+         measure_cycles / 20). Only meaningful with --trace or --metrics. \
+         Does not apply to cells that a contention monitor observes with its \
+         own probe: those are sampled on the monitor's slice grid."
       0
   in
   let verbose =
@@ -145,7 +147,7 @@ let run_meta params =
       | None -> Ppp_telemetry.Json.Null );
   ]
 
-let finish_telemetry_exn params t =
+let finish_telemetry params t =
   (match t.trace with
   | Some path ->
       Ppp_telemetry.Export.write_trace ~path ~meta:(run_meta params);
@@ -184,14 +186,6 @@ let finish_telemetry_exn params t =
          %!"
         dir
   | None -> ()
-
-let finish_telemetry params t =
-  (* A bad --trace/--metrics path should fail like any other CLI misuse,
-     not as an uncaught exception. *)
-  try finish_telemetry_exn params t
-  with Sys_error msg ->
-    Printf.eprintf "repro: cannot write telemetry output: %s\n%!" msg;
-    exit 1
 
 (* --- list --- *)
 
@@ -605,14 +599,30 @@ let monitor_main () =
   let freq_hz =
     params.Ppp_core.Runner.config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz
   in
-  let monitored_run ~cell ?wrap () =
+  (* [budgets] throttles the listed cores to their L3 refs/sec budget. *)
+  let monitored_run ~cell ~budgets =
     let det =
       Ppp_monitor.Detector.create ~config:det_config ~freq_hz profiles
     in
-    let _ =
-      Ppp_core.Runner.run
-        ~params:(Ppp_core.Runner.Params.with_cell cell params)
-        ~probe:(Ppp_monitor.Detector.probe det) ?wrap specs
+    let throttle hier (f : Ppp_hw.Engine.flow) =
+      match List.assoc_opt f.Ppp_hw.Engine.core budgets with
+      | Some budget ->
+          {
+            f with
+            Ppp_hw.Engine.source =
+              Ppp_core.Throttle.l3_budget_source
+                ~budget_l3_refs_per_sec:budget ~hier ~core:f.Ppp_hw.Engine.core
+                ~freq_hz f.Ppp_hw.Engine.source;
+          }
+      | None -> f
+    in
+    let params = Ppp_core.Runner.Params.with_cell cell params in
+    let (_ : Ppp_hw.Engine.result list), () =
+      Ppp_core.Runner.run_with ~params ~probe:(Ppp_monitor.Detector.probe det)
+        (fun hier ~heaps ~rng ->
+          ( List.map (throttle hier)
+              (Ppp_core.Runner.spec_flows ~params specs hier ~heaps ~rng),
+            () ))
     in
     Ppp_monitor.Detector.finalize det;
     if Ppp_telemetry.Recorder.sampling () <> None then
@@ -620,7 +630,7 @@ let monitor_main () =
         (Ppp_monitor.Report.to_telemetry_events ~cell det);
     det
   in
-  let det = monitored_run ~cell:"monitor" () in
+  let det = monitored_run ~cell:"monitor" ~budgets:[] in
   Ppp_util.Table.print (Ppp_monitor.Report.verdict_table det);
   print_monitor_events det;
   (match !monitor_out with
@@ -655,14 +665,7 @@ let monitor_main () =
                    Printf.sprintf "core %d to %.1fM L3 refs/s" core
                      (budget /. 1e6))
                  (List.rev budgets)));
-         let wrap hier ~core source =
-           match List.assoc_opt core budgets with
-           | Some budget ->
-               Ppp_core.Throttle.l3_budget_source
-                 ~budget_l3_refs_per_sec:budget ~hier ~core ~freq_hz source
-           | None -> source
-         in
-         let det2 = monitored_run ~cell:"monitor/closed-loop" ~wrap () in
+         let det2 = monitored_run ~cell:"monitor/closed-loop" ~budgets in
          Ppp_util.Table.print (Ppp_monitor.Report.verdict_table det2);
          print_monitor_events det2;
          (match !monitor_out with
@@ -713,10 +716,14 @@ let main () =
       exit 2
 
 (* The libraries reject inputs the flag checks cannot see, such as a
-   window too short for one packet, with Invalid_argument or Failure: one
-   line and exit 2, like any other bad input. *)
+   window too short for one packet, with Invalid_argument or Failure, and an
+   output path that cannot be written fails with Sys_error or Unix_error:
+   one line and exit 2, like any other bad input. *)
 let () =
   try main () with
-  | Invalid_argument msg | Failure msg ->
+  | Invalid_argument msg | Failure msg | Sys_error msg ->
       prerr_endline ("repro: " ^ msg);
+      exit 2
+  | Unix.Unix_error (err, fn, arg) ->
+      Printf.eprintf "repro: %s %s: %s\n" fn arg (Unix.error_message err);
       exit 2

@@ -68,11 +68,10 @@ module Params = struct
     else Ok ()
 end
 
-let run ?(params = default_params) ?probe ?wrap specs =
+let run_with ?(params = default_params) ?probe build =
   (match Params.validate params with
   | Ok () -> ()
   | Error e -> invalid_arg ("Runner.run: " ^ e));
-  if specs = [] then invalid_arg "Runner.run: no flows";
   let t_wall = Ppp_telemetry.Span.now_s () in
   let config = params.config in
   let topo = config.Ppp_hw.Machine.topology in
@@ -81,54 +80,40 @@ let run ?(params = default_params) ?probe ?wrap specs =
     Array.init topo.Ppp_hw.Topology.sockets (fun node ->
         Ppp_simmem.Heap.create ~node)
   in
-  let rng = Ppp_util.Rng.create ~seed:params.seed in
-  let flows =
-    List.map
-      (fun spec ->
-        if spec.core < 0 || spec.core >= Ppp_hw.Topology.cores topo then
-          invalid_arg "Runner.run: core out of range";
-        if spec.data_node < 0 || spec.data_node >= Array.length heaps then
-          invalid_arg "Runner.run: node out of range";
-        let label = Ppp_apps.App.name spec.kind in
-        let flow =
-          Ppp_apps.App.flow spec.kind ~heap:heaps.(spec.data_node)
-            ~rng:(Ppp_util.Rng.split rng)
-            ~scale:config.Ppp_hw.Machine.scale ~label ()
-        in
-        let source = Ppp_click.Flow.source flow in
-        let source =
-          match wrap with
-          | Some w -> w hier ~core:spec.core source
-          | None -> source
-        in
-        { Ppp_hw.Engine.core = spec.core; label; source })
-      specs
+  let flows, extra =
+    build hier ~heaps ~rng:(Ppp_util.Rng.create ~seed:params.seed)
   in
+  if flows = [] then invalid_arg "Runner.run: no flows";
+  List.iter
+    (fun (f : Ppp_hw.Engine.flow) ->
+      if f.Ppp_hw.Engine.core < 0
+         || f.Ppp_hw.Engine.core >= Ppp_hw.Topology.cores topo
+      then invalid_arg "Runner.run: core out of range")
+    flows;
   (* Telemetry is a no-op unless the CLI configured the recorder. The
      sampler observes the cell's counters in simulated time (deterministic);
-     the span observes the cell itself in wall-clock time. *)
+     the span observes the cell itself in wall-clock time. The engine takes
+     a single probe, so a caller's probe sets the slice grid of its cell and
+     the sampler records on that grid. *)
   let sampler =
     match Ppp_telemetry.Recorder.sampling () with
-    | Some sample_cycles ->
+    | Some period ->
+        let sample_cycles =
+          match probe with
+          | Some p -> p.Ppp_hw.Engine.sample_cycles
+          | None -> period
+        in
         Some (Ppp_telemetry.Sampler.create ~cell:params.cell ~sample_cycles)
     | None -> None
   in
-  let sampler_probe = Option.map Ppp_telemetry.Sampler.probe sampler in
-  (* Tee the caller's probe with the telemetry sampler. The engine supports a
-     single probe, and the two consumers must agree on the slice grid for the
-     sample stream to mean the same thing to both. *)
   let probe =
-    match (probe, sampler_probe) with
+    match (probe, Option.map Ppp_telemetry.Sampler.probe sampler) with
     | None, p | p, None -> p
     | Some a, Some b ->
-        if a.Ppp_hw.Engine.sample_cycles <> b.Ppp_hw.Engine.sample_cycles then
-          invalid_arg
-            "Runner.run: probe sample_cycles must match the telemetry \
-             recorder's sampling period";
         Some
           {
-            Ppp_hw.Engine.sample_cycles = a.Ppp_hw.Engine.sample_cycles;
-            on_sample =
+            a with
+            Ppp_hw.Engine.on_sample =
               (fun s ->
                 a.Ppp_hw.Engine.on_sample s;
                 b.Ppp_hw.Engine.on_sample s);
@@ -181,11 +166,31 @@ let run ?(params = default_params) ?probe ?wrap specs =
         args =
           [
             ("seed", string_of_int params.seed);
-            ("flows", string_of_int (List.length specs));
+            ("flows", string_of_int (List.length flows));
             ("config", config.Ppp_hw.Machine.name);
           ];
       };
-  results
+  (results, extra)
+
+let spec_flows ~params specs _hier ~heaps ~rng =
+  List.map
+    (fun spec ->
+      if spec.data_node < 0 || spec.data_node >= Array.length heaps then
+        invalid_arg "Runner.run: node out of range";
+      let label = Ppp_apps.App.name spec.kind in
+      let flow =
+        Ppp_apps.App.flow spec.kind ~heap:heaps.(spec.data_node)
+          ~rng:(Ppp_util.Rng.split rng)
+          ~scale:params.config.Ppp_hw.Machine.scale ~label ()
+      in
+      { Ppp_hw.Engine.core = spec.core; label;
+        source = Ppp_click.Flow.source flow })
+    specs
+
+let run ?(params = default_params) ?probe specs =
+  fst
+    (run_with ~params ?probe (fun hier ~heaps ~rng ->
+         (spec_flows ~params specs hier ~heaps ~rng, ())))
 
 let cell_params params label =
   { params with seed = Ppp_util.Rng.derive ~seed:params.seed label;

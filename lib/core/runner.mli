@@ -77,32 +77,54 @@ module Params : sig
       value, e.g. ["measurement window must be >= 1 cycle, got 0"]. *)
 end
 
-val run :
+val run_with :
   ?params:params ->
   ?probe:Ppp_hw.Engine.probe ->
-  ?wrap:(Ppp_hw.Hierarchy.t -> core:int -> Ppp_hw.Engine.source ->
-         Ppp_hw.Engine.source) ->
+  (Ppp_hw.Hierarchy.t -> heaps:Ppp_simmem.Heap.t array -> rng:Ppp_util.Rng.t ->
+   Ppp_hw.Engine.flow list * 'a) ->
+  Ppp_hw.Engine.result list * 'a
+(** The one way a simulation is set up, observed and run. Builds a fresh
+    machine for [params.config], one heap per NUMA node and the root
+    generator [Rng.create ~seed:params.seed]; asks the builder for the engine
+    flows (plus any state ['a] the caller reads after the run, such as a
+    fast path's counters); runs them for the warmup and measurement windows;
+    and returns the results in flow order with that state. The builder owns
+    the stream: it splits [rng] and allocates on [heaps] in whatever order
+    its simulation needs.
+
+    Raises [Invalid_argument] with the {!Params.validate} message before
+    building anything when [params] are not runnable, and
+    ["Runner.run: no flows"] or ["Runner.run: core out of range"] when the
+    builder's flows are empty or name a core the machine lacks.
+
+    Observation never changes the results. When the
+    {!Ppp_telemetry.Recorder} is configured, the run feeds it a per-core
+    simulated-time counter series and a wall-clock span, both tagged with
+    [params.cell]; with [params.profile] it records the per-element profile
+    under the same cell. [?probe] is teed with the telemetry sampler (the
+    engine takes a single probe): both receive every sample, and the
+    sampler records this cell on the probe's slice grid
+    ([probe.sample_cycles]) instead of the recorder's sampling period. This
+    is how the contention monitor observes a run without a second
+    simulation. *)
+
+val spec_flows :
+  params:params ->
   spec list ->
+  Ppp_hw.Hierarchy.t ->
+  heaps:Ppp_simmem.Heap.t array ->
+  rng:Ppp_util.Rng.t ->
+  Ppp_hw.Engine.flow list
+(** The {!run_with} builder of {!run}: one {!Ppp_apps.App.flow} per spec, in
+    spec order, on its [data_node]'s heap, each from its own [Rng.split rng]
+    and labelled with the kind's name. Raises
+    ["Runner.run: node out of range"] for a node the machine lacks. *)
+
+val run :
+  ?params:params -> ?probe:Ppp_hw.Engine.probe -> spec list ->
   Ppp_hw.Engine.result list
-(** Builds a fresh machine, instantiates each spec as a flow, runs, and
-    returns results in spec order. Raises [Invalid_argument] with the
-    {!Params.validate} message before building anything when [params] are
-    not runnable. When the {!Ppp_telemetry.Recorder} is
-    configured, the run additionally feeds it: a per-core simulated-time
-    counter series (sampling) and a wall-clock span, both tagged with
-    [params.cell].
-
-    [?probe] is teed with the telemetry sampler (the engine takes a single
-    probe): both receive every sample. Because the two consumers would
-    otherwise disagree about what a slice means, the caller's
-    [probe.sample_cycles] must equal the recorder's sampling period when
-    telemetry sampling is on ([Invalid_argument] otherwise). This is how the
-    contention monitor observes a run without a second simulation.
-
-    [?wrap] transforms each flow's packet source after placement, with access
-    to the machine being simulated — the hook used to interpose
-    {!Throttle.l3_budget_source} for closed-loop experiments. It runs once
-    per flow during setup; identity by default. *)
+(** [run_with] over [spec_flows specs]: places each spec as a flow, runs,
+    and returns results in spec order. *)
 
 val cell_params : params -> string -> params
 (** [cell_params p label] is [p] with its seed replaced by

@@ -89,39 +89,24 @@ let build_flow ~(params : Runner.params) ~heap ~rng ~backend ~nrules =
    Competitors are built after the target from the same stream, so the
    target's simulation is identical in both runs. *)
 let run_one ~(params : Runner.params) ~backend ~nrules ~skew ~contended =
-  let config = params.Runner.config in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let flow, fp, set_skew =
-    build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~backend ~nrules
-  in
-  set_skew skew;
-  let target =
-    { Ppp_hw.Engine.core = 0; label = "classifier"; source = Ppp_click.Flow.source flow }
-  in
-  let competitors =
-    if not contended then []
-    else
-      List.init
-        (min 5 (Ppp_hw.Machine.cores_per_socket config - 1))
-        (fun i ->
-          let f =
-            Ppp_apps.App.flow Ppp_apps.App.syn_max ~heap
-              ~rng:(Ppp_util.Rng.split rng)
-              ~scale:config.Ppp_hw.Machine.scale ()
-          in
-          {
-            Ppp_hw.Engine.core = 1 + i;
-            label = "SYN_MAX";
-            source = Ppp_click.Flow.source f;
-          })
-  in
-  let results =
-    Ppp_hw.Engine.run ~batch:params.Runner.batch hier
-      ~flows:(target :: competitors)
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+  let results, fp =
+    Runner.run_with ~params (fun _ ~heaps ~rng ->
+        let heap = heaps.(0) in
+        let flow, fp, set_skew =
+          build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~backend
+            ~nrules
+        in
+        set_skew skew;
+        let target =
+          { Ppp_hw.Engine.core = 0; label = "classifier";
+            source = Ppp_click.Flow.source flow }
+        in
+        let competitors =
+          if contended then
+            Exp_common.co_runners ~params ~heap ~rng Ppp_apps.App.syn_max
+          else []
+        in
+        (target :: competitors, fp))
   in
   (List.hd results, fp)
 
@@ -140,8 +125,13 @@ let measure ?(params = Runner.default_params) () =
     let bname = Ppp_classify.Classifier.kind_name backend in
     let label = Printf.sprintf "classifier/%s/%d/%.1f" bname nrules skew in
     let params = Runner.cell_params params label in
-    let solo, fp = run_one ~params ~backend ~nrules ~skew ~contended:false in
-    let corun, _ = run_one ~params ~backend ~nrules ~skew ~contended:true in
+    let run_one sub ~contended =
+      run_one
+        ~params:(Runner.Params.with_cell (label ^ sub) params)
+        ~backend ~nrules ~skew ~contended
+    in
+    let solo, fp = run_one "/solo" ~contended:false in
+    let corun, _ = run_one "/corun" ~contended:true in
     let table = Ppp_classify.Fastpath.table fp in
     let hits = Ppp_classify.Flow_table.hits table in
     let misses = Ppp_classify.Flow_table.misses table in

@@ -17,6 +17,19 @@ let solo_results ~params kinds =
 let default_competitors config =
   min 5 (Ppp_hw.Machine.cores_per_socket config - 1)
 
+let co_runners ~params ~heap ~rng kind =
+  let config = params.Runner.config in
+  List.init (default_competitors config) (fun i ->
+      let flow =
+        Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
+          ~scale:config.Ppp_hw.Machine.scale ()
+      in
+      {
+        Ppp_hw.Engine.core = 1 + i;
+        label = Ppp_apps.App.name kind;
+        source = Ppp_click.Flow.source flow;
+      })
+
 let pair_matrix ~params ~solos ?n_competitors kinds =
   let n_competitors =
     match n_competitors with

@@ -19,6 +19,16 @@ val solo_results :
 val default_competitors : Ppp_hw.Machine.config -> int
 (** The paper's five co-runners, clamped to what one socket can hold. *)
 
+val co_runners :
+  params:Ppp_core.Runner.params ->
+  heap:Ppp_simmem.Heap.t ->
+  rng:Ppp_util.Rng.t ->
+  Ppp_apps.App.kind ->
+  Ppp_hw.Engine.flow list
+(** {!default_competitors} flows of one kind on cores 1..n, for a
+    {!Ppp_core.Runner.run_with} builder whose target sits on core 0. Each is
+    built on [heap] from its own [Rng.split rng], in core order. *)
+
 val pair_matrix :
   params:Ppp_core.Runner.params ->
   solos:(Ppp_apps.App.kind * Ppp_hw.Engine.result) list ->

@@ -73,36 +73,21 @@ let build_flow ~params ~heap ~rng ~cached =
   end
 
 let run_one ~params ~cached ~with_competitors =
-  let config = params.Runner.config in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let flow, fc = build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~cached in
-  let target =
-    { Ppp_hw.Engine.core = 0; label = "t"; source = Ppp_click.Flow.source flow }
-  in
-  let competitors =
-    if not with_competitors then []
-    else
-      List.init
-        (min 5 (Ppp_hw.Machine.cores_per_socket config - 1))
-        (fun i ->
-          let f =
-            Ppp_apps.App.flow Ppp_apps.App.syn_max ~heap
-              ~rng:(Ppp_util.Rng.split rng)
-              ~scale:config.Ppp_hw.Machine.scale ()
-          in
-          {
-            Ppp_hw.Engine.core = 1 + i;
-            label = "SYN_MAX";
-            source = Ppp_click.Flow.source f;
-          })
-  in
-  let results =
-    Ppp_hw.Engine.run hier
-      ~flows:(target :: competitors)
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+  let results, fc =
+    Runner.run_with ~params (fun _ ~heaps ~rng ->
+        let heap = heaps.(0) in
+        let flow, fc =
+          build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~cached
+        in
+        let competitors =
+          if with_competitors then
+            Exp_common.co_runners ~params ~heap ~rng Ppp_apps.App.syn_max
+          else []
+        in
+        ( { Ppp_hw.Engine.core = 0; label = "t";
+            source = Ppp_click.Flow.source flow }
+          :: competitors,
+          fc ))
   in
   let pps = (List.hd results).Ppp_hw.Engine.throughput_pps in
   let hit_rate =
@@ -116,8 +101,17 @@ let run_one ~params ~cached ~with_competitors =
 
 let measure ?(params = Runner.default_params) () =
   let cell scenario with_competitors =
-    let plain, _ = run_one ~params ~cached:false ~with_competitors in
-    let cached, hit_rate = run_one ~params ~cached:true ~with_competitors in
+    let run_one ~cached =
+      let label =
+        Printf.sprintf "flowcache/%s/%s"
+          (if with_competitors then "contended" else "solo")
+          (if cached then "cached" else "plain")
+      in
+      run_one ~params:(Runner.Params.with_cell label params) ~cached
+        ~with_competitors
+    in
+    let plain, _ = run_one ~cached:false in
+    let cached, hit_rate = run_one ~cached:true in
     { scenario; plain_pps = plain; cached_pps = cached; speedup = cached /. plain; hit_rate }
   in
   { cells = [ cell "solo" false; cell "vs 5 SYN_MAX" true ] }

@@ -55,22 +55,17 @@ let aggressor_flow ~params ~switch_after ~heap ~rng =
    characterization run would have recorded before deployment. *)
 let aggressor_solo ~params =
   let params = Runner.cell_params params "monitor/solo-two-faced" in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let flow =
-    aggressor_flow ~params ~switch_after:max_int ~heap
-      ~rng:(Ppp_util.Rng.split rng)
-  in
-  let hier = Ppp_hw.Machine.build params.Runner.config in
   match
-    Ppp_hw.Engine.run hier
-      ~flows:
-        [ { Ppp_hw.Engine.core = 0; label = "two-faced";
-            source = Ppp_click.Flow.source flow } ]
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+    Runner.run_with ~params (fun _ ~heaps ~rng ->
+        let flow =
+          aggressor_flow ~params ~switch_after:max_int ~heap:heaps.(0)
+            ~rng:(Ppp_util.Rng.split rng)
+        in
+        ( [ { Ppp_hw.Engine.core = 0; label = "two-faced";
+              source = Ppp_click.Flow.source flow } ],
+          () ))
   with
-  | [ r ] -> r
+  | [ r ], () -> r
   | _ -> assert false
 
 let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
@@ -78,49 +73,46 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
   let params = Runner.cell_params params cell in
   let config = params.Runner.config in
   let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
   let scale = config.Ppp_hw.Machine.scale in
-  let victim =
-    Ppp_apps.App.flow Ppp_apps.App.MON ~heap ~rng:(Ppp_util.Rng.split rng)
-      ~scale ~label:"MON" ()
-  in
-  let aggressor =
-    aggressor_flow ~params ~switch_after ~heap ~rng:(Ppp_util.Rng.split rng)
-  in
-  let aggressor_source =
-    let source = Ppp_click.Flow.source aggressor in
-    match throttle_budget with
-    | None -> source
-    | Some budget ->
-        Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget ~hier ~core:1
-          ~freq_hz source
-  in
-  let tame =
-    List.mapi
-      (fun i kind ->
-        let label = Ppp_apps.App.name kind in
-        let flow =
-          Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng) ~scale
-            ~label ()
-        in
-        { Ppp_hw.Engine.core = 2 + i; label;
-          source = Ppp_click.Flow.source flow })
-      (tame_kinds ~config)
-  in
-  let flows =
-    { Ppp_hw.Engine.core = 0; label = "MON";
-      source = Ppp_click.Flow.source victim }
-    :: { Ppp_hw.Engine.core = 1; label = "two-faced";
-         source = aggressor_source }
-    :: tame
-  in
   let det = Detector.create ~config:det_config ~freq_hz profiles in
-  let results =
-    Ppp_hw.Engine.run ~probe:(Detector.probe det) hier ~flows
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+  let results, () =
+    Runner.run_with ~params ~probe:(Detector.probe det)
+      (fun hier ~heaps ~rng ->
+        let heap = heaps.(0) in
+        let victim =
+          Ppp_apps.App.flow Ppp_apps.App.MON ~heap
+            ~rng:(Ppp_util.Rng.split rng) ~scale ~label:"MON" ()
+        in
+        let aggressor =
+          aggressor_flow ~params ~switch_after ~heap
+            ~rng:(Ppp_util.Rng.split rng)
+        in
+        let aggressor_source =
+          let source = Ppp_click.Flow.source aggressor in
+          match throttle_budget with
+          | None -> source
+          | Some budget ->
+              Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget ~hier
+                ~core:1 ~freq_hz source
+        in
+        let tame =
+          List.mapi
+            (fun i kind ->
+              let label = Ppp_apps.App.name kind in
+              let flow =
+                Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
+                  ~scale ~label ()
+              in
+              { Ppp_hw.Engine.core = 2 + i; label;
+                source = Ppp_click.Flow.source flow })
+            (tame_kinds ~config)
+        in
+        ( { Ppp_hw.Engine.core = 0; label = "MON";
+            source = Ppp_click.Flow.source victim }
+          :: { Ppp_hw.Engine.core = 1; label = "two-faced";
+               source = aggressor_source }
+          :: tame,
+          () ))
   in
   Detector.finalize det;
   if Ppp_telemetry.Recorder.sampling () <> None then

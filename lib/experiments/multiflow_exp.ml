@@ -31,33 +31,34 @@ let side_of label results ~fw_packets =
       /. float_of_int (max 1 fw_packets);
   }
 
-let mk_sources ~params =
-  let config = params.Runner.config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
+(* Both sources on node 0, each from its own split of the stream. FW's
+   split comes first: the stream order decides every packet, and the
+   multiflow golden pins it. *)
+let mk_sources ~params ~heaps ~rng =
   let mk kind =
     Ppp_click.Flow.source
-      (Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
-         ~scale:config.Ppp_hw.Machine.scale ())
+      (Ppp_apps.App.flow kind ~heap:heaps.(0) ~rng:(Ppp_util.Rng.split rng)
+         ~scale:params.Runner.config.Ppp_hw.Machine.scale ())
   in
+  let fw = mk Ppp_apps.App.FW in
   (* DPI streams its megabyte-scale automaton through the private caches
      between every two firewall packets. *)
-  (mk Ppp_apps.App.DPI, mk Ppp_apps.App.FW)
+  let dpi = mk Ppp_apps.App.DPI in
+  (dpi, fw)
 
 let measure ?(params = Runner.default_params) () =
-  let config = params.Runner.config in
-  let run flows =
-    Ppp_hw.Engine.run (Ppp_hw.Machine.build config) ~flows
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+  let run cell flows =
+    fst
+      (Runner.run_with
+         ~params:(Runner.Params.with_cell ("multiflow/" ^ cell) params)
+         (fun _ ~heaps ~rng -> (flows (mk_sources ~params ~heaps ~rng), ())))
   in
-  let dpi, fw = mk_sources ~params in
   let sep_results =
-    run
-      [
-        { Ppp_hw.Engine.core = 0; label = "DPI"; source = dpi };
-        { Ppp_hw.Engine.core = 1; label = "FW"; source = fw };
-      ]
+    run "separate" (fun (dpi, fw) ->
+        [
+          { Ppp_hw.Engine.core = 0; label = "DPI"; source = dpi };
+          { Ppp_hw.Engine.core = 1; label = "FW"; source = fw };
+        ])
   in
   let fw_packets_sep =
     (List.nth sep_results 1).Ppp_hw.Engine.packets
@@ -65,16 +66,15 @@ let measure ?(params = Runner.default_params) () =
   let separate =
     side_of "separate cores (DPI + FW)" sep_results ~fw_packets:fw_packets_sep
   in
-  let dpi2, fw2 = mk_sources ~params in
   let mux_results =
-    run
-      [
-        {
-          Ppp_hw.Engine.core = 0;
-          label = "DPI+FW";
-          source = Ppp_click.Multiplex.round_robin [ dpi2; fw2 ];
-        };
-      ]
+    run "multiplexed" (fun (dpi, fw) ->
+        [
+          {
+            Ppp_hw.Engine.core = 0;
+            label = "DPI+FW";
+            source = Ppp_click.Multiplex.round_robin [ dpi; fw ];
+          };
+        ])
   in
   (* Round-robin 1:1 -> half the completed packets are FW packets. *)
   let fw_packets_mux = (List.hd mux_results).Ppp_hw.Engine.packets / 2 in

@@ -52,35 +52,25 @@ let side_of_results label results =
   }
 
 (* Parallel approach: one core performs the whole chain for its flow. *)
-let run_parallel ~params ~mk_flow =
-  let config = params.Runner.config in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let source = mk_flow ~heap ~rng:(Ppp_util.Rng.split rng) in
-  let flows = [ { Ppp_hw.Engine.core = 0; label = "parallel"; source } ] in
-  Ppp_hw.Engine.run hier ~flows ~warmup_cycles:params.Runner.warmup_cycles
-    ~measure_cycles:params.Runner.measure_cycles
+let run_parallel ~params ~cell ~mk_flow =
+  fst
+    (Runner.run_with ~params:(Runner.Params.with_cell cell params)
+       (fun _ ~heaps ~rng ->
+         let source = mk_flow ~heap:heaps.(0) ~rng:(Ppp_util.Rng.split rng) in
+         ([ { Ppp_hw.Engine.core = 0; label = "parallel"; source } ], ())))
 
 (* Pipeline: one staged flow across two cores. *)
-let run_pipeline ~params ~cores ~mk_staged =
-  let config = params.Runner.config in
-  let hier = Ppp_hw.Machine.build config in
-  let heaps =
-    Array.init config.Ppp_hw.Machine.topology.Ppp_hw.Topology.sockets
-      (fun node -> Ppp_simmem.Heap.create ~node)
-  in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let staged = mk_staged ~heaps ~rng in
-  let sources = Ppp_click.Staged.sources staged in
-  let flows =
-    List.mapi
-      (fun i core ->
-        { Ppp_hw.Engine.core; label = Printf.sprintf "stage%d" i; source = sources.(i) })
-      cores
-  in
-  Ppp_hw.Engine.run hier ~flows ~warmup_cycles:params.Runner.warmup_cycles
-    ~measure_cycles:params.Runner.measure_cycles
+let run_pipeline ~params ~cell ~cores ~mk_staged =
+  fst
+    (Runner.run_with ~params:(Runner.Params.with_cell cell params)
+       (fun _ ~heaps ~rng ->
+         let sources = Ppp_click.Staged.sources (mk_staged ~heaps ~rng) in
+         ( List.mapi
+             (fun i core ->
+               { Ppp_hw.Engine.core; label = Printf.sprintf "stage%d" i;
+                 source = sources.(i) })
+             cores,
+           () )))
 
 let measure ?(params = Runner.default_params) () =
   let config = params.Runner.config in
@@ -93,7 +83,10 @@ let measure ?(params = Runner.default_params) () =
       (Ppp_click.Flow.create ~heap ~rng ~label:"IP"
          ~source:b.Ppp_apps.App.source ~elements:b.Ppp_apps.App.elements ())
   in
-  let ip_par = side_of_results "IP parallel (1 core)" (run_parallel ~params ~mk_flow:mk_ip_flow) in
+  let ip_par =
+    side_of_results "IP parallel (1 core)"
+      (run_parallel ~params ~cell:"pipeline/ip/parallel" ~mk_flow:mk_ip_flow)
+  in
   let mk_ip_staged ~heaps ~rng =
     let b = Ppp_apps.App.build Ppp_apps.App.IP ~heap:heaps.(0) ~rng ~scale in
     let stage0, stage1 =
@@ -107,7 +100,8 @@ let measure ?(params = Runner.default_params) () =
   in
   let ip_pipe =
     side_of_results "IP pipeline (2 cores)"
-      (run_pipeline ~params ~cores:[ 0; 1 ] ~mk_staged:mk_ip_staged)
+      (run_pipeline ~params ~cell:"pipeline/ip/pipeline" ~cores:[ 0; 1 ]
+         ~mk_staged:mk_ip_staged)
   in
   (* --- Contrived SYN workload: pipeline wins. ---
      Parallel: each core makes many random reads into a structure twice the
@@ -130,7 +124,7 @@ let measure ?(params = Runner.default_params) () =
   in
   let syn_par =
     side_of_results "SYN-2xL3 parallel (1 core)"
-      (run_parallel ~params ~mk_flow:mk_syn_flow)
+      (run_parallel ~params ~cell:"pipeline/syn/parallel" ~mk_flow:mk_syn_flow)
   in
   let mk_syn_staged ~heaps ~rng =
     let half node =
@@ -154,7 +148,8 @@ let measure ?(params = Runner.default_params) () =
   let cps = Ppp_hw.Machine.cores_per_socket config in
   let syn_pipe =
     side_of_results "SYN-2xL3 pipeline (2 sockets)"
-      (run_pipeline ~params ~cores:[ 0; cps ] ~mk_staged:mk_syn_staged)
+      (run_pipeline ~params ~cell:"pipeline/syn/pipeline" ~cores:[ 0; cps ]
+         ~mk_staged:mk_syn_staged)
   in
   {
     ip_parallel = ip_par;

@@ -15,54 +15,57 @@ type data = {
 let n_attackers ~config =
   min 5 (Ppp_hw.Topology.cores config.Ppp_hw.Machine.topology - 1)
 
-let run_scenario ~params ~switch_after ~throttle_budget =
+let run_scenario ~params ~cell ~switch_after ~throttle_budget =
   let config = params.Runner.config in
   let scale = config.Ppp_hw.Machine.scale in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let victim =
-    Ppp_apps.App.flow Ppp_apps.App.MON ~heap ~rng:(Ppp_util.Rng.split rng)
-      ~scale ~label:"MON" ()
-  in
   let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
-  let attackers =
-    List.init (n_attackers ~config) (fun i ->
-        let elements =
-          Throttle.Two_faced.elements ~heap ~rng:(Ppp_util.Rng.split rng)
-            ~buffer_bytes:(12 * 1024 * 1024 / scale)
-            ~quiet_reads:4 ~loud_reads:256 ~switch_after
-        in
-        let flow =
-          Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng)
-            ~label:"two-faced" ~source:(Throttle.Two_faced.source ()) ~elements
-            ()
-        in
-        let source = Ppp_click.Flow.source flow in
-        let source =
-          match throttle_budget with
-          | None -> source
-          | Some budget ->
-              (* Meter the quantity the paper's prediction uses: L3 refs/sec
-                 read from the core's hardware counters. *)
-              Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget ~hier
-                ~core:(1 + i) ~freq_hz source
-        in
-        { Ppp_hw.Engine.core = 1 + i; label = "two-faced"; source })
-  in
-  let flows =
-    { Ppp_hw.Engine.core = 0; label = "MON"; source = Ppp_click.Flow.source victim }
-    :: attackers
-  in
-  Ppp_hw.Engine.run hier ~flows ~warmup_cycles:params.Runner.warmup_cycles
-    ~measure_cycles:params.Runner.measure_cycles
-
+  fst
+    (Runner.run_with
+       ~params:(Runner.Params.with_cell ("throttle/" ^ cell) params)
+       (fun hier ~heaps ~rng ->
+         let heap = heaps.(0) in
+         let victim =
+           Ppp_apps.App.flow Ppp_apps.App.MON ~heap
+             ~rng:(Ppp_util.Rng.split rng) ~scale ~label:"MON" ()
+         in
+         let attackers =
+           List.init (n_attackers ~config) (fun i ->
+               let elements =
+                 Throttle.Two_faced.elements ~heap ~rng:(Ppp_util.Rng.split rng)
+                   ~buffer_bytes:(12 * 1024 * 1024 / scale)
+                   ~quiet_reads:4 ~loud_reads:256 ~switch_after
+               in
+               let flow =
+                 Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng)
+                   ~label:"two-faced" ~source:(Throttle.Two_faced.source ())
+                   ~elements ()
+               in
+               let source = Ppp_click.Flow.source flow in
+               let source =
+                 match throttle_budget with
+                 | None -> source
+                 | Some budget ->
+                     (* Meter the quantity the paper's prediction uses: L3
+                        refs/sec read from the core's hardware counters. *)
+                     Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget
+                       ~hier ~core:(1 + i) ~freq_hz source
+               in
+               { Ppp_hw.Engine.core = 1 + i; label = "two-faced"; source })
+         in
+         ( { Ppp_hw.Engine.core = 0; label = "MON";
+             source = Ppp_click.Flow.source victim }
+           :: attackers,
+           () )))
 
 let measure ?(params = Runner.default_params) () =
   let never = max_int in
   let solo = Runner.solo ~params Ppp_apps.App.MON in
-  let tame = run_scenario ~params ~switch_after:never ~throttle_budget:None in
-  let loud = run_scenario ~params ~switch_after:0 ~throttle_budget:None in
+  let tame =
+    run_scenario ~params ~cell:"tame" ~switch_after:never ~throttle_budget:None
+  in
+  let loud =
+    run_scenario ~params ~cell:"loud" ~switch_after:0 ~throttle_budget:None
+  in
   let victim_tame = List.hd tame and victim_loud = List.hd loud in
   (* The profiled budget: the tame attackers' observed reference rate. *)
   let budget =
@@ -72,7 +75,8 @@ let measure ?(params = Runner.default_params) () =
     | _ -> assert false
   in
   let throttled =
-    run_scenario ~params ~switch_after:0 ~throttle_budget:(Some budget)
+    run_scenario ~params ~cell:"throttled" ~switch_after:0
+      ~throttle_budget:(Some budget)
   in
   let victim_throttled = List.hd throttled in
   let attacker_rate results =

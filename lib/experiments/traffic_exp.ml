@@ -113,71 +113,56 @@ let model_source cfg ~u ~seed ~rng =
 
 (* One engine run of the victim pipeline under [cfg]+[steering], optionally
    against co-runners of [competitor] kind (built after the victim from the
-   same stream, so the victim's simulation is identical either way). *)
+   same stream, so the victim's simulation is identical either way). Returns
+   the victim's result, every result, and the victim flow, fast path and
+   steering model whose counters the cell reads after the run. *)
 let run_phase ~(params : Runner.params) ~cfg ~steering ?probe ?competitor ()
     =
   let config = params.Runner.config in
   let scale = config.Ppp_hw.Machine.scale in
-  let hier = Ppp_hw.Machine.build config in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let rng = Ppp_util.Rng.create ~seed:params.Runner.seed in
-  let u = universe scale in
-  let rules =
-    Ppp_classify.Rulegen.make ~rng:(Ppp_util.Rng.split rng)
-      ~n:(rule_count scale)
-  in
-  let fp =
-    Ppp_classify.Fastpath.create ~heap ~table_entries:(max 16 (u / 4))
-      ~backend:Ppp_classify.Classifier.Tss rules
-  in
-  let inner =
-    model_source cfg ~u ~seed:params.Runner.seed ~rng:(Ppp_util.Rng.split rng)
-  in
-  let st =
-    Ppp_traffic.Steering.create ~migrate_every
-      ~cores:(Ppp_hw.Machine.cores_per_socket config)
-      steering
-  in
-  let source = Ppp_traffic.Steering.source st inner in
-  let elements =
-    [
-      Ppp_apps.Ip_elements.check_ip_header ();
-      Ppp_classify.Fastpath.element fp;
-      Ppp_apps.Ip_elements.dec_ip_ttl ();
-    ]
-  in
-  let victim =
-    Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng) ~label:"victim"
-      ~source ~elements ()
-  in
-  let competitors =
-    match competitor with
-    | None -> []
-    | Some kind ->
-        List.init
-          (min 5 (Ppp_hw.Machine.cores_per_socket config - 1))
-          (fun i ->
-            let f =
-              Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
-                ~scale ()
-            in
-            {
-              Ppp_hw.Engine.core = 1 + i;
-              label = "SYN";
-              source = Ppp_click.Flow.source f;
-            })
-  in
-  let results =
-    Ppp_hw.Engine.run ?probe ~batch:params.Runner.batch hier
-      ~flows:
-        ({
-           Ppp_hw.Engine.core = 0;
-           label = "victim";
-           source = Ppp_click.Flow.source victim;
-         }
-        :: competitors)
-      ~warmup_cycles:params.Runner.warmup_cycles
-      ~measure_cycles:params.Runner.measure_cycles
+  let results, (victim, fp, st) =
+    Runner.run_with ~params ?probe (fun _ ~heaps ~rng ->
+        let heap = heaps.(0) in
+        let u = universe scale in
+        let rules =
+          Ppp_classify.Rulegen.make ~rng:(Ppp_util.Rng.split rng)
+            ~n:(rule_count scale)
+        in
+        let fp =
+          Ppp_classify.Fastpath.create ~heap ~table_entries:(max 16 (u / 4))
+            ~backend:Ppp_classify.Classifier.Tss rules
+        in
+        let inner =
+          model_source cfg ~u ~seed:params.Runner.seed
+            ~rng:(Ppp_util.Rng.split rng)
+        in
+        let st =
+          Ppp_traffic.Steering.create ~migrate_every
+            ~cores:(Ppp_hw.Machine.cores_per_socket config)
+            steering
+        in
+        let elements =
+          [
+            Ppp_apps.Ip_elements.check_ip_header ();
+            Ppp_classify.Fastpath.element fp;
+            Ppp_apps.Ip_elements.dec_ip_ttl ();
+          ]
+        in
+        let victim =
+          Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng)
+            ~label:"victim"
+            ~source:(Ppp_traffic.Steering.source st inner)
+            ~elements ()
+        in
+        let competitors =
+          match competitor with
+          | None -> []
+          | Some kind -> Exp_common.co_runners ~params ~heap ~rng kind
+        in
+        ( { Ppp_hw.Engine.core = 0; label = "victim";
+            source = Ppp_click.Flow.source victim }
+          :: competitors,
+          (victim, fp, st) ))
   in
   (List.hd results, results, victim, fp, st)
 
@@ -219,7 +204,11 @@ let run_cell ~(params : Runner.params) ~curve
   let params = Runner.cell_params params label in
   let config = params.Runner.config in
   let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
-  let solo_r, _, _, _, _ = run_phase ~params ~cfg ~steering () in
+  let solo_r, _, _, _, _ =
+    run_phase
+      ~params:(Runner.Params.with_cell (label ^ "/solo") params)
+      ~cfg ~steering ()
+  in
   (* The monitor watches the co-run the way it would be deployed: the
      victim's profile is the *stationary twin's* lab characterization (the
      paper's offline methodology), and the SYN_MAX co-runners are exactly
@@ -263,7 +252,9 @@ let run_cell ~(params : Runner.params) ~curve
   in
   let det = Detector.create ~config:det_config ~freq_hz profiles in
   let corun_r, results, victim, fp, st =
-    run_phase ~params ~cfg ~steering ~probe:(Detector.probe det)
+    run_phase
+      ~params:(Runner.Params.with_cell (label ^ "/corun") params)
+      ~cfg ~steering ~probe:(Detector.probe det)
       ~competitor:Ppp_apps.App.syn_max ()
   in
   Detector.finalize det;

@@ -365,27 +365,6 @@ let test_multiplex_rejects_empty () =
     (fun () ->
       ignore (Ppp_click.Multiplex.round_robin [] : Ppp_hw.Engine.source))
 
-(* --- Utility elements --- *)
-
-let test_counter_element () =
-  let el, state = Ppp_click.Util_elements.counter ~heap:(heap ()) () in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:2) in
-  let pkt = mk_pkt 100 1 in
-  ignore (el.Ppp_click.Element.process ctx pkt);
-  ignore (el.Ppp_click.Element.process ctx pkt);
-  Alcotest.(check int) "packets" 2 state.Ppp_click.Util_elements.packets;
-  Alcotest.(check int) "bytes" 200 state.Ppp_click.Util_elements.bytes
-
-let test_rated_sampler () =
-  let el = Ppp_click.Util_elements.rated_sampler ~every:3 in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:2) in
-  let pkt = mk_pkt 64 1 in
-  let verdicts = List.init 6 (fun _ -> el.Ppp_click.Element.process ctx pkt) in
-  let forwards =
-    List.length (List.filter (fun v -> v = Ppp_click.Element.Forward) verdicts)
-  in
-  Alcotest.(check int) "1 in 3 forwarded" 2 forwards
-
 (* --- DPI app kind integration --- *)
 
 let test_dpi_app_kind () =
@@ -446,8 +425,6 @@ let tests =
     Alcotest.test_case "multiplex round robin" `Quick test_multiplex_round_robin_order;
     Alcotest.test_case "multiplex weighted" `Quick test_multiplex_weighted;
     Alcotest.test_case "multiplex rejects empty" `Quick test_multiplex_rejects_empty;
-    Alcotest.test_case "counter element" `Quick test_counter_element;
-    Alcotest.test_case "rated sampler" `Quick test_rated_sampler;
     Alcotest.test_case "DPI app kind" `Quick test_dpi_app_kind;
     Alcotest.test_case "multiflow escalation" `Slow test_multiflow_escalation;
   ]
@@ -672,17 +649,6 @@ let test_ibuf_of_region () =
   Ppp_simmem.Ibuf.touch_read buf b ~fn ~pos:0 ~len:256;
   Alcotest.(check int) "4 lines" 4 (Ppp_hw.Trace.Builder.length b)
 
-let test_tee_counter_callback () =
-  let seen = ref [] in
-  let el =
-    Ppp_click.Util_elements.tee_counter ~label:"t" (fun l n -> seen := (l, n) :: !seen)
-  in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:1) in
-  let pkt = mk_pkt 90 1 in
-  Alcotest.(check bool) "forwards" true
-    (el.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Forward);
-  Alcotest.(check (list (pair string int))) "callback" [ ("t", 90) ] !seen
-
 let test_histogram_clear () =
   let h = Ppp_util.Histogram.create () in
   Ppp_util.Histogram.record h 42;
@@ -754,7 +720,6 @@ let tests =
   tests
   @ [
       Alcotest.test_case "ibuf of_region" `Quick test_ibuf_of_region;
-      Alcotest.test_case "tee counter" `Quick test_tee_counter_callback;
       Alcotest.test_case "histogram clear" `Quick test_histogram_clear;
       Alcotest.test_case "pcap empty replay" `Quick test_pcap_empty_replay_rejected;
       Alcotest.test_case "pcap no-loop exhausts" `Quick test_pcap_no_loop_exhausts;

@@ -160,7 +160,7 @@ let profiles_for ~params ?predictor kinds =
         (Ppp_core.Profile.solo ~params kind))
     kinds
 
-let monitored_run ~params ~cell ?wrap kinds =
+let monitored_run ~params ~cell kinds =
   let specs =
     List.mapi (fun i kind -> Ppp_core.Runner.flow_on ~core:i kind) kinds
   in
@@ -177,7 +177,7 @@ let monitored_run ~params ~cell ?wrap kinds =
   let _ =
     Ppp_core.Runner.run
       ~params:(Ppp_core.Runner.Params.with_cell cell params)
-      ~probe:(Detector.probe det) ?wrap specs
+      ~probe:(Detector.probe det) specs
   in
   Detector.finalize det;
   det

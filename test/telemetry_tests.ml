@@ -420,6 +420,80 @@ let test_trace_shape () =
             (List.mem_assoc "displayTimeUnit" kvs)
       | _ -> Alcotest.fail "trace is not an object")
 
+(* --- every experiment is observable, and observing it changes nothing --- *)
+
+(* The experiments that pass their own flow builder to Runner.run_with:
+   each also runs unobserved, to show that observation changes nothing. *)
+let hand_built =
+  [
+    "classifier"; "flowcache"; "monitor"; "multiflow"; "pipeline";
+    "throttle"; "traffic";
+  ]
+
+let test_every_experiment_observed () =
+  let params =
+    Ppp_core.Runner.Params.(
+      quick |> with_windows ~warmup:50_000 ~measure:200_000)
+  in
+  let rendered (out : Ppp_experiments.Output.t) =
+    (out.Ppp_experiments.Output.text,
+     Json.to_string out.Ppp_experiments.Output.data)
+  in
+  List.iter
+    (fun (e : Ppp_experiments.Registry.t) ->
+      let id = e.Ppp_experiments.Registry.id in
+      let observed =
+        Fun.protect ~finally:Recorder.reset (fun () ->
+            Recorder.reset ();
+            Recorder.configure ~sample_cycles:50_000 ~spans:true ();
+            Recorder.set_experiment id;
+            let out =
+              e.Ppp_experiments.Registry.run
+                ~params:(Ppp_core.Runner.Params.with_profile true params)
+                ()
+            in
+            let series = Recorder.series () in
+            Alcotest.(check bool)
+              (id ^ " records series rows") true
+              (List.exists
+                 (fun (s : Timeseries.t) ->
+                   s.Timeseries.experiment = id && s.Timeseries.slices <> [])
+                 series);
+            Alcotest.(check bool)
+              (id ^ " records a runner span") true
+              (List.exists
+                 (fun (sp : Span.t) -> sp.Span.cat = "runner")
+                 (Recorder.spans ()));
+            Alcotest.(check bool)
+              (id ^ " records a profile") true
+              (Recorder.profile () <> []);
+            (* A caller's probe sets its cell's grid: the monitor's detector
+               slices the window in 20, whatever the recorder's period. *)
+            if id = "monitor" then
+              List.iter
+                (fun (s : Timeseries.t) ->
+                  if s.Timeseries.cell = "monitor/loud" then begin
+                    let total = Timeseries.sum_slices s in
+                    let mean =
+                      (total.Timeseries.t_end - total.Timeseries.t_start)
+                      / List.length s.Timeseries.slices
+                    in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "monitor/loud slices ~10000 cycles, got %d"
+                         mean)
+                      true
+                      (abs (mean - 10_000) < 1_000)
+                  end)
+                series;
+            rendered out)
+      in
+      if List.mem id hand_built then
+        Alcotest.(check (pair string string))
+          (id ^ " output unchanged by observation")
+          (rendered (e.Ppp_experiments.Registry.run ~params ()))
+          observed)
+    Ppp_experiments.Registry.all
+
 let test_recorder_validation () =
   Alcotest.check_raises "sample_cycles < 1 rejected"
     (Invalid_argument "Recorder.configure: sample_cycles must be >= 1")
@@ -450,6 +524,8 @@ let tests =
     Alcotest.test_case "manifest experiment data" `Quick
       test_manifest_experiment_data;
     Alcotest.test_case "deterministic trace shape" `Quick test_trace_shape;
+    Alcotest.test_case "every experiment observable, observation inert" `Slow
+      test_every_experiment_observed;
     Alcotest.test_case "recorder validation and defaults" `Quick
       test_recorder_validation;
   ]

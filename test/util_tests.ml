@@ -239,41 +239,6 @@ let test_fold_int () =
   let f = Hashes.fold_int h ~bits:10 in
   Alcotest.(check bool) "folded in range" true (f >= 0 && f < 1024)
 
-(* --- Stats --- *)
-
-let test_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
-
-let test_variance () =
-  check_float "variance" 2.0 (Stats.variance [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
-
-let test_percentile_median () =
-  check_float "median" 3.0 (Stats.median [| 5.0; 1.0; 3.0; 2.0; 4.0 |])
-
-let test_percentile_interpolates () =
-  check_float "p25" 1.5 (Stats.percentile [| 1.0; 2.0; 3.0 |] 25.0)
-
-let test_percentile_extremes () =
-  let xs = [| 9.0; 1.0; 5.0 |] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p100" 9.0 (Stats.percentile xs 100.0)
-
-let test_min_max () =
-  let mn, mx = Stats.min_max [| 3.0; -1.0; 7.0 |] in
-  check_float "min" (-1.0) mn;
-  check_float "max" 7.0 mx
-
-let test_empty_raises () =
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty array")
-    (fun () -> ignore (Stats.mean [||]))
-
-let test_running_matches_batch () =
-  let xs = Array.init 100 (fun i -> float_of_int (i * i) /. 7.0) in
-  let r = Stats.running_create () in
-  Array.iter (Stats.running_add r) xs;
-  Alcotest.(check int) "count" 100 (Stats.running_count r);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.mean xs) (Stats.running_mean r);
-  Alcotest.(check (float 1e-6)) "stdev" (Stats.stdev xs) (Stats.running_stdev r)
-
 (* --- Table --- *)
 
 let test_table_renders () =
@@ -349,16 +314,6 @@ let prop_series_eval_within_bounds =
       let hi = List.fold_left Float.max (List.hd ys) ys in
       let v = Series.eval s x in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
-
-let prop_percentile_monotone =
-  QCheck.Test.make ~count:200 ~name:"percentile monotone in p"
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 1 20) (float_bound_exclusive 1000.0))
-        (pair (float_bound_inclusive 100.0) (float_bound_inclusive 100.0)))
-    (fun (xs, (p1, p2)) ->
-      let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
-      Stats.percentile xs lo <= Stats.percentile xs hi +. 1e-9)
 
 let prop_rng_int_in_range =
   QCheck.Test.make ~count:500 ~name:"Rng.int in range"
@@ -464,14 +419,6 @@ let tests =
     Alcotest.test_case "crc32 empty" `Quick test_crc32_empty;
     Alcotest.test_case "hash combine" `Quick test_combine_nontrivial;
     Alcotest.test_case "fold_int range" `Quick test_fold_int;
-    Alcotest.test_case "stats mean" `Quick test_mean;
-    Alcotest.test_case "stats variance" `Quick test_variance;
-    Alcotest.test_case "stats median" `Quick test_percentile_median;
-    Alcotest.test_case "stats percentile interpolation" `Quick test_percentile_interpolates;
-    Alcotest.test_case "stats percentile extremes" `Quick test_percentile_extremes;
-    Alcotest.test_case "stats min_max" `Quick test_min_max;
-    Alcotest.test_case "stats empty raises" `Quick test_empty_raises;
-    Alcotest.test_case "stats running accumulator" `Quick test_running_matches_batch;
     Alcotest.test_case "table renders" `Quick test_table_renders;
     Alcotest.test_case "table arity" `Quick test_table_arity_mismatch;
     Alcotest.test_case "table cells" `Quick test_table_cells;
@@ -494,6 +441,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_histogram_endpoints_exact;
     QCheck_alcotest.to_alcotest prop_histogram_merge_minmax;
     QCheck_alcotest.to_alcotest prop_series_eval_within_bounds;
-    QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_rng_int_in_range;
   ]
