@@ -98,23 +98,10 @@ let working_set_bytes kind ~scale =
 
 
 (* The IP forwarding substrate every realistic flow shares. *)
-let build_ip ~heap ~rng ~scale =
+let ip_substrate ~heap ~scale =
   let s = sizes ~scale in
-  let seed = 0x51CC5EED + (scale * 7919) in
-  ignore rng;
-  let pool = Route_pool.make ~seed ~n16:s.n16 ~routes:s.routes in
-  let trie =
-    Radix_trie.create ~heap
-      ~max_nodes:(Route_pool.suggested_max_nodes ~n16:s.n16 ~routes:s.routes)
-      ~default_hop:0 ()
-  in
-  Route_pool.install pool trie;
-  (* Next-hop information records (gateway, egress port), one per route up
-     to 64K entries, read on every forwarded packet. *)
-  let hop_table =
-    Ppp_simmem.Iarray.init heap ~elem_bytes:16 (min s.routes 65536) (fun i -> i)
-  in
-  (pool, Ip_elements.forwarding_chain ~hop_table trie)
+  Route_pool.shared ~heap ~seed:(0x51CC5EED + (scale * 7919)) ~n16:s.n16
+    ~routes:s.routes
 
 (* Stable 5-tuple per flow index, uniform flow popularity, as a
    first-class source with per-flow sequence numbers. *)
@@ -188,7 +175,8 @@ let build kind ~heap ~rng ~scale =
             instrs;
       }
   | _ ->
-      let pool, ip_chain = build_ip ~heap ~rng ~scale in
+      let { Route_pool.pool; trie; hop_table } = ip_substrate ~heap ~scale in
+      let ip_chain = Ip_elements.forwarding_chain ~hop_table trie in
       let gen_rng = Rng.split rng in
       let ip_cfg =
         Printf.sprintf
@@ -302,14 +290,9 @@ let register_all () =
           | [ r; n ] -> (int_arg ~what:"routes" r, int_arg ~what:"n16" n)
           | _ -> invalid_arg "RadixIPLookup(routes[, n16])"
         in
-        let pool = Route_pool.make ~seed:0x51CC5EED ~n16 ~routes in
-        let trie =
-          Radix_trie.create ~heap:ctx.R.heap
-            ~max_nodes:(Route_pool.suggested_max_nodes ~n16 ~routes)
-            ~default_hop:0 ()
-        in
-        Route_pool.install pool trie;
-        Ip_elements.radix_ip_lookup trie);
+        Ip_elements.radix_ip_lookup
+          (Route_pool.shared_trie ~heap:ctx.R.heap ~seed:0x51CC5EED ~n16
+             ~routes));
     R.register "FlowStats" (fun ctx args ->
         let flows =
           match args with

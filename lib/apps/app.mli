@@ -53,6 +53,11 @@ val build :
 (** Instantiates the application's elements (state allocated on [heap]) and
     its traffic generator. Deterministic given the rng state. *)
 
+val ip_substrate : heap:Ppp_simmem.Heap.t -> scale:int -> Route_pool.substrate
+(** The forwarding substrate every realistic flow at [scale] runs over (see
+    {!Route_pool.shared}): its route pool, trie and next-hop table, placed
+    on [heap]. *)
+
 val flow :
   kind ->
   heap:Ppp_simmem.Heap.t ->

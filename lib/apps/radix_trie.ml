@@ -15,20 +15,32 @@ type t = {
   default_hop : int;
   mutable next_node : int;
   mutable routes : int;
+  relocated : bool; (* a read-only view of another trie's entries *)
 }
 
 let node_entries = 256
 
+(* The node pool takes its simulated range before the root: every trie
+   address, and so every golden, depends on this order, and [relocate]
+   repeats it. *)
 let create ~heap ?(max_nodes = 16384) ~default_hop () =
   if max_nodes <= 0 then invalid_arg "Radix_trie.create: max_nodes";
+  let pool = Iarray.create heap ~elem_bytes:8 (max_nodes * node_entries) 0 in
+  let root = Iarray.create heap ~elem_bytes:8 65536 0 in
   {
-    root = Iarray.create heap ~elem_bytes:8 65536 0;
-    pool = Iarray.create heap ~elem_bytes:8 (max_nodes * node_entries) 0;
+    root;
+    pool;
     max_nodes;
     default_hop;
     next_node = 0;
     routes = 0;
+    relocated = false;
   }
+
+let relocate ~heap t =
+  let pool = Iarray.relocate heap t.pool in
+  let root = Iarray.relocate heap t.root in
+  { t with root; pool; relocated = true }
 
 let alloc_node t =
   if t.next_node >= t.max_nodes then failwith "Radix_trie: node pool exhausted";
@@ -63,6 +75,7 @@ let fill_entries t ~node ~first ~count ~hop ~plen =
   done
 
 let add_route t ~prefix ~plen ~hop =
+  if t.relocated then invalid_arg "Radix_trie.add_route: relocated view";
   if plen < 0 || plen > 32 then invalid_arg "Radix_trie.add_route: plen";
   if hop <= 0 || hop > 0xFFFF then invalid_arg "Radix_trie.add_route: hop";
   let prefix = prefix land 0xFFFFFFFF in

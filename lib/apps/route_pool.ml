@@ -38,6 +38,55 @@ let install t trie =
 
 let suggested_max_nodes ~n16 ~routes = n16 + (routes * 3 / 10) + 128
 
+type substrate = {
+  pool : t;
+  trie : Radix_trie.t;
+  hop_table : int Ppp_simmem.Iarray.t;
+}
+
+(* Allocation order, which fixes every address: the trie (its node pool,
+   then its root), then the next-hop table. [shared] relocates in the same
+   order. *)
+let build_substrate ~heap ~seed ~n16 ~routes =
+  let pool = make ~seed ~n16 ~routes in
+  let trie =
+    Radix_trie.create ~heap
+      ~max_nodes:(suggested_max_nodes ~n16 ~routes)
+      ~default_hop:0 ()
+  in
+  install pool trie;
+  (* Next-hop information records (gateway, egress port), one per route up
+     to 64K entries, read on every forwarded packet. *)
+  let hop_table =
+    Ppp_simmem.Iarray.init heap ~elem_bytes:16 (min routes 65536) (fun i -> i)
+  in
+  { pool; trie; hop_table }
+
+(* One template per (seed, n16, routes) per process, on a heap of its own
+   whose addresses no flow ever sees. Parallel.map builds flows on several
+   domains at once, hence the mutex. *)
+let templates : (int * int * int, substrate) Hashtbl.t = Hashtbl.create 8
+let templates_lock = Mutex.create ()
+
+let template ~seed ~n16 ~routes =
+  Mutex.protect templates_lock (fun () ->
+      let key = (seed, n16, routes) in
+      match Hashtbl.find_opt templates key with
+      | Some s -> s
+      | None ->
+          let heap = Ppp_simmem.Heap.create ~node:0 in
+          let s = build_substrate ~heap ~seed ~n16 ~routes in
+          Hashtbl.add templates key s;
+          s)
+
+let shared_trie ~heap ~seed ~n16 ~routes =
+  Radix_trie.relocate ~heap (template ~seed ~n16 ~routes).trie
+
+let shared ~heap ~seed ~n16 ~routes =
+  let s = template ~seed ~n16 ~routes in
+  let trie = Radix_trie.relocate ~heap s.trie in
+  { s with trie; hop_table = Ppp_simmem.Iarray.relocate heap s.hop_table }
+
 let pick_dst t idx salt =
   let prefix, plen, _ = t.entries.(idx) in
   prefix lor (salt land host_mask plen)

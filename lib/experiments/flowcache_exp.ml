@@ -18,21 +18,9 @@ let universe = 2000
 (* Build an IP flow whose lookup element is either the plain trie chain or
    the flow-cache fast path; identical trie, traffic and state sizes. *)
 let build_flow ~params ~heap ~rng ~cached =
-  let config = params.Runner.config in
-  let scale = config.Ppp_hw.Machine.scale in
-  let s16 = max 16 (4096 / scale) and routes = max 64 (131072 / scale) in
-  let pool =
-    Ppp_apps.Route_pool.make ~seed:(0x51CC5EED + (scale * 7919)) ~n16:s16
-      ~routes
-  in
-  let trie =
-    Ppp_apps.Radix_trie.create ~heap
-      ~max_nodes:(Ppp_apps.Route_pool.suggested_max_nodes ~n16:s16 ~routes)
-      ~default_hop:0 ()
-  in
-  Ppp_apps.Route_pool.install pool trie;
-  let hop_table =
-    Ppp_simmem.Iarray.init heap ~elem_bytes:16 (min routes 65536) (fun i -> i)
+  let { Ppp_apps.Route_pool.pool; trie; hop_table } =
+    Ppp_apps.App.ip_substrate ~heap
+      ~scale:params.Runner.config.Ppp_hw.Machine.scale
   in
   let gen_rng = Ppp_util.Rng.split rng in
   let seqs = Array.make universe 0 in

@@ -436,8 +436,8 @@ let run ?probe ?attrib ?(batch = 32) hier ~flows ~warmup_cycles
         else if !m < !s then
           if !st2 >= window_end then window_end
           else if !st2 = max_int then window_end
-          else min window_end (!st2 + 1)
-        else min window_end !st2
+          else Int.min window_end (!st2 + 1)
+        else Int.min window_end !st2
       in
       burst st bound;
       Array.unsafe_set times !m st.time
@@ -457,7 +457,7 @@ let run ?probe ?attrib ?(batch = 32) hier ~flows ~warmup_cycles
            match st.end_counters with Some c -> c | None -> assert false
          in
          let ctr = Counters.diff finish warm in
-         let cycles = max 1 (st.end_time - st.warm_time) in
+         let cycles = Int.max 1 (st.end_time - st.warm_time) in
          let seconds = Costs.cycles_to_seconds costs cycles in
          let packets = st.end_packets - st.warm_packets in
          if prof then

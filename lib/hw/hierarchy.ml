@@ -51,7 +51,7 @@ let writeback_to_l3 t ~socket ~line ~now =
   else begin
     (* Inclusion should make this unreachable; keep the model safe anyway. *)
     let node = Topology.node_of_addr (line * (Cache.geometry l3).Cache.line_bytes) in
-    Memctrl.writeback t.memctrls.(min node (Array.length t.memctrls - 1)) ~now
+    Memctrl.writeback t.memctrls.(Int.min node (Array.length t.memctrls - 1)) ~now
   end
 
 (* Insert [line] into a private cache, cascading dirty victims downwards.

@@ -9,7 +9,7 @@ let create ~service_cycles =
   { service_cycles; free_at = 0; transactions = 0 }
 
 let[@inline] occupy t ~now =
-  let wait = max 0 (t.free_at - now) in
+  let wait = Int.max 0 (t.free_at - now) in
   t.free_at <- now + wait + t.service_cycles;
   t.transactions <- t.transactions + 1;
   wait

@@ -93,7 +93,7 @@ module Builder = struct
 
   let create ?(initial_capacity = 256) () =
     {
-      ops = Array.make (max 16 initial_capacity) 0;
+      ops = Array.make (Int.max 16 initial_capacity) 0;
       len = 0;
       cur_elem = 0;
       viewed = make_trace [||] 0;

@@ -13,6 +13,10 @@ let init heap ~elem_bytes n f =
   let base = Heap.alloc heap ~bytes:(max 1 (n * elem_bytes)) in
   { data = Array.init n f; base; elem_bytes }
 
+let relocate heap t =
+  let bytes = max 1 (Array.length t.data * t.elem_bytes) in
+  { t with base = Heap.alloc heap ~bytes }
+
 let length t = Array.length t.data
 let elem_bytes t = t.elem_bytes
 let base t = t.base

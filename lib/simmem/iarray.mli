@@ -14,6 +14,13 @@ val create : Heap.t -> elem_bytes:int -> int -> 'a -> 'a t
     [elem_bytes] is the simulated size of one element (>= 1). *)
 
 val init : Heap.t -> elem_bytes:int -> int -> (int -> 'a) -> 'a t
+
+val relocate : Heap.t -> 'a t -> 'a t
+(** [relocate heap t] is a view of [t]'s elements at a fresh simulated
+    range on [heap], reserved exactly as {!create} would reserve it. The
+    host data is shared, not copied, so a write through either view shows
+    in both: treat both as read-only. *)
+
 val length : 'a t -> int
 val elem_bytes : 'a t -> int
 val base : 'a t -> int

@@ -85,30 +85,34 @@ let top_mass t ~k =
 
 (* Expected fraction of total mass held by the k largest of [flows] draws:
    the largest k order statistics occupy (asymptotically) the top k/flows
-   quantile band, so the fraction is the integral of the quantile function
-   over [1-k/flows, 1] divided by its integral over [0, 1]. Trapezoid rule;
-   used by the qcheck property as the analytic reference. *)
+   quantile band, so the fraction is the mass of that band over the mass of
+   [0, 1]. The mass is that of the sizes [create] realizes, floor(x(u)),
+   not of the continuous quantile: floor(x(u)) = n exactly for u in
+   [cdf n, cdf (n + 1)), so each band's mass is a sum over the integer
+   sizes. Flooring takes relatively more from mice than from elephants, so
+   with sizes capped at 1000 the continuous quantile puts the top-k share
+   0.03-0.04 too low. Used by the qcheck property as the analytic
+   reference. *)
 let analytic_top_mass ~flows ~alpha ?(min_pkts = 1) ?(max_pkts = 100_000) ~k ()
     =
   if k <= 0 then 0.0
   else if k >= flows then 1.0
+  else if min_pkts = max_pkts then float_of_int k /. float_of_int flows
   else begin
     let l = float_of_int min_pkts and h = float_of_int max_pkts in
-    let steps = 20_000 in
-    let integral a b =
+    let ratio = 1.0 -. ((l /. h) ** alpha) in
+    let cdf n = (1.0 -. ((l /. float_of_int n) ** alpha)) /. ratio in
+    (* Mass of floor(x(u)) over u in [a, 1]. *)
+    let mass a =
       let acc = ref 0.0 in
-      let w = (b -. a) /. float_of_int steps in
-      for i = 0 to steps - 1 do
-        let u0 = a +. (w *. float_of_int i) in
-        let u1 = u0 +. w in
-        acc :=
-          !acc
-          +. (w *. 0.5 *. (quantile ~alpha ~l ~h u0 +. quantile ~alpha ~l ~h u1))
+      for n = min_pkts to max_pkts - 1 do
+        let lo = Float.max a (cdf n) and hi = cdf (n + 1) in
+        if hi > lo then acc := !acc +. (float_of_int n *. (hi -. lo))
       done;
       !acc
     in
     let cut = 1.0 -. (float_of_int k /. float_of_int flows) in
-    integral cut 1.0 /. integral 0.0 1.0
+    mass cut /. mass 0.0
   end
 
 let source t ~rng ?(wire_len = 64) ?(flow_base = 0) ?fill () =

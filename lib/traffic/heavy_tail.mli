@@ -46,9 +46,10 @@ val analytic_top_mass :
   k:int ->
   unit ->
   float
-(** Expected top-[k] mass fraction under the same distribution, by numeric
-    integration of the quantile function — the reference value the qcheck
-    property compares {!top_mass} against. *)
+(** Expected top-[k] mass fraction of the sizes {!create} realizes (the
+    floored bounded-Pareto quantile), summed exactly over integer sizes —
+    the reference value the qcheck property compares {!top_mass}
+    against. *)
 
 val source :
   t ->

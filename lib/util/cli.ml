@@ -65,7 +65,7 @@ let usage t =
   Buffer.add_string b ("usage: " ^ t.prog ^ "\n");
   if t.specs <> [] then begin
     let pad =
-      List.fold_left (fun m s -> max m (String.length (left_col s))) 0 t.specs
+      List.fold_left (fun m s -> Int.max m (String.length (left_col s))) 0 t.specs
     in
     List.iter
       (fun s ->

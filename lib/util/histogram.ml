@@ -35,7 +35,7 @@ let index_of v =
       go 0 v
     in
     let sub = (v lsr (exp - 4)) land (sub_buckets - 1) in
-    min (bucket_count - 1) (linear_cutoff + (((exp - 6) * sub_buckets) + sub))
+    Int.min (bucket_count - 1) (linear_cutoff + (((exp - 6) * sub_buckets) + sub))
   end
 
 let upper_bound_of idx =
@@ -67,7 +67,7 @@ let percentile t p =
     let rank =
       int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.count))
     in
-    let rank = max 1 rank in
+    let rank = Int.max 1 rank in
     let acc = ref 0 and result = ref 0 in
     (try
        for i = 0 to bucket_count - 1 do

@@ -38,7 +38,7 @@ let to_string t =
   let widths = Array.map String.length t.headers in
   List.iter
     (fun row ->
-      Array.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) row)
+      Array.iteri (fun i c -> widths.(i) <- Int.max widths.(i) (String.length c)) row)
     rows;
   let buf = Buffer.create 1024 in
   (match t.title with

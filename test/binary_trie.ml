@@ -1,3 +1,10 @@
+(* A one-bit-per-level binary trie (no path compression), after the
+   original Click RadixTrie, as a second reference oracle for
+   Ppp_apps.Radix_trie next to the linear scan in apps_tests. Same
+   semantics: longest prefix wins, equal-length later routes overwrite,
+   hop 0 means "no route". Lookups walk up to 32 nodes, one reference each,
+   where the multibit trie walks at most three levels. *)
+
 open Ppp_simmem
 
 (* Node packing (one 8-byte element per node):
@@ -91,19 +98,3 @@ let lookup_gen t read dst =
 
 let lookup t b ~fn dst = lookup_gen t (fun arr i -> Iarray.get arr b ~fn i) dst
 let lookup_quiet t dst = lookup_gen t Iarray.peek dst
-let routes t = t.routes
-let nodes t = t.next
-let footprint_bytes t = t.next * 8
-
-let element t =
-  let fn = Ip_elements.fn_radix_ip_lookup in
-  Ppp_click.Element.make ~kind:"BinaryIPLookup" (fun ctx pkt ->
-      let dst = Ppp_net.Ipv4.dst pkt in
-      let hop = lookup t ctx.Ppp_click.Ctx.builder ~fn dst in
-      Ppp_click.Ctx.compute ctx ~fn 40;
-      if hop = 0 then Ppp_click.Element.Drop
-      else begin
-        Ppp_net.Packet.set8 pkt 0 (hop land 0xFF);
-        Ppp_click.Ctx.touch_packet ctx pkt ~fn ~write:true ~pos:0 ~len:1;
-        Ppp_click.Element.Forward
-      end)

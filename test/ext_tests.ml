@@ -86,14 +86,14 @@ let test_engine_latency_recorded () =
 let ip = Ppp_net.Ipv4.addr_of_string
 
 let test_binary_trie_lpm () =
-  let t = Ppp_apps.Binary_trie.create ~heap:(heap ()) ~default_hop:0 () in
-  Ppp_apps.Binary_trie.add_route t ~prefix:(ip "10.0.0.0") ~plen:8 ~hop:1;
-  Ppp_apps.Binary_trie.add_route t ~prefix:(ip "10.1.0.0") ~plen:16 ~hop:2;
-  Ppp_apps.Binary_trie.add_route t ~prefix:(ip "10.1.2.128") ~plen:25 ~hop:4;
-  Alcotest.(check int) "/8" 1 (Ppp_apps.Binary_trie.lookup_quiet t (ip "10.9.9.9"));
-  Alcotest.(check int) "/16" 2 (Ppp_apps.Binary_trie.lookup_quiet t (ip "10.1.9.9"));
-  Alcotest.(check int) "/25" 4 (Ppp_apps.Binary_trie.lookup_quiet t (ip "10.1.2.200"));
-  Alcotest.(check int) "default" 0 (Ppp_apps.Binary_trie.lookup_quiet t (ip "11.0.0.1"))
+  let t = Binary_trie.create ~heap:(heap ()) ~default_hop:0 () in
+  Binary_trie.add_route t ~prefix:(ip "10.0.0.0") ~plen:8 ~hop:1;
+  Binary_trie.add_route t ~prefix:(ip "10.1.0.0") ~plen:16 ~hop:2;
+  Binary_trie.add_route t ~prefix:(ip "10.1.2.128") ~plen:25 ~hop:4;
+  Alcotest.(check int) "/8" 1 (Binary_trie.lookup_quiet t (ip "10.9.9.9"));
+  Alcotest.(check int) "/16" 2 (Binary_trie.lookup_quiet t (ip "10.1.9.9"));
+  Alcotest.(check int) "/25" 4 (Binary_trie.lookup_quiet t (ip "10.1.2.200"));
+  Alcotest.(check int) "default" 0 (Binary_trie.lookup_quiet t (ip "11.0.0.1"))
 
 let prop_binary_trie_matches_radix =
   QCheck.Test.make ~count:40 ~name:"binary trie agrees with multibit radix trie"
@@ -104,31 +104,34 @@ let prop_binary_trie_matches_radix =
         (list_of_size Gen.(int_range 1 40) (int_bound 0xFFFFFFFF)))
     (fun (routes, dsts) ->
       let h = heap () in
-      let bt = Ppp_apps.Binary_trie.create ~heap:h ~max_nodes:8192 ~default_hop:0 () in
+      let bt = Binary_trie.create ~heap:h ~max_nodes:8192 ~default_hop:0 () in
       let rt = Ppp_apps.Radix_trie.create ~heap:h ~max_nodes:4096 ~default_hop:0 () in
       List.iter
         (fun (prefix, plen, hop) ->
-          Ppp_apps.Binary_trie.add_route bt ~prefix ~plen ~hop;
+          Binary_trie.add_route bt ~prefix ~plen ~hop;
           Ppp_apps.Radix_trie.add_route rt ~prefix ~plen ~hop)
         routes;
+      (* A relocated view answers from the same shared entries. *)
+      let view = Ppp_apps.Radix_trie.relocate ~heap:(heap ()) rt in
       List.for_all
         (fun dst ->
-          Ppp_apps.Binary_trie.lookup_quiet bt dst
-          = Ppp_apps.Radix_trie.lookup_quiet rt dst)
+          let want = Binary_trie.lookup_quiet bt dst in
+          want = Ppp_apps.Radix_trie.lookup_quiet rt dst
+          && want = Ppp_apps.Radix_trie.lookup_quiet view dst)
         dsts)
 
 let test_binary_trie_more_refs_than_radix () =
   let h = heap () in
-  let bt = Ppp_apps.Binary_trie.create ~heap:h ~default_hop:0 () in
+  let bt = Binary_trie.create ~heap:h ~default_hop:0 () in
   let rt = Ppp_apps.Radix_trie.create ~heap:h ~default_hop:0 () in
-  Ppp_apps.Binary_trie.add_route bt ~prefix:(ip "10.1.2.0") ~plen:24 ~hop:3;
+  Binary_trie.add_route bt ~prefix:(ip "10.1.2.0") ~plen:24 ~hop:3;
   Ppp_apps.Radix_trie.add_route rt ~prefix:(ip "10.1.2.0") ~plen:24 ~hop:3;
   let refs lookup =
     let b = Ppp_hw.Trace.Builder.create () in
     ignore (lookup b (ip "10.1.2.9") : int);
     Ppp_hw.Trace.Builder.length b
   in
-  let bt_refs = refs (fun b dst -> Ppp_apps.Binary_trie.lookup bt b ~fn dst) in
+  let bt_refs = refs (fun b dst -> Binary_trie.lookup bt b ~fn dst) in
   let rt_refs = refs (fun b dst -> Ppp_apps.Radix_trie.lookup rt b ~fn dst) in
   Alcotest.(check bool)
     (Printf.sprintf "binary (%d) walks more nodes than multibit (%d)" bt_refs rt_refs)
@@ -691,11 +694,11 @@ let test_dpi_rejects_bad_input () =
     (fun () -> ignore (Ppp_apps.Dpi.create ~heap:(heap ()) [ "ok"; "" ] : Ppp_apps.Dpi.t))
 
 let test_binary_trie_rejects_bad_input () =
-  let t = Ppp_apps.Binary_trie.create ~heap:(heap ()) ~default_hop:0 () in
+  let t = Binary_trie.create ~heap:(heap ()) ~default_hop:0 () in
   Alcotest.check_raises "plen" (Invalid_argument "Binary_trie.add_route: plen")
-    (fun () -> Ppp_apps.Binary_trie.add_route t ~prefix:0 ~plen:40 ~hop:1);
+    (fun () -> Binary_trie.add_route t ~prefix:0 ~plen:40 ~hop:1);
   Alcotest.check_raises "hop" (Invalid_argument "Binary_trie.add_route: hop")
-    (fun () -> Ppp_apps.Binary_trie.add_route t ~prefix:0 ~plen:8 ~hop:0)
+    (fun () -> Binary_trie.add_route t ~prefix:0 ~plen:8 ~hop:0)
 
 let test_mlp_reduces_miss_latency () =
   (* Two back-to-back misses: with mlp=4 the second's exposed latency is

@@ -7,6 +7,7 @@ let () =
       ("simmem+net", Simmem_net_tests.tests);
       ("click", Click_tests.tests);
       ("apps", Apps_tests.tests);
+      ("substrate", Substrate_tests.tests);
       ("flow-cache", Flow_cache_tests.tests);
       ("classify", Classify_tests.tests);
       ("traffic", Traffic_tests.tests);
