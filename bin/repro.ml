@@ -127,7 +127,19 @@ let effective_sample_cycles params t =
   if t.sample_cycles > 0 then t.sample_cycles
   else max 1 (params.Ppp_core.Runner.measure_cycles / 20)
 
+let profile_dir params t =
+  match t.profile_out with
+  | Some dir -> Some dir
+  | None -> if params.Ppp_core.Runner.profile then Some "profile" else None
+
+(* An output file is created (empty) and an output directory made before
+   anything runs, so a bad path fails before the first table is printed. *)
+let check_output_file path = close_out (open_out_bin path)
+
 let setup_telemetry params t =
+  Option.iter check_output_file t.trace;
+  Option.iter Ppp_telemetry.Export.ensure_dir t.metrics;
+  Option.iter Ppp_telemetry.Export.ensure_dir (profile_dir params t);
   if t.trace <> None || t.metrics <> None then
     Ppp_telemetry.Recorder.configure
       ~sample_cycles:(effective_sample_cycles params t)
@@ -172,12 +184,7 @@ let finish_telemetry params t =
       Printf.eprintf "wrote series.csv, spans.csv, manifest.json to %s/\n%!"
         dir
   | None -> ());
-  match
-    match t.profile_out with
-    | Some dir -> Some dir
-    | None ->
-        if params.Ppp_core.Runner.profile then Some "profile" else None
-  with
+  match profile_dir params t with
   | Some dir ->
       Ppp_telemetry.Export.write_profile_dir ~dir;
       Printf.eprintf
@@ -344,7 +351,17 @@ let parse_kinds names =
           exit 1)
     names
 
-(* mix and monitor place one flow per core, from core 0 up. *)
+(* mix and monitor place one flow per core, from core 0 up, each with its
+   data on its own core's socket. *)
+let local_specs params kinds =
+  let topo = params.Ppp_core.Runner.config.Ppp_hw.Machine.topology in
+  List.mapi
+    (fun core kind ->
+      Ppp_core.Runner.flow_on
+        ~node:(Ppp_hw.Topology.socket_of_core topo core)
+        ~core kind)
+    kinds
+
 let check_flows_fit cli params names =
   let config = params.Ppp_core.Runner.config in
   let cores = Ppp_hw.Topology.cores config.Ppp_hw.Machine.topology in
@@ -371,9 +388,7 @@ let mix_main () =
   check_flows_fit cli params names;
   setup_telemetry params telemetry;
   let kinds = parse_kinds names in
-  let specs =
-    List.mapi (fun i kind -> Ppp_core.Runner.flow_on ~core:i kind) kinds
-  in
+  let specs = local_specs params kinds in
   let solos =
     List.map
       (fun k -> (k, Ppp_core.Runner.solo ~params k))
@@ -466,6 +481,7 @@ let capture_main () =
   in
   let params = params () in
   let kind = List.hd (parse_kinds [ name ]) in
+  check_output_file !out;
   let heap = Ppp_simmem.Heap.create ~node:0 in
   let rng = Ppp_util.Rng.create ~seed:params.Ppp_core.Runner.seed in
   let built =
@@ -474,14 +490,18 @@ let capture_main () =
   in
   let cap = Ppp_traffic.Pcap.create () in
   let pkt = Ppp_net.Packet.create 60 in
-  let fill = Ppp_traffic.Source.to_gen built.Ppp_apps.App.source in
-  for _ = 1 to !count do
-    fill pkt;
-    Ppp_traffic.Pcap.append cap pkt
-  done;
+  let rec capture n =
+    if n < !count then
+      match Ppp_traffic.Source.fill built.Ppp_apps.App.source pkt with
+      | Ppp_traffic.Source.Filled ->
+          Ppp_traffic.Pcap.append cap pkt;
+          capture (n + 1)
+      | Ppp_traffic.Source.Exhausted -> n
+    else n
+  in
+  let n = capture 0 in
   Ppp_traffic.Pcap.save cap !out;
-  Printf.printf "wrote %d %s packets to %s\n" !count
-    (Ppp_apps.App.name kind) !out
+  Printf.printf "wrote %d %s packets to %s\n" n (Ppp_apps.App.name kind) !out
 
 (* --- monitor --- *)
 
@@ -565,11 +585,10 @@ let monitor_main () =
   let margin = float_arg cli margin ~name:"--margin" in
   let drop_margin = float_arg cli drop_margin ~name:"--drop-margin" in
   check_flows_fit cli params names;
+  Option.iter Ppp_telemetry.Export.ensure_dir !monitor_out;
   setup_telemetry params telemetry;
   let kinds = parse_kinds names in
-  let specs =
-    List.mapi (fun i kind -> Ppp_core.Runner.flow_on ~core:i kind) kinds
-  in
+  let specs = local_specs params kinds in
   let uniq = List.sort_uniq compare kinds in
   Printf.printf "profiling %d flow types offline...\n%!" (List.length uniq);
   let predictor =
@@ -577,7 +596,7 @@ let monitor_main () =
       ~levels:Ppp_experiments.Monitor_exp.default_levels ~targets:uniq ()
   in
   let solos =
-    List.map (fun k -> (k, Ppp_core.Profile.solo ~params k)) uniq
+    List.map (fun k -> (k, Ppp_core.Solo_profile.solo ~params k)) uniq
   in
   let det_config =
     {

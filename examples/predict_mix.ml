@@ -37,7 +37,14 @@ let () =
   in
 
   Printf.printf "deploying the mix...\n%!";
-  let specs = List.mapi (fun i kind -> Runner.flow_on ~core:i kind) mix in
+  let topo = params.Runner.config.Ppp_hw.Machine.topology in
+  let specs =
+    List.mapi
+      (fun core kind ->
+        Runner.flow_on ~node:(Ppp_hw.Topology.socket_of_core topo core) ~core
+          kind)
+      mix
+  in
   let results = Runner.run ~params specs in
 
   let t =

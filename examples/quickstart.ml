@@ -36,28 +36,30 @@ let () =
   in
   Printf.printf "chain: %s\n%!" chain;
 
-  (* 3. Attach traffic. A generator fills packets in place; here random
+  (* 3. Attach traffic. A source fills packets in place; here random
      5-tuples over the same deterministic route pool the lookup element
      built (seed 0x51CC5EED), so every packet is routable. *)
   let pool = Ppp_apps.Route_pool.make ~seed:0x51CC5EED ~n16:512 ~routes:16384 in
   let gen_rng = Ppp_util.Rng.split rng in
-  let gen pkt =
-    let f = Ppp_util.Rng.int gen_rng 12500 in
-    let h = Ppp_util.Hashes.fnv1a_int f in
-    Ppp_traffic.Gen.fill_ipv4_udp pkt
-      ~src:(0x0A000000 lor (h land 0xFFFFFF))
-      ~dst:(Ppp_apps.Route_pool.dst_of_flow pool f)
-      ~sport:(1024 + (h lsr 24 land 0x3FFF))
-      ~dport:(1024 + (h lsr 40 land 0x3FFF))
-      ~wire_len:64
+  let source =
+    Ppp_traffic.Source.make
+      ~fill:(fun _ pkt ->
+        let f = Ppp_util.Rng.int gen_rng 12500 in
+        let h = Ppp_util.Hashes.fnv1a_int f in
+        Ppp_traffic.Gen.fill_ipv4_udp pkt
+          ~src:(0x0A000000 lor (h land 0xFFFFFF))
+          ~dst:(Ppp_apps.Route_pool.dst_of_flow pool f)
+          ~sport:(1024 + (h lsr 24 land 0x3FFF))
+          ~dport:(1024 + (h lsr 40 land 0x3FFF))
+          ~wire_len:64;
+        Ppp_traffic.Source.Filled)
+      ()
   in
 
-  (* 4. Wrap everything into a flow on core 0 and run it to steady state.
-     [create_gen] wraps the bare closure in a [Ppp_traffic.Source.t]; use
-     [Flow.create ~source] directly for sources with flow identity. *)
+  (* 4. Wrap everything into a flow on core 0 and run it to steady state. *)
   let flow =
-    Ppp_click.Flow.create_gen ~heap ~rng:(Ppp_util.Rng.split rng) ~label:"demo"
-      ~gen ~elements ()
+    Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng) ~label:"demo"
+      ~source ~elements ()
   in
   let results =
     Ppp_hw.Engine.run hier

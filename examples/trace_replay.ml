@@ -14,11 +14,15 @@ let () =
   let built = Ppp_apps.App.build Ppp_apps.App.MON ~heap:capture_heap ~rng ~scale in
   let cap = Ppp_traffic.Pcap.create () in
   let pkt = Ppp_net.Packet.create 60 in
-  let fill = Ppp_traffic.Source.to_gen built.Ppp_apps.App.source in
-  for _ = 1 to 4096 do
-    fill pkt;
-    Ppp_traffic.Pcap.append cap pkt
-  done;
+  let rec capture n =
+    if n > 0 then
+      match Ppp_traffic.Source.fill built.Ppp_apps.App.source pkt with
+      | Ppp_traffic.Source.Filled ->
+          Ppp_traffic.Pcap.append cap pkt;
+          capture (n - 1)
+      | Ppp_traffic.Source.Exhausted -> ()
+  in
+  capture 4096;
   let path = Filename.temp_file "ppp_trace" ".pcap" in
   Ppp_traffic.Pcap.save cap path;
   Printf.printf "captured %d packets -> %s (%d bytes)\n%!"

@@ -54,11 +54,7 @@ let wire_len = function
   | DPI -> 512
   | SYN _ -> 64
 
-type built = {
-  elements : Element.t list;
-  source : Ppp_traffic.Source.t;
-  config : string;
-}
+type built = { elements : Element.t list; source : Ppp_traffic.Source.t }
 
 type sizes = { routes : int; n16 : int; flows : int }
 
@@ -163,54 +159,37 @@ let build kind ~heap ~rng ~scale =
           ~buffer_bytes:(max 4096 (base_l3_bytes / scale))
           ~reads_per_packet:reads ~instrs_per_packet:instrs
       in
-      let gen pkt =
-        Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-          ~sport:1000 ~dport:2000 ~wire_len:wire
-      in
       {
         elements = [ More_elements.Syn.element syn ];
-        source = Ppp_traffic.Source.of_gen ~name:"syn-const" gen;
-        config =
-          Printf.sprintf "FromDevice(0) -> Syn(%d, %d) -> ToDevice(0)" reads
-            instrs;
+        source = Ppp_traffic.Source.constant ();
       }
   | _ ->
       let { Route_pool.pool; trie; hop_table } = ip_substrate ~heap ~scale in
       let ip_chain = Ip_elements.forwarding_chain ~hop_table trie in
       let gen_rng = Rng.split rng in
-      let ip_cfg =
-        Printf.sprintf
-          "FromDevice(0) -> CheckIPHeader -> RadixIPLookup(%d, %d) -> DecIPTTL"
-          s.routes s.n16
-      in
-      let finish ~extra_elements ~extra_cfg ~payload =
+      let finish ~extra_elements ~payload =
         {
           elements = ip_chain @ extra_elements;
           source = tuple_source ~rng:gen_rng ~pool ~flows:s.flows ~wire ~payload;
-          config = ip_cfg ^ extra_cfg ^ " -> ToDevice(0)";
         }
       in
       let flowstats () =
-        ( More_elements.flow_statistics
-            (Netflow.create ~heap ~entries:(s.flows * 5 / 4)),
-          Printf.sprintf " -> FlowStats(%d)" s.flows )
+        More_elements.flow_statistics
+          (Netflow.create ~heap ~entries:(s.flows * 5 / 4))
       in
       (match kind with
-      | IP -> finish ~extra_elements:[] ~extra_cfg:"" ~payload:no_payload
-      | MON ->
-          let fs, cfg = flowstats () in
-          finish ~extra_elements:[ fs ] ~extra_cfg:cfg ~payload:no_payload
+      | IP -> finish ~extra_elements:[] ~payload:no_payload
+      | MON -> finish ~extra_elements:[ flowstats () ] ~payload:no_payload
       | FW ->
-          let fs, cfg = flowstats () in
+          let fs = flowstats () in
           let fw =
             Firewall.create ~heap (make_rules ~rng:(Rng.split rng) fw_rule_count)
           in
           finish
             ~extra_elements:[ fs; More_elements.firewall fw ]
-            ~extra_cfg:(cfg ^ Printf.sprintf " -> Firewall(%d)" fw_rule_count)
             ~payload:no_payload
       | RE ->
-          let fs, cfg = flowstats () in
+          let fs = flowstats () in
           let re =
             Re.create ~heap
               ~store_bytes:(max 65536 (base_store_bytes / scale))
@@ -218,16 +197,9 @@ let build kind ~heap ~rng ~scale =
               ()
           in
           let payload = re_payload ~rng:(Rng.split rng) in
-          finish
-            ~extra_elements:[ fs; More_elements.re_encode re ]
-            ~extra_cfg:
-              (cfg
-              ^ Printf.sprintf " -> REEncode(%d, %d)"
-                  (max 65536 (base_store_bytes / scale))
-                  (max 4096 (base_ft_entries / scale)))
-            ~payload
+          finish ~extra_elements:[ fs; More_elements.re_encode re ] ~payload
       | DPI ->
-          let fs, cfg = flowstats () in
+          let fs = flowstats () in
           let n_patterns = max 16 (base_dpi_patterns / scale) in
           let prng = Rng.create ~seed:0xD191 in
           (* One automaton holds at most 62 patterns (bitmask match sets);
@@ -242,21 +214,18 @@ let build kind ~heap ~rng ~scale =
           let dpi = Dpi.create ~heap patterns in
           finish
             ~extra_elements:[ fs; Dpi.element ~drop_on_match:false dpi ]
-            ~extra_cfg:(cfg ^ Printf.sprintf " -> DPI(%d)" (List.length patterns))
             ~payload:(let rng = Rng.split rng in
                       fun pkt ->
                         let pos = Ppp_net.Transport.payload_offset pkt in
                         Ppp_traffic.Gen.random_payload rng pkt ~pos
                           ~len:(pkt.Ppp_net.Packet.len - pos))
       | VPN ->
-          let fs, cfg = flowstats () in
+          let fs = flowstats () in
           let vpn =
-            More_elements.vpn_encrypt ~heap ~key:(random_key (Rng.split rng)) ()
+            More_elements.vpn_encrypt ~heap ~key:(random_key (Rng.split rng))
           in
           let payload_rng = Rng.split rng in
-          finish
-            ~extra_elements:[ fs; vpn ]
-            ~extra_cfg:(cfg ^ " -> VPNEncrypt")
+          finish ~extra_elements:[ fs; vpn ]
             ~payload:(fun pkt ->
               let pos = Ppp_net.Transport.payload_offset pkt in
               Ppp_traffic.Gen.random_payload payload_rng pkt ~pos
@@ -321,14 +290,7 @@ let register_all () =
              ()));
     R.register "VPNEncrypt" (fun ctx _args ->
         More_elements.vpn_encrypt ~heap:ctx.R.heap
-          ~key:(random_key (Rng.copy ctx.R.rng)) ());
-    R.register "SourceNAT" (fun ctx args ->
-        let public_ip =
-          match args with
-          | [ a ] -> Ppp_net.Ipv4.addr_of_string a
-          | _ -> invalid_arg "SourceNAT(public_ip)"
-        in
-        Nat.outbound_element (Nat.create ~heap:ctx.R.heap ~public_ip ()));
+          ~key:(random_key (Rng.copy ctx.R.rng)));
     R.register "DPI" (fun ctx args ->
         let n =
           match args with

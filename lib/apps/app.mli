@@ -44,8 +44,7 @@ type built = {
   elements : Ppp_click.Element.t list;
   source : Ppp_traffic.Source.t;
       (** the workload's traffic source (per-flow sequence numbers for the
-          realistic apps; a constant packet for SYN) *)
-  config : string;  (** the equivalent Click-language chain *)
+          realistic apps; {!Ppp_traffic.Source.constant} for SYN) *)
 }
 
 val build :

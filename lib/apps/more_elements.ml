@@ -55,13 +55,8 @@ let vpn_instrs_per_block = 320
 let vpn_table_touches_per_block = 4
 
 let vpn_nonce = "\x00\x01\x02\x03\x04\x05\x06\x07"
-let hmac_tag_bytes = 32
 
-(* HMAC-SHA256 compression work, charged as compute: ~5 instructions per
-   payload byte (64-round compression per 64-byte block). *)
-let hmac_instrs len = 5 * (len + 96)
-
-let vpn_encrypt ?auth_key ~heap ~key () =
+let vpn_encrypt ~heap ~key =
   let key = Aes.expand_key key in
   let counter = ref 0 in
   (* 5KB of simulated T-tables / S-box, line-granular. *)
@@ -86,62 +81,7 @@ let vpn_encrypt ?auth_key ~heap ~key () =
           pkt.Ppp_net.Packet.data ~pos ~len;
         counter := !counter + blocks;
         Ctx.touch_packet ctx pkt ~fn ~write:true ~pos ~len;
-        (match auth_key with
-        | None -> ()
-        | Some ak ->
-            (* Encrypt-then-MAC: append the tag and fix the IP length. *)
-            let tag = Sha256.hmac ~key:ak pkt.Ppp_net.Packet.data ~pos ~len in
-            let new_len = pkt.Ppp_net.Packet.len + hmac_tag_bytes in
-            if new_len <= Ppp_net.Packet.capacity pkt then begin
-              Ppp_net.Packet.resize pkt new_len;
-              Ppp_net.Packet.blit_string tag pkt (pos + len);
-              Ppp_net.Packet.set16 pkt (Ppp_net.Ipv4.header_offset + 2)
-                (new_len - Ppp_net.Ipv4.header_offset);
-              Ctx.compute ctx ~fn (hmac_instrs len);
-              Ctx.touch_packet ctx pkt ~fn ~write:true ~pos:(pos + len)
-                ~len:hmac_tag_bytes
-            end);
         Element.Forward
-      end)
-
-let vpn_verify ~auth_key ~heap ~key =
-  let key = Aes.expand_key key in
-  let counter = ref 0 in
-  let tables = Ppp_simmem.Iarray.create heap ~elem_bytes:64 80 0 in
-  let table_lines = Ppp_simmem.Iarray.length tables in
-  Element.make ~kind:"VPNVerify" (fun ctx pkt ->
-      let fn = fn_vpn in
-      let pos = Ppp_net.Transport.payload_offset pkt in
-      let total = pkt.Ppp_net.Packet.len - pos in
-      if total < hmac_tag_bytes then Element.Drop
-      else begin
-        let len = total - hmac_tag_bytes in
-        Ctx.touch_packet ctx pkt ~fn ~write:false ~pos ~len:total;
-        Ctx.compute ctx ~fn (hmac_instrs len);
-        let expected =
-          Sha256.hmac ~key:auth_key pkt.Ppp_net.Packet.data ~pos ~len
-        in
-        let got = Ppp_net.Packet.sub_string pkt ~pos:(pos + len) ~len:hmac_tag_bytes in
-        if not (String.equal expected got) then Element.Drop
-        else begin
-          let blocks = Aes.blocks_for len in
-          for blk = 0 to blocks - 1 do
-            Ctx.compute ctx ~fn vpn_instrs_per_block;
-            for k = 0 to vpn_table_touches_per_block - 1 do
-              let line = (!counter + (blk * 7) + (k * 13)) mod table_lines in
-              ignore (Ppp_simmem.Iarray.get tables ctx.Ctx.builder ~fn line : int)
-            done
-          done;
-          Aes.ctr_transform key ~nonce:vpn_nonce ~counter:!counter
-            pkt.Ppp_net.Packet.data ~pos ~len;
-          counter := !counter + blocks;
-          let new_len = pkt.Ppp_net.Packet.len - hmac_tag_bytes in
-          Ppp_net.Packet.resize pkt new_len;
-          Ppp_net.Packet.set16 pkt (Ppp_net.Ipv4.header_offset + 2)
-            (new_len - Ppp_net.Ipv4.header_offset);
-          Ctx.touch_packet ctx pkt ~fn ~write:true ~pos ~len;
-          Element.Forward
-        end
       end)
 
 module Syn = struct

@@ -19,22 +19,10 @@ val re_encode : Re.t -> Ppp_click.Element.t
 (** Encodes the payload in place (the packet shrinks when redundant
     content is found). *)
 
-val vpn_encrypt :
-  ?auth_key:string -> heap:Ppp_simmem.Heap.t -> key:string -> unit ->
-  Ppp_click.Element.t
+val vpn_encrypt : heap:Ppp_simmem.Heap.t -> key:string -> Ppp_click.Element.t
 (** AES-128-CTR encryption of the payload. The per-block T-table/S-box work
     is charged as compute plus a few table-line touches (the tables are
-    L1-resident and act as compute for contention purposes).
-
-    With [auth_key], encrypt-then-MAC: an HMAC-SHA256 tag over the encrypted
-    payload is appended (the packet grows by 32 bytes and the IP length is
-    fixed up), with the compression work charged as compute. *)
-
-val vpn_verify :
-  auth_key:string -> heap:Ppp_simmem.Heap.t -> key:string ->
-  Ppp_click.Element.t
-(** The receiving end: checks and strips the HMAC tag, then decrypts.
-    Packets with a bad tag are dropped. *)
+    L1-resident and act as compute for contention purposes). *)
 
 (** The SYN synthetic application (Section 2.1): a configurable number of
     counter increments plus random reads into an L3-sized buffer. *)

@@ -20,11 +20,6 @@ type kind = Tss | Range
 let all = [ Tss; Range ]
 let kind_name = function Tss -> "tss" | Range -> "range"
 
-let kind_of_name = function
-  | "tss" -> Some Tss
-  | "range" -> Some Range
-  | _ -> None
-
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 let make ~heap kind rules =

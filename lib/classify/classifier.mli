@@ -25,9 +25,6 @@ type kind = Tss | Range
 val all : kind list
 val kind_name : kind -> string
 
-val kind_of_name : string -> kind option
-(** Recognizes ["tss"] and ["range"]. *)
-
 type packed
 (** A backend instance with its implementation. *)
 

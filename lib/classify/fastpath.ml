@@ -18,7 +18,6 @@ let create ~heap ?(table_entries = 4096) ?probe_limit ?(upcall_cost = 400)
   }
 
 let table t = t.table
-let backend_name t = Classifier.name t.classifier
 let upcalls t = t.upcalls
 
 let element t =

@@ -5,10 +5,7 @@
     {!Rule.no_match} megaflow). Miss: charge the upcall's kernel-crossing
     cost, run the slow-path classifier (its memory traffic lands under the
     upcall fn tag), install the result — including negative caching of
-    no-match — and proceed as a hit would have.
-
-    This generalizes [Flow_cache.lookup_element], which remains the
-    exact-match-only special case over the radix trie. *)
+    no-match — and proceed as a hit would have. *)
 
 type t
 
@@ -29,7 +26,6 @@ val element : t -> Ppp_click.Element.t
     when the winning action is {!Rule.no_match}. *)
 
 val table : t -> Flow_table.t
-val backend_name : t -> string
 
 val upcalls : t -> int
 (** Number of misses that went to the slow path (= table misses). *)

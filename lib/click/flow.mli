@@ -16,10 +16,6 @@
     The input queue is otherwise assumed always backlogged (the paper
     drives each flow at saturation to measure maximum throughput). *)
 
-type generator = Ppp_net.Packet.t -> unit
-(** Fills a preallocated packet in place with the next input packet — the
-    legacy closure shape, accepted via {!create_gen}. *)
-
 type t
 
 val create :
@@ -29,22 +25,9 @@ val create :
   source:Ppp_traffic.Source.t ->
   elements:Element.t list ->
   ?rx_slots:int ->
-  ?buf_stride:int ->
   unit ->
   t
-(** [rx_slots] (default 64) RX buffers of [buf_stride] (default 2048) bytes. *)
-
-val create_gen :
-  heap:Ppp_simmem.Heap.t ->
-  rng:Ppp_util.Rng.t ->
-  label:string ->
-  gen:generator ->
-  elements:Element.t list ->
-  ?rx_slots:int ->
-  ?buf_stride:int ->
-  unit ->
-  t
-(** Compatibility wrapper: [create] over [Ppp_traffic.Source.of_gen gen]. *)
+(** [rx_slots] (default 64) RX buffers of 2 KB. *)
 
 val source : t -> Ppp_hw.Engine.source
 val label : t -> string
@@ -59,9 +42,6 @@ val reorders : t -> int
 (** Packets that arrived out of order within their flow (sequence below
     the flow's high-water mark), as observed at the receive path. *)
 
-val reorder_observed : t -> int
-(** Packets the reorder detector has observed (= packets received). *)
-
 val fn_from_device : Ppp_hw.Fn.t
 val fn_to_device : Ppp_hw.Fn.t
 val fn_skb_recycle : Ppp_hw.Fn.t
@@ -72,3 +52,27 @@ val eid_from_device : Ppp_hw.Eid.t
 
 val eid_to_device : Ppp_hw.Eid.t
 val eid_skb_recycle : Ppp_hw.Eid.t
+
+(** {2 The driver steps, shared with {!Staged}} *)
+
+type nic
+(** A NIC port on one heap: packet buffers, the skb free list and the RX
+    descriptor ring, plus a flow's TX descriptor ring. *)
+
+val nic : Ppp_simmem.Heap.t -> rx_slots:int -> nic
+(** A port of [rx_slots] 2 KB buffers without a TX ring, so {!transmit}
+    rewrites the MAC only. *)
+
+val next_slot : nic -> int
+(** The buffer slot the next {!receive} fills. *)
+
+val receive : nic -> Ctx.t -> Ppp_net.Packet.t -> int
+(** NIC DMA of a filled packet into the {!next_slot} buffer, then the
+    FromDevice descriptor and header reads. Returns the slot. *)
+
+val transmit : nic -> Ctx.t -> Ppp_net.Packet.t -> int -> unit
+(** ToDevice for the packet in buffer [slot]: the TX descriptor, if the
+    port has a ring, and the MAC rewrite. *)
+
+val recycle : nic -> Ctx.t -> int -> unit
+(** skb_recycle: returns buffer [slot] to the free list. *)

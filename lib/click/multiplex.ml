@@ -1,21 +1,8 @@
-let weighted sources =
-  if sources = [] then invalid_arg "Multiplex.weighted: empty";
-  List.iter
-    (fun (_, w) -> if w <= 0 then invalid_arg "Multiplex.weighted: weight")
-    sources;
-  let arr = Array.of_list sources in
-  let idx = ref 0 in
-  let served = ref 0 in
-  fun now ->
-    let source, weight = arr.(!idx) in
-    let item = source now in
-    incr served;
-    if !served >= weight then begin
-      served := 0;
-      idx := (!idx + 1) mod Array.length arr
-    end;
-    item
-
 let round_robin sources =
   if sources = [] then invalid_arg "Multiplex.round_robin: empty";
-  weighted (List.map (fun s -> (s, 1)) sources)
+  let arr = Array.of_list sources in
+  let idx = ref 0 in
+  fun now ->
+    let item = arr.(!idx) now in
+    idx := (!idx + 1) mod Array.length arr;
+    item

@@ -9,7 +9,3 @@
 val round_robin : Ppp_hw.Engine.source list -> Ppp_hw.Engine.source
 (** Strict round-robin packet interleaving (the Click task scheduler's
     default). Raises [Invalid_argument] on an empty list. *)
-
-val weighted : (Ppp_hw.Engine.source * int) list -> Ppp_hw.Engine.source
-(** [weighted [(s1, w1); (s2, w2)]] serves [w1] packets from [s1], then [w2]
-    from [s2], and so on (weights must be positive). *)

@@ -9,23 +9,22 @@
     shared-line writes — the 10-15 extra misses/packet the paper reports.
 
     The last stage completes packets; earlier stages contribute work items
-    only, so measured throughput is the pipeline's egress rate. *)
+    only, so measured throughput is the pipeline's egress rate. The first
+    stage receives through {!Flow.receive}; when its source reports
+    [Exhausted] it idles, as a {!Flow} does. *)
 
 type t
 
 val create :
   heap:Ppp_simmem.Heap.t ->
   rng:Ppp_util.Rng.t ->
-  label:string ->
-  gen:Flow.generator ->
+  source:Ppp_traffic.Source.t ->
   stages:Element.t list list ->
   ?queue_slots:int ->
   unit ->
   t
 (** [stages] must contain at least two stages (otherwise use {!Flow}).
     [queue_slots] (default 32) is each inter-stage ring's capacity. *)
-
-val num_stages : t -> int
 
 val sources : t -> Ppp_hw.Engine.source array
 (** One engine source per stage, in pipeline order; place each on the core

@@ -1,14 +1,6 @@
 type spec = { kind : Ppp_apps.App.kind; core : int; data_node : int }
 
-let flow_on ?node ~core kind =
-  let data_node =
-    match node with
-    | Some n -> n
-    | None ->
-        let topo = Ppp_hw.Machine.scaled.Ppp_hw.Machine.topology in
-        Ppp_hw.Topology.socket_of_core topo core
-  in
-  { kind; core; data_node }
+let flow_on ~node ~core kind = { kind; core; data_node = node }
 
 type params = {
   config : Ppp_hw.Machine.config;
@@ -201,7 +193,7 @@ let solo ?(params = default_params) kind =
      name, so a solo baseline computed anywhere — any experiment, any cell
      order, any job count — is the same simulation. *)
   let params = cell_params params ("solo/" ^ Ppp_apps.App.name kind) in
-  match run ~params [ flow_on ~core:0 kind ] with
+  match run ~params [ flow_on ~node:0 ~core:0 kind ] with
   | [ r ] -> r
   | _ -> assert false
 

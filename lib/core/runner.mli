@@ -15,8 +15,10 @@ type spec = {
           socket of [core]; remote data = the other node. *)
 }
 
-val flow_on : ?node:int -> core:int -> Ppp_apps.App.kind -> spec
-(** [flow_on ~core kind] places data locally; [?node] overrides. *)
+val flow_on : node:int -> core:int -> Ppp_apps.App.kind -> spec
+(** [flow_on ~node ~core kind] runs [kind] on [core] with its data on NUMA
+    node [node]: local data is the socket of [core] on the machine that
+    runs the spec ({!Ppp_hw.Topology.socket_of_core}). *)
 
 type params = {
   config : Ppp_hw.Machine.config;

@@ -132,29 +132,3 @@ let worst evals =
       List.fold_left (fun w e -> if e.avg_drop > w.avg_drop then e else w) e rest
 
 let gain evals = (worst evals).avg_drop -. (best evals).avg_drop
-
-let greedy_placement ~config ~aggressiveness combo =
-  let topo = config.Ppp_hw.Machine.topology in
-  if topo.Ppp_hw.Topology.sockets <> 2 then
-    invalid_arg "Scheduler.greedy_placement: two-socket machines only";
-  let cps = topo.Ppp_hw.Topology.cores_per_socket in
-  let flows =
-    List.concat_map (fun (k, n) -> List.init n (fun _ -> k)) combo
-    |> List.map (fun k -> (k, aggressiveness k))
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  let load = [| 0.0; 0.0 |] and count = [| 0; 0 |] in
-  let sockets = [| []; [] |] in
-  List.iter
-    (fun (k, a) ->
-      let s =
-        if count.(0) >= cps then 1
-        else if count.(1) >= cps then 0
-        else if load.(0) <= load.(1) then 0
-        else 1
-      in
-      sockets.(s) <- k :: sockets.(s);
-      load.(s) <- load.(s) +. a;
-      count.(s) <- count.(s) + 1)
-    flows;
-  [ List.rev sockets.(0); List.rev sockets.(1) ]

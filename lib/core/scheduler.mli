@@ -37,13 +37,3 @@ val worst : evaluation list -> evaluation
 val gain : evaluation list -> float
 (** worst.avg_drop - best.avg_drop: the overall-performance headroom
     contention-aware scheduling could recover. *)
-
-val greedy_placement :
-  config:Ppp_hw.Machine.config ->
-  aggressiveness:(Ppp_apps.App.kind -> float) ->
-  combo ->
-  Ppp_apps.App.kind list list
-(** The classic contention-aware heuristic [Zhuravlev et al.]: sort flows by
-    aggressiveness (e.g. solo L3 refs/sec from a {!Predictor}) and deal them
-    across sockets in descending order, balancing the aggregate. Returns a
-    per-socket placement evaluable against {!evaluate}'s results. *)

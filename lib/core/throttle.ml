@@ -70,10 +70,4 @@ module Two_faced = struct
           done;
           Ppp_click.Element.Forward);
     ]
-
-  let gen pkt =
-    Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-      ~sport:1000 ~dport:2000 ~wire_len:64
-
-  let source () = Ppp_traffic.Source.of_gen ~name:"two-faced" gen
 end

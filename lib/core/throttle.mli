@@ -39,9 +39,4 @@ module Two_faced : sig
     loud_reads:int ->
     switch_after:int ->
     Ppp_click.Element.t list
-
-  val gen : Ppp_click.Flow.generator
-
-  val source : unit -> Ppp_traffic.Source.t
-  (** [gen] wrapped as a fresh single-flow {!Ppp_traffic.Source.t}. *)
 end

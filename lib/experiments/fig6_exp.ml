@@ -9,10 +9,10 @@ type data = {
 let deltas = [ 30e-9; Equation1.paper_delta; 60e-9 ]
 
 let measure ?(params = Runner.default_params) () =
-  let profiles = Profile.table1 ~params Exp_common.realistic in
+  let profiles = Solo_profile.table1 ~params Exp_common.realistic in
   let max_hits =
     List.fold_left
-      (fun acc (p : Profile.t) -> Float.max acc p.Profile.l3_hits_per_sec)
+      (fun acc (p : Solo_profile.t) -> Float.max acc p.Solo_profile.l3_hits_per_sec)
       10e6 profiles
     *. 1.5
   in
@@ -24,11 +24,11 @@ let measure ?(params = Runner.default_params) () =
   in
   let app_points =
     List.map
-      (fun (p : Profile.t) ->
-        ( p.Profile.kind,
-          p.Profile.l3_hits_per_sec,
+      (fun (p : Solo_profile.t) ->
+        ( p.Solo_profile.kind,
+          p.Solo_profile.l3_hits_per_sec,
           Equation1.max_drop ~delta:Equation1.paper_delta
-            ~hits_per_sec:p.Profile.l3_hits_per_sec ))
+            ~hits_per_sec:p.Solo_profile.l3_hits_per_sec ))
       profiles
   in
   { deltas; curve_samples; app_points }

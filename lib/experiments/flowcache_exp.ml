@@ -15,8 +15,39 @@ type data = { cells : cell list }
    setting where a moderate number of heavy flows dominates. *)
 let universe = 2000
 
+let lookup_element table ~trie ~hop_table =
+  let fn = Ppp_apps.Ip_elements.fn_radix_ip_lookup in
+  Ppp_click.Element.make ~kind:"CachedIPLookup" (fun ctx pkt ->
+      let b = ctx.Ppp_click.Ctx.builder in
+      let cached = Ppp_classify.Flow_table.find table b ~fn pkt in
+      Ppp_click.Ctx.compute ctx ~fn 12;
+      let port =
+        if cached <> Ppp_classify.Flow_table.absent then cached
+        else
+          let hop =
+            Ppp_apps.Radix_trie.lookup trie b ~fn (Ppp_net.Ipv4.dst pkt)
+          in
+          if hop = 0 then -1 (* unrouted: dropped, never installed *)
+          else begin
+            let port =
+              Ppp_simmem.Iarray.get hop_table b ~fn
+                ((hop - 1) mod Ppp_simmem.Iarray.length hop_table)
+              land 0xFF
+            in
+            Ppp_classify.Flow_table.install table b ~fn
+              (Ppp_net.Flowid.of_packet pkt) port;
+            port
+          end
+      in
+      if port < 0 then Ppp_click.Element.Drop
+      else begin
+        Ppp_net.Packet.set8 pkt 0 port;
+        Ppp_click.Ctx.touch_packet ctx pkt ~fn ~write:true ~pos:0 ~len:1;
+        Ppp_click.Element.Forward
+      end)
+
 (* Build an IP flow whose lookup element is either the plain trie chain or
-   the flow-cache fast path; identical trie, traffic and state sizes. *)
+   the cached lookup; identical trie, traffic and state sizes. *)
 let build_flow ~params ~heap ~rng ~cached =
   let { Ppp_apps.Route_pool.pool; trie; hop_table } =
     Ppp_apps.App.ip_substrate ~heap
@@ -47,24 +78,27 @@ let build_flow ~params ~heap ~rng ~cached =
         (),
       None )
   else begin
-    let fc = Ppp_apps.Flow_cache.create ~heap ~entries:(4 * universe) in
+    (* 4,096 slots of 32 B: 128 KiB, two universes' worth of flows. *)
+    let table =
+      Ppp_classify.Flow_table.create ~heap ~entries:(2 * universe) ()
+    in
     let elements =
       [
         Ppp_apps.Ip_elements.check_ip_header ();
-        Ppp_apps.Flow_cache.lookup_element fc ~trie ~hop_table ();
+        lookup_element table ~trie ~hop_table;
         Ppp_apps.Ip_elements.dec_ip_ttl ();
       ]
     in
     ( Ppp_click.Flow.create ~heap ~rng ~label:"IP+cache" ~source:(source ())
         ~elements (),
-      Some fc )
+      Some table )
   end
 
 let run_one ~params ~cached ~with_competitors =
-  let results, fc =
+  let results, table =
     Runner.run_with ~params (fun _ ~heaps ~rng ->
         let heap = heaps.(0) in
-        let flow, fc =
+        let flow, table =
           build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~cached
         in
         let competitors =
@@ -75,14 +109,15 @@ let run_one ~params ~cached ~with_competitors =
         ( { Ppp_hw.Engine.core = 0; label = "t";
             source = Ppp_click.Flow.source flow }
           :: competitors,
-          fc ))
+          table ))
   in
   let pps = (List.hd results).Ppp_hw.Engine.throughput_pps in
   let hit_rate =
-    match fc with
+    match table with
     | None -> 0.0
-    | Some fc ->
-        let h = Ppp_apps.Flow_cache.hits fc and m = Ppp_apps.Flow_cache.misses fc in
+    | Some table ->
+        let h = Ppp_classify.Flow_table.hits table
+        and m = Ppp_classify.Flow_table.misses table in
         float_of_int h /. float_of_int (max 1 (h + m))
   in
   (pps, hit_rate)

@@ -7,17 +7,31 @@
     every avoided trie reference is a reference whose cost contention just
     inflated. Shrinking a flow's reference footprint is thus a
     contention-mitigation lever (it also lowers the flow's own
-    aggressiveness, cf. Section 4's throttling discussion). *)
+    aggressiveness, cf. Section 4's throttling discussion).
+
+    The cache is a {!Ppp_classify.Flow_table} of 4,096 32-byte slots
+    (128 KiB) with its default probe window. *)
 
 type cell = {
   scenario : string;  (** "solo" or "vs 5 SYN_MAX" *)
   plain_pps : float;  (** IP forwarding via the trie *)
-  cached_pps : float;  (** IP forwarding via flow cache + trie *)
+  cached_pps : float;  (** IP forwarding via {!lookup_element} *)
   speedup : float;  (** cached / plain *)
   hit_rate : float;  (** flow-cache hit rate in the cached run *)
 }
 
 type data = { cells : cell list }
+
+val lookup_element :
+  Ppp_classify.Flow_table.t ->
+  trie:Ppp_apps.Radix_trie.t ->
+  hop_table:int Ppp_simmem.Iarray.t ->
+  Ppp_click.Element.t
+(** RadixIPLookup behind the flow table: the same verdict and egress-port
+    annotation, with the port cached per flow. A hit costs the table probe
+    and skips the trie walk and the next-hop read; a miss does both and
+    installs a routed flow's port. Unrouted packets are dropped and never
+    installed. Counts under {!Ppp_apps.Ip_elements.fn_radix_ip_lookup}. *)
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
 val render : data -> string

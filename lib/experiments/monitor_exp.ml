@@ -49,7 +49,7 @@ let aggressor_flow ~params ~switch_after ~heap ~rng =
       ~quiet_reads:4 ~loud_reads:256 ~switch_after
   in
   Ppp_click.Flow.create ~heap ~rng ~label:"two-faced"
-    ~source:(Throttle.Two_faced.source ()) ~elements ()
+    ~source:(Ppp_traffic.Source.constant ()) ~elements ()
 
 (* The aggressor's offline profile is its tame face: what a solo
    characterization run would have recorded before deployment. *)
@@ -158,7 +158,7 @@ let measure ?(params = Runner.default_params) () =
     Predictor.build ~params ~levels:default_levels
       ~targets:[ Ppp_apps.App.MON ] ()
   in
-  let victim_solo = Profile.solo ~params Ppp_apps.App.MON in
+  let victim_solo = Solo_profile.solo ~params Ppp_apps.App.MON in
   let aggr_solo = aggressor_solo ~params in
   let profiles =
     Detector.profile_of ~predictor ~core:0 victim_solo
@@ -172,7 +172,7 @@ let measure ?(params = Runner.default_params) () =
        }
     :: List.mapi
          (fun i kind ->
-           Detector.profile_of ~core:(2 + i) (Profile.solo ~params kind))
+           Detector.profile_of ~core:(2 + i) (Solo_profile.solo ~params kind))
          (tame_kinds ~config)
   in
   let det_config =
@@ -209,7 +209,7 @@ let measure ?(params = Runner.default_params) () =
       ~throttle_budget:(Some (Option.value budget ~default:fallback))
   in
   {
-    victim_solo_pps = victim_solo.Profile.throughput_pps;
+    victim_solo_pps = victim_solo.Solo_profile.throughput_pps;
     aggressor_profiled_refs = aggr_solo.Ppp_hw.Engine.l3_refs_per_sec;
     sample_cycles = det_config.Detector.sample_cycles;
     switch_after;

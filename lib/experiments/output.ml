@@ -3,7 +3,6 @@ module Json = Ppp_telemetry.Json
 type t = { text : string; data : Json.t }
 
 let make ~text ~data = { text; data }
-let text_only text = { text; data = Json.Null }
 
 module Col = struct
   type 'row t = { name : string; cell : 'row -> Json.t }

@@ -16,9 +16,6 @@ type t = {
 
 val make : text:string -> data:Json.t -> t
 
-val text_only : string -> t
-(** [data] is [Null] — for reports with nothing structured to expose. *)
-
 (** Typed table builder: declare each column once (name + how to read its
     value out of a row) and apply it to the row list. *)
 module Col : sig

@@ -94,8 +94,7 @@ let measure ?(params = Runner.default_params) () =
       | first :: rest -> ([ first ], rest)
       | [] -> assert false
     in
-    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~label:"IP-pipe"
-      ~gen:(Ppp_traffic.Source.to_gen b.Ppp_apps.App.source)
+    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~source:b.Ppp_apps.App.source
       ~stages:[ stage0; stage1 ] ()
   in
   let ip_pipe =
@@ -114,12 +113,9 @@ let measure ?(params = Runner.default_params) () =
       Ppp_apps.More_elements.Syn.create ~heap ~rng ~buffer_bytes:syn_buffer
         ~reads_per_packet:reads_total ~instrs_per_packet:100
     in
-    let gen pkt =
-      Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-        ~sport:7 ~dport:7 ~wire_len:64
-    in
     Ppp_click.Flow.source
-      (Ppp_click.Flow.create_gen ~heap ~rng ~label:"SYN2x" ~gen
+      (Ppp_click.Flow.create ~heap ~rng ~label:"SYN2x"
+         ~source:(Ppp_traffic.Source.constant ())
          ~elements:[ Ppp_apps.More_elements.Syn.element syn ] ())
   in
   let syn_par =
@@ -133,11 +129,8 @@ let measure ?(params = Runner.default_params) () =
         ~buffer_bytes:(l3 * 9 / 10) ~reads_per_packet:(reads_total / 2)
         ~instrs_per_packet:50
     in
-    let gen pkt =
-      Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002
-        ~sport:7 ~dport:7 ~wire_len:64
-    in
-    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~label:"SYN-pipe" ~gen
+    Ppp_click.Staged.create ~heap:heaps.(0) ~rng
+      ~source:(Ppp_traffic.Source.constant ())
       ~stages:
         [
           [ Ppp_apps.More_elements.Syn.element (half 0) ];

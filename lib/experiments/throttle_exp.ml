@@ -37,7 +37,7 @@ let run_scenario ~params ~cell ~switch_after ~throttle_budget =
                in
                let flow =
                  Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng)
-                   ~label:"two-faced" ~source:(Throttle.Two_faced.source ())
+                   ~label:"two-faced" ~source:(Ppp_traffic.Source.constant ())
                    ~elements ()
                in
                let source = Ppp_click.Flow.source flow in

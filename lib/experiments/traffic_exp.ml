@@ -196,7 +196,7 @@ let sample_cycles_of (params : Runner.params) =
   max 1 (params.Runner.measure_cycles / 20)
 
 let run_cell ~(params : Runner.params) ~curve
-    ~(twin_solo : Ppp_hw.Engine.result) ~(syn_solo : Profile.t) ~cfg ~steering
+    ~(twin_solo : Ppp_hw.Engine.result) ~(syn_solo : Solo_profile.t) ~cfg ~steering
     =
   let mname = model_name cfg in
   let sname = Ppp_traffic.Steering.model_name steering in
@@ -244,9 +244,9 @@ let run_cell ~(params : Runner.params) ~curve
            {
              Detector.label = "SYN";
              core = 1 + i;
-             solo_pps = syn_solo.Profile.throughput_pps;
-             solo_l3_refs_per_sec = syn_solo.Profile.l3_refs_per_sec;
-             solo_l3_hits_per_sec = syn_solo.Profile.l3_hits_per_sec;
+             solo_pps = syn_solo.Solo_profile.throughput_pps;
+             solo_l3_refs_per_sec = syn_solo.Solo_profile.l3_refs_per_sec;
+             solo_l3_hits_per_sec = syn_solo.Solo_profile.l3_hits_per_sec;
              predict_drop = None;
            })
   in
@@ -294,7 +294,7 @@ let run_cell ~(params : Runner.params) ~curve
 
 let measure ?(params = Runner.default_params) () =
   let twin_solo, curve = stationary_curve ~params in
-  let syn_solo = Profile.solo ~params Ppp_apps.App.syn_max in
+  let syn_solo = Solo_profile.solo ~params Ppp_apps.App.syn_max in
   let cells =
     List.concat_map
       (fun cfg -> List.map (fun steering -> (cfg, steering)) steerings)

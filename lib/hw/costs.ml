@@ -32,4 +32,3 @@ let delta_seconds t = float_of_int t.dram_lat /. t.freq_hz
 let[@inline] compute_cycles t n =
   Int.max 1 (int_of_float (float_of_int n *. t.compute_cpi))
 let cycles_to_seconds t c = float_of_int c /. t.freq_hz
-let seconds_to_cycles t s = int_of_float (s *. t.freq_hz)

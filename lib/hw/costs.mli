@@ -31,7 +31,6 @@ val delta_seconds : t -> float
     instead of an L3 hit (Section 3.3 uses 43.75ns). *)
 
 val cycles_to_seconds : t -> int -> float
-val seconds_to_cycles : t -> float -> int
 
 val compute_cycles : t -> int -> int
 (** [compute_cycles t n] is the core-cycle cost of [n] instructions of pure

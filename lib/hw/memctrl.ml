@@ -20,7 +20,6 @@ let writeback t ~now =
   let (_ : int) = occupy t ~now in
   ()
 
-let busy_until t = t.free_at
 let transactions t = t.transactions
 
 let reset t =

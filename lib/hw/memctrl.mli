@@ -19,6 +19,5 @@ val writeback : t -> now:int -> unit
 (** A write-back occupies the controller but the issuing core does not wait
     (posted write). *)
 
-val busy_until : t -> int
 val transactions : t -> int
 val reset : t -> unit

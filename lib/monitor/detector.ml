@@ -7,18 +7,18 @@ type flow_profile = {
   predict_drop : (refs_per_sec:float -> float) option;
 }
 
-let profile_of ?predictor ~core (p : Ppp_core.Profile.t) =
+let profile_of ?predictor ~core (p : Ppp_core.Solo_profile.t) =
   {
-    label = Ppp_apps.App.name p.Ppp_core.Profile.kind;
+    label = Ppp_apps.App.name p.Ppp_core.Solo_profile.kind;
     core;
-    solo_pps = p.Ppp_core.Profile.throughput_pps;
-    solo_l3_refs_per_sec = p.Ppp_core.Profile.l3_refs_per_sec;
-    solo_l3_hits_per_sec = p.Ppp_core.Profile.l3_hits_per_sec;
+    solo_pps = p.Ppp_core.Solo_profile.throughput_pps;
+    solo_l3_refs_per_sec = p.Ppp_core.Solo_profile.l3_refs_per_sec;
+    solo_l3_hits_per_sec = p.Ppp_core.Solo_profile.l3_hits_per_sec;
     predict_drop =
       Option.map
         (fun pred ~refs_per_sec ->
           Ppp_core.Predictor.predict_drop_at pred
-            ~target:p.Ppp_core.Profile.kind ~refs_per_sec)
+            ~target:p.Ppp_core.Solo_profile.kind ~refs_per_sec)
         predictor;
   }
 

@@ -42,7 +42,7 @@ type flow_profile = {
 val profile_of :
   ?predictor:Ppp_core.Predictor.t ->
   core:int ->
-  Ppp_core.Profile.t ->
+  Ppp_core.Solo_profile.t ->
   flow_profile
 (** Baseline from an offline solo profile; [?predictor] supplies the curve. *)
 

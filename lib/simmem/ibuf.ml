@@ -6,14 +6,9 @@ let create heap n =
   if n <= 0 then invalid_arg "Ibuf.create: size must be positive";
   { data = Bytes.make n '\000'; base = Heap.alloc heap ~bytes:n }
 
-let of_region ~base n =
-  if n <= 0 then invalid_arg "Ibuf.of_region: size must be positive";
-  { data = Bytes.make n '\000'; base }
-
 let length t = Bytes.length t.data
 let addr t = t.base
 let bytes t = t.data
-let addr_at t pos = t.base + pos
 
 let touch t b ~fn ~write ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length t.data then
@@ -29,6 +24,3 @@ let touch t b ~fn ~write ~pos ~len =
 
 let touch_read t b ~fn ~pos ~len = touch t b ~fn ~write:false ~pos ~len
 let touch_write t b ~fn ~pos ~len = touch t b ~fn ~write:true ~pos ~len
-
-let lines_covered ~pos ~len =
-  if len <= 0 then 0 else ((pos + len - 1) / line) - (pos / line) + 1

@@ -7,15 +7,11 @@
 type t
 
 val create : Heap.t -> int -> t
-val of_region : base:int -> int -> t
-(** A buffer at a caller-chosen simulated address (e.g. inside a ring). *)
 
 val length : t -> int
 val addr : t -> int
 val bytes : t -> Bytes.t
 (** The backing store, for real data manipulation. *)
-
-val addr_at : t -> int -> int
 
 val touch_read :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> pos:int -> len:int -> unit
@@ -23,6 +19,3 @@ val touch_read :
 
 val touch_write :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> pos:int -> len:int -> unit
-
-val lines_covered : pos:int -> len:int -> int
-(** Number of 64B lines a range covers (helper for cost accounting). *)

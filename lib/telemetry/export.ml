@@ -5,7 +5,7 @@ let rec mkdir_p dir =
   end
 
 (* The one shared "make sure this output directory exists" entry point: the
-   CLIs' --metrics / --trace / --profile-out all funnel through here. *)
+   CLIs' --metrics / --profile-out / --monitor-out all funnel through here. *)
 let ensure_dir = mkdir_p
 
 let deterministic_trace ~meta =

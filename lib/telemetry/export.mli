@@ -8,8 +8,8 @@
 
 val ensure_dir : string -> unit
 (** Creates the directory (and parents) if needed — the shared helper
-    behind the CLIs' [--metrics], [--trace] and [--profile-out]
-    destinations. Idempotent. *)
+    behind the CLIs' [--metrics], [--profile-out] and [--monitor-out]
+    destinations, which call it before anything runs. Idempotent. *)
 
 val deterministic_trace : meta:(string * Json.t) list -> Json.t
 (** The Chrome trace restricted to its deterministic (simulated-time)

@@ -12,7 +12,6 @@ type t = {
   churn_every : int;
   flow_base : int;
   mutable next_id : int;
-  mutable arrivals : int;
 }
 
 let create ~live ~churn_every ?(flow_base = 0) () =
@@ -25,14 +24,9 @@ let create ~live ~churn_every ?(flow_base = 0) () =
     churn_every;
     flow_base;
     next_id = live;
-    arrivals = 0;
   }
 
 let live t = Array.length t.flow_ids
-let arrivals t = t.arrivals
-
-let distinct_flows t = t.next_id
-(* every id in [0, next_id) has been live at some point *)
 
 let source t ~rng ?(wire_len = 64) ?fill () =
   let write =
@@ -49,8 +43,7 @@ let source t ~rng ?(wire_len = 64) ?fill () =
         let slot = Ppp_util.Rng.int rng n in
         t.flow_ids.(slot) <- t.next_id;
         t.seqs.(slot) <- 0;
-        t.next_id <- t.next_id + 1;
-        t.arrivals <- t.arrivals + 1
+        t.next_id <- t.next_id + 1
       end;
       let slot = Ppp_util.Rng.int rng n in
       let f = t.flow_base + t.flow_ids.(slot) in

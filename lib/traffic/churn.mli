@@ -15,12 +15,6 @@ val create : live:int -> churn_every:int -> ?flow_base:int -> unit -> t
 val live : t -> int
 (** Number of concurrently-live flows (the slot count). *)
 
-val arrivals : t -> int
-(** Departures+arrivals performed so far. *)
-
-val distinct_flows : t -> int
-(** Total distinct flow ids ever live (initial population + arrivals). *)
-
 val source :
   t ->
   rng:Ppp_util.Rng.t ->

@@ -17,5 +17,3 @@ val random_payload :
 val seeded_payload : seed:int -> Ppp_net.Packet.t -> pos:int -> len:int -> unit
 (** Deterministic payload derived from [seed] — two packets with the same
     seed carry identical bytes (redundant traffic for RE). *)
-
-val min_wire_len : int

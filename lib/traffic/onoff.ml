@@ -34,8 +34,6 @@ let create ~mean_on ~mean_off ~burst_flows ?(flow_base = 0) () =
     off_packets = 0;
   }
 
-let on_packets t = t.on_packets
-let off_packets t = t.off_packets
 let duty_cycle t =
   let total = t.on_packets + t.off_packets in
   if total = 0 then 0.0 else float_of_int t.on_packets /. float_of_int total

@@ -15,9 +15,6 @@ val create :
 (** [burst_flows] ids starting at [flow_base] (default 0) are reserved for
     bursts; keep them disjoint from the base source's ids. *)
 
-val on_packets : t -> int
-val off_packets : t -> int
-
 val duty_cycle : t -> float
 (** Realized fraction of packets emitted while ON. *)
 

@@ -24,9 +24,6 @@ val load : string -> (t, string) result
 
 val replay : ?loop:bool -> ?name:string -> t -> Source.t
 (** A {!Source.t} cycling through the capture ([loop] defaults true; when
-    false, fills return [Exhausted] past the end — the typed replacement
-    for the [Failure] the closure API used to raise). Flow identity is a
-    hash of each packet's header bytes, with per-flow sequence numbers
-    assigned in capture order. Raises [Invalid_argument] on an empty
-    capture; call sites that still want a bare closure can use
-    {!Source.to_gen}. *)
+    false, fills return [Exhausted] past the end). Flow identity is a hash
+    of each packet's header bytes, with per-flow sequence numbers assigned
+    in capture order. Raises [Invalid_argument] on an empty capture. *)

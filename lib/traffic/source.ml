@@ -8,8 +8,6 @@ type t = {
   mutable packets : int;
 }
 
-exception Exhausted_source of string
-
 let make ?(name = "source") ~fill () =
   { name; fill_fn = fill; last_flow = 0; last_seq = 0; packets = 0 }
 
@@ -29,19 +27,11 @@ let last_flow t = t.last_flow
 let last_seq t = t.last_seq
 let packets t = t.packets
 
-let of_gen ?(name = "closure") gen =
-  make ~name
+let constant () =
+  make ~name:"constant"
     ~fill:(fun t pkt ->
-      gen pkt;
-      (* Anonymous traffic: one flow whose sequence is the packet count —
-         monotone by construction, so wrapped closures never look
-         reordered. *)
-      t.last_flow <- 0;
+      Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002 ~sport:1000
+        ~dport:2000 ~wire_len:64;
       t.last_seq <- t.packets;
       Filled)
     ()
-
-let to_gen t pkt =
-  match fill t pkt with
-  | Filled -> ()
-  | Exhausted -> raise (Exhausted_source t.name)

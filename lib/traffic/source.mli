@@ -1,8 +1,7 @@
 (** The first-class packet source: the unit of traffic generation.
 
-    A source fills a preallocated packet in place (like the bare
-    [Ppp_click.Flow.generator] closure it replaces) but is stateful,
-    seeded, and self-describing: after each successful fill it reports the
+    A source fills a preallocated packet in place, and is stateful, seeded,
+    and self-describing: after each successful fill it reports the
     flow identity and the per-flow sequence number of the packet it just
     produced. Sequence numbers are what make reordering *observable* — a
     downstream {!Reorder} detector counts the inversions that NIC steering
@@ -21,9 +20,6 @@ type status =
           [Pcap.replay] used to raise past the end *)
 
 type t
-
-exception Exhausted_source of string
-(** Raised only by {!to_gen} compatibility closures, never by {!fill}. *)
 
 val make : ?name:string -> fill:(t -> Ppp_net.Packet.t -> status) -> unit -> t
 (** A source from a fill function. The function receives the source itself
@@ -53,12 +49,7 @@ val last_seq : t -> int
 val packets : t -> int
 (** Total packets filled so far. *)
 
-val of_gen : ?name:string -> (Ppp_net.Packet.t -> unit) -> t
-(** Compatibility wrapper for the bare generator closures the experiments
-    used to pass around: flow 0, sequence = packet count (monotone, so a
-    wrapped closure can never appear reordered), never exhausts. *)
-
-val to_gen : t -> Ppp_net.Packet.t -> unit
-(** The inverse wrapper, for call sites that still want a closure. Raises
-    {!Exhausted_source} if the source dries up — closures have no way to
-    return a typed end-of-capture. *)
+val constant : unit -> t
+(** The same 64-byte UDP frame (10.0.0.1:1000 to 10.0.0.2:2000) on every
+    fill, as flow 0 with a monotone sequence; never exhausts. The input of
+    SYN-style flows, whose elements never read the packet. *)

@@ -22,11 +22,6 @@ type model = Rss | Flow_director
 
 let model_name = function Rss -> "rss" | Flow_director -> "fdir"
 
-let model_of_name = function
-  | "rss" -> Some Rss
-  | "fdir" | "flow-director" | "flow_director" -> Some Flow_director
-  | _ -> None
-
 type t = {
   model : model;
   cores : int;
@@ -36,7 +31,6 @@ type t = {
   mutable delivered : int;
   mutable migrations : int;
   mutable next_core : int; (* FD round-robin placement of new flows *)
-  mutable last_core : int;
 }
 
 let create ?(migrate_every = 0) ~cores model =
@@ -52,22 +46,11 @@ let create ?(migrate_every = 0) ~cores model =
     delivered = 0;
     migrations = 0;
     next_core = 0;
-    last_core = 0;
   }
 
 let model t = t.model
 let cores t = t.cores
-let delivered t = t.delivered
 let migrations t = t.migrations
-let last_core t = t.last_core
-
-let core_of t ~flow =
-  match t.model with
-  | Rss -> Ppp_util.Hashes.fnv1a_int flow mod t.cores
-  | Flow_director -> (
-      match Hashtbl.find_opt t.assign flow with
-      | Some c -> c
-      | None -> t.next_core mod t.cores)
 
 (* Deliver one packet of [flow] carrying sender sequence [seq]; returns the
    receive core and the sequence number the observer sees. *)
@@ -108,7 +91,6 @@ let route t ~flow ~seq =
             end
             else (core, seq))
   in
-  t.last_core <- core;
   (core, seq')
 
 let source t inner =

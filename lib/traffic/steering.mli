@@ -19,8 +19,6 @@ type model = Rss | Flow_director
 val model_name : model -> string
 (** ["rss"] / ["fdir"]. *)
 
-val model_of_name : string -> model option
-
 type t
 
 val create : ?migrate_every:int -> cores:int -> model -> t
@@ -31,18 +29,9 @@ val create : ?migrate_every:int -> cores:int -> model -> t
 val model : t -> model
 val cores : t -> int
 
-val delivered : t -> int
-(** Packets routed so far. *)
-
 val migrations : t -> int
 (** Completed Flow-Director migrations (stranded packet drained). Equals
     the reorder count an observer sees. Always 0 under RSS. *)
-
-val last_core : t -> int
-(** Receive core of the most recently routed packet. *)
-
-val core_of : t -> flow:int -> int
-(** Current core of [flow] without routing a packet. *)
 
 val route : t -> flow:int -> seq:int -> int * int
 (** [route t ~flow ~seq] delivers one packet: returns

@@ -20,18 +20,9 @@ let fnv1a_int x =
   done;
   Int64.to_int !h land mask62
 
-let jenkins_mix a b c =
-  let a = (a - b - c) lxor (c lsr 13) in
-  let b = (b - c - a) lxor (a lsl 8) in
-  let c = (c - a - b) lxor (b lsr 13) in
-  let a = (a - b - c) lxor (c lsr 12) in
-  let b = (b - c - a) lxor (a lsl 16) in
-  let c = (c - a - b) lxor (b lsr 5) in
-  (a land mask62, b land mask62, c land mask62)
-
-(* [jenkins_mix] without the result tuple (an allocation per call without
-   flambda): only the [c] lane, on the per-packet flow-hash path. Must stay
-   bit-identical to [let _, _, c = jenkins_mix h1 h2 0x9E3779B9 in c]. *)
+(* One round of Bob Jenkins' 96-bit mix over (h1, h2, golden ratio),
+   keeping only the [c] lane: no result tuple, so no allocation on the
+   per-packet flow-hash path. *)
 let combine h1 h2 =
   let a = h1 and b = h2 and c = 0x9E3779B9 in
   let a = (a - b - c) lxor (c lsr 13) in
@@ -41,36 +32,3 @@ let combine h1 h2 =
   let b = (b - c - a) lxor (a lsl 16) in
   let c = (c - a - b) lxor (b lsr 5) in
   c land mask62
-
-let crc_table =
-  lazy
-    (let table = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       table.(n) <- !c
-     done;
-     table)
-
-let crc32 b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Hashes.crc32: slice out of bounds";
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl) in
-    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
-  done;
-  Int32.logxor !crc 0xFFFFFFFFl
-
-let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-let fold_int h ~bits =
-  if bits <= 0 || bits > 62 then invalid_arg "Hashes.fold_int: bits out of range";
-  let mask = (1 lsl bits) - 1 in
-  let rec go acc v = if v = 0 then acc land mask else go (acc lxor (v land mask)) (v lsr bits) in
-  go 0 h

@@ -7,18 +7,5 @@ val fnv1a_bytes : Bytes.t -> pos:int -> len:int -> int
 val fnv1a_int : int -> int
 (** FNV-1a over the 8 little-endian bytes of an int. *)
 
-val jenkins_mix : int -> int -> int -> int * int * int
-(** One round of the Bob Jenkins mix function, used by {!combine}. *)
-
 val combine : int -> int -> int
-(** Mix two hash values into one. *)
-
-val crc32 : Bytes.t -> pos:int -> len:int -> int32
-(** CRC-32 (IEEE 802.3 polynomial, reflected), e.g. for integrity checks on
-    redundancy-elimination decode paths. *)
-
-val crc32_string : string -> int32
-
-val fold_int : int -> bits:int -> int
-(** [fold_int h ~bits] folds a hash down to [bits] bits by xor-folding, for
-    indexing power-of-two tables. *)
+(** Mix two hash values into one (one round of Bob Jenkins' mix). *)

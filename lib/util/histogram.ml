@@ -94,18 +94,3 @@ let max_value t =
   done;
   !result
 
-let merge_into ~src ~dst =
-  for i = 0 to bucket_count - 1 do
-    dst.buckets.(i) <- dst.buckets.(i) + src.buckets.(i)
-  done;
-  dst.count <- dst.count + src.count;
-  dst.total <- dst.total + src.total;
-  if src.vmin < dst.vmin then dst.vmin <- src.vmin;
-  if src.vmax > dst.vmax then dst.vmax <- src.vmax
-
-let clear t =
-  Array.fill t.buckets 0 bucket_count 0;
-  t.count <- 0;
-  t.total <- 0;
-  t.vmin <- max_int;
-  t.vmax <- 0

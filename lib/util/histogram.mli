@@ -46,8 +46,3 @@ val max_value : t -> int
     pre-existing bucketed readout, kept for callers that report bucket
     bounds; use {!exact_max} or [percentile t 100.] for the exact
     endpoint. *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Adds [src]'s samples into [dst], including the exact min/max. *)
-
-val clear : t -> unit

@@ -128,9 +128,6 @@ let derive ~seed label =
   let z = splitmix64 state in
   Int64.to_int (Int64.logand z Int64.max_int)
 
-let derive_cell ~seed ~experiment ~cell =
-  derive ~seed (Printf.sprintf "%s/%d" experiment cell)
-
 (* The top 62 bits of the output word: what [Int64.shift_right_logical r 2]
    used to extract, now one shift and one or away from the halves. *)
 let[@inline] nonneg t =
@@ -171,19 +168,3 @@ let byte t =
   advance t;
   t.outl land 0xFF
 
-let fill_bytes t b =
-  for i = 0 to Bytes.length b - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (byte t))
-  done
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let exponential t ~mean =
-  let u = 1.0 -. float t 1.0 in
-  -.mean *. log u

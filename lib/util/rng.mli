@@ -25,10 +25,6 @@ val derive : seed:int -> string -> int
     can derive their streams in any order and obtain identical values.
     Distinct labels (or distinct seeds) yield independent streams. *)
 
-val derive_cell : seed:int -> experiment:string -> cell:int -> int
-(** [derive_cell ~seed ~experiment ~cell] is [derive] on the canonical
-    label ["experiment/cell"]: the per-cell RNG stream of an experiment. *)
-
 val bits64 : t -> int64
 (** Next 64 uniformly random bits. *)
 
@@ -46,11 +42,3 @@ val bool : t -> bool
 val byte : t -> int
 (** Uniform in [\[0, 255\]]. *)
 
-val fill_bytes : t -> Bytes.t -> unit
-(** Overwrite a byte buffer with random bytes. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed positive float with the given mean. *)

@@ -39,22 +39,3 @@ let eval t x =
     let y0 = t.ys.(!lo) and y1 = t.ys.(!hi) in
     y0 +. ((x -. x0) /. (x1 -. x0) *. (y1 -. y0))
   end
-
-let map_y f t = { xs = Array.copy t.xs; ys = Array.map f t.ys }
-
-let monotone_nondecreasing t =
-  let ok = ref true in
-  for i = 1 to Array.length t.ys - 1 do
-    if t.ys.(i) < t.ys.(i - 1) then ok := false
-  done;
-  !ok
-
-let knee t ~threshold =
-  let n = Array.length t.xs in
-  let y_last = t.ys.(n - 1) in
-  let rec find i =
-    if i >= n then None
-    else if Float.abs (y_last -. t.ys.(i)) <= threshold then Some t.xs.(i)
-    else find (i + 1)
-  in
-  find 0

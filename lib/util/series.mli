@@ -16,16 +16,3 @@ val points : t -> (float * float) array
 val eval : t -> float -> float
 (** [eval t x] interpolates linearly between the two samples bracketing [x];
     clamps to the first/last y outside the sampled range. *)
-
-val map_y : (float -> float) -> t -> t
-
-val monotone_nondecreasing : t -> bool
-(** True when y never decreases as x grows (sanity check for sensitivity
-    curves). *)
-
-val knee : t -> threshold:float -> float option
-(** [knee t ~threshold] returns the smallest sampled x past which the total
-    remaining rise of the curve is at most [threshold] (absolute y units) —
-    the paper's "turning point" (Section 3.2). [None] if the curve never
-    settles, i.e. threshold is larger than the total rise only at the last
-    point. *)

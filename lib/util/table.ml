@@ -1,20 +1,13 @@
-type align = Left | Right
-
 type t = {
   title : string option;
   headers : string array;
-  aligns : align array;
   mutable rows : string array list; (* reversed *)
 }
 
 let create ?title headers =
   let headers = Array.of_list headers in
   if Array.length headers = 0 then invalid_arg "Table.create: no columns";
-  let aligns = Array.make (Array.length headers) Right in
-  aligns.(0) <- Left;
-  { title; headers; aligns; rows = [] }
-
-let set_align t i a = t.aligns.(i) <- a
+  { title; headers; rows = [] }
 
 let add_row t cells =
   let row = Array.of_list cells in
@@ -22,15 +15,12 @@ let add_row t cells =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let add_rowf t fmt =
-  Printf.ksprintf (fun s -> add_row t (String.split_on_char '|' s)) fmt
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
 let to_string t =
   let rows = List.rev t.rows in
@@ -49,7 +39,7 @@ let to_string t =
   let emit_row cells =
     for i = 0 to ncols - 1 do
       if i > 0 then Buffer.add_string buf "  ";
-      Buffer.add_string buf (pad t.aligns.(i) widths.(i) cells.(i))
+      Buffer.add_string buf (pad ~left:(i = 0) widths.(i) cells.(i))
     done;
     Buffer.add_char buf '\n'
   in

@@ -1,20 +1,13 @@
 (** Aligned plain-text tables for experiment output (paper-style rows). *)
 
-type align = Left | Right
-
 type t
 
 val create : ?title:string -> string list -> t
 (** [create ~title headers] starts a table with the given column headers.
-    Columns default to right alignment except the first, which is left. *)
-
-val set_align : t -> int -> align -> unit
+    The first column is left-aligned, the others right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** Row length must match the header length. *)
-
-val add_rowf : t -> ('a, unit, string, unit) format4 -> 'a
-(** Convenience: format a single string then split on ['|'] into cells. *)
 
 val to_string : t -> string
 val print : t -> unit

@@ -54,14 +54,12 @@ let test_ctx_touch_unplaced_packet_noop () =
 
 (* --- Flow --- *)
 
-let simple_gen pkt =
-  Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001 ~dst:0x0A000002 ~sport:1
-    ~dport:2 ~wire_len:64
+let constant () = Ppp_traffic.Source.constant ()
 
 let test_flow_produces_packet_traces () =
   let hits = ref 0 in
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
       ~elements:[ counting_element "c" hits ] ()
   in
   let source = Flow.source flow in
@@ -78,7 +76,7 @@ let test_flow_produces_packet_traces () =
 
 let test_flow_counts_drops () =
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
       ~elements:[ dropping_element () ] ()
   in
   let source = Flow.source flow in
@@ -89,7 +87,7 @@ let test_flow_counts_drops () =
 
 let test_flow_buffer_rotation () =
   let flow =
-    Flow.create_gen ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~gen:simple_gen
+    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
       ~elements:[] ~rx_slots:4 ()
   in
   let source = Flow.source flow in
@@ -116,19 +114,19 @@ let test_staged_requires_two_stages () =
   Alcotest.check_raises "one stage"
     (Invalid_argument "Staged.create: need at least two stages") (fun () ->
       ignore
-        (Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
+        (Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
            ~stages:[ [] ] ()))
 
 let test_staged_pipeline_flows_packets () =
   let seen0 = ref 0 and seen1 = ref 0 in
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
       ~stages:
         [ [ counting_element "s0" seen0 ]; [ counting_element "s1" seen1 ] ]
       ~queue_slots:4 ()
   in
   let sources = Staged.sources staged in
-  Alcotest.(check int) "two sources" 2 (Staged.num_stages staged);
+  Alcotest.(check int) "two sources" 2 (Array.length sources);
   (* Drive by hand: stage1 starves until stage0 pushes. *)
   (match sources.(1) 0 with
   | Ppp_hw.Engine.Idle _ -> ()
@@ -144,7 +142,7 @@ let test_staged_pipeline_flows_packets () =
 
 let test_staged_backpressure () =
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen:simple_gen
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
       ~stages:[ []; [] ] ~queue_slots:2 ()
   in
   let sources = Staged.sources staged in
@@ -155,6 +153,28 @@ let test_staged_backpressure () =
   | Ppp_hw.Engine.Idle _ -> ()
   | Ppp_hw.Engine.Packet _ | Ppp_hw.Engine.Reordered _ ->
       Alcotest.fail "expected backpressure"
+
+let test_staged_exhausted_source_idles () =
+  let source =
+    Ppp_traffic.Source.make
+      ~fill:(fun _ _ -> Ppp_traffic.Source.Exhausted)
+      ()
+  in
+  let seen = ref 0 in
+  let staged =
+    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source
+      ~stages:[ [ counting_element "s0" seen ]; [] ]
+      ()
+  in
+  let sources = Staged.sources staged in
+  for now = 0 to 3 do
+    match sources.(0) now with
+    | Ppp_hw.Engine.Idle _ -> ()
+    | Ppp_hw.Engine.Packet _ | Ppp_hw.Engine.Reordered _ ->
+        Alcotest.fail "an exhausted source must idle stage 0"
+  done;
+  Alcotest.(check int) "no packet processed" 0 !seen;
+  Alcotest.(check int) "nothing forwarded" 0 (Staged.forwarded staged)
 
 (* --- Config parser --- *)
 
@@ -249,6 +269,8 @@ let tests =
     Alcotest.test_case "staged needs two stages" `Quick test_staged_requires_two_stages;
     Alcotest.test_case "staged pipeline flow" `Quick test_staged_pipeline_flows_packets;
     Alcotest.test_case "staged backpressure" `Quick test_staged_backpressure;
+    Alcotest.test_case "staged exhausted source idles" `Quick
+      test_staged_exhausted_source_idles;
     Alcotest.test_case "config parse simple" `Quick test_config_parse_simple;
     Alcotest.test_case "config args + comments" `Quick test_config_parse_multi_args_and_comments;
     Alcotest.test_case "config parse errors" `Quick test_config_parse_errors;

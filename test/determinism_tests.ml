@@ -70,10 +70,6 @@ let test_rng_derivation () =
   Alcotest.(check bool)
     "distinct seeds split" true
     (d ~seed:42 "pair/IP/MON" <> d ~seed:43 "pair/IP/MON");
-  Alcotest.(check int)
-    "cell helper is derive on experiment/cell"
-    (d ~seed:7 "fig2/3")
-    (Ppp_util.Rng.derive_cell ~seed:7 ~experiment:"fig2" ~cell:3);
   Alcotest.(check bool)
     "derived seeds are nonnegative" true
     (d ~seed:(-5) "x" >= 0 && d ~seed:max_int "y" >= 0)

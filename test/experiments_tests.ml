@@ -25,8 +25,8 @@ let test_table1_structure () =
   let profiles = Table1_exp.profiles ~params:fast () in
   Alcotest.(check int) "six rows" 6 (List.length profiles);
   List.iter
-    (fun (p : Profile.t) ->
-      Alcotest.(check bool) "positive throughput" true (p.Profile.throughput_pps > 0.0))
+    (fun (p : Solo_profile.t) ->
+      Alcotest.(check bool) "positive throughput" true (p.Solo_profile.throughput_pps > 0.0))
     profiles
 
 let test_fig2_pairs_and_averages () =

@@ -10,7 +10,7 @@ let fn = Ppp_hw.Fn.none
 let test_vpn_element_encrypts () =
   let h = heap () in
   let key = "0123456789abcdef" in
-  let vpn = Ppp_apps.More_elements.vpn_encrypt ~heap:h ~key () in
+  let vpn = Ppp_apps.More_elements.vpn_encrypt ~heap:h ~key in
   let ctx = Ppp_click.Ctx.create ~rng:(rng ()) in
   let pkt = Ppp_net.Packet.create 256 in
   Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4
@@ -60,11 +60,9 @@ let test_re_element_shrinks_packets () =
 
 let test_staged_drop_path () =
   let dropper = Ppp_click.Element.make ~kind:"D" (fun _ _ -> Ppp_click.Element.Drop) in
-  let gen pkt =
-    Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4 ~wire_len:64
-  in
   let staged =
-    Ppp_click.Staged.create ~heap:(heap ()) ~rng:(rng ()) ~label:"s" ~gen
+    Ppp_click.Staged.create ~heap:(heap ()) ~rng:(rng ())
+      ~source:(Ppp_traffic.Source.constant ())
       ~stages:[ []; [ dropper ] ] ()
   in
   let sources = Ppp_click.Staged.sources staged in
@@ -158,17 +156,6 @@ let test_trie_pool_exhaustion () =
 
 (* --- misc small-surface checks --- *)
 
-let test_table_set_align () =
-  let t = Ppp_util.Table.create [ "a"; "b" ] in
-  Ppp_util.Table.set_align t 1 Ppp_util.Table.Left;
-  Ppp_util.Table.add_row t [ "x"; "y" ];
-  Alcotest.(check bool) "renders" true (String.length (Ppp_util.Table.to_string t) > 0)
-
-let test_series_knee_none () =
-  let s = Ppp_util.Series.of_points [ (0.0, 0.0); (1.0, 1.0) ] in
-  Alcotest.(check bool) "no settling before the last point" true
-    (Ppp_util.Series.knee s ~threshold:0.0 = Some 1.0)
-
 let test_rng_copy_diverges_from_original () =
   let a = rng () in
   let b = Ppp_util.Rng.copy a in
@@ -212,33 +199,44 @@ let test_scheduler_three_kind_split_count () =
      {M,M}|{F,R} with {F,R}|{M,M} and {M,F}|{M,R} with {M,R}|{M,F}: 2. *)
   Alcotest.(check int) "distinct placements" 2 (List.length splits)
 
-let test_flow_on_defaults_local_node () =
-  let s = Ppp_core.Runner.flow_on ~core:7 Ppp_apps.App.IP in
-  Alcotest.(check int) "socket of core 7" 1 s.Ppp_core.Runner.data_node
+let test_flow_on_local_node () =
+  (* Local data is the core's socket on the machine that runs the spec:
+     core 3 is on socket 1 of tiny (2 cores per socket) but on socket 0 of
+     scaled (6 per socket). *)
+  let local config core =
+    let topo = config.Ppp_hw.Machine.topology in
+    (Ppp_core.Runner.flow_on
+       ~node:(Ppp_hw.Topology.socket_of_core topo core)
+       ~core Ppp_apps.App.IP)
+      .Ppp_core.Runner.data_node
+  in
+  Alcotest.(check int) "tiny core 3" 1 (local Ppp_hw.Machine.tiny 3);
+  Alcotest.(check int) "scaled core 3" 0 (local Ppp_hw.Machine.scaled 3);
+  Alcotest.(check int) "scaled core 7" 1 (local Ppp_hw.Machine.scaled 7)
 
 let test_profile_orderings_scaled () =
   (* The Table 1 orderings the paper's analysis rests on, at real windows
      (slow test): MON has the most hits/sec, FW the least among realistic;
      RE has the most refs/packet. *)
   let params = Ppp_core.Runner.default_params in
-  let p k = Ppp_core.Profile.solo ~params k in
+  let p k = Ppp_core.Solo_profile.solo ~params k in
   let ip = p Ppp_apps.App.IP and mon = p Ppp_apps.App.MON in
   let fw = p Ppp_apps.App.FW and re = p Ppp_apps.App.RE in
   let vpn = p Ppp_apps.App.VPN in
   Alcotest.(check bool) "MON hits/s highest" true
-    (mon.Ppp_core.Profile.l3_hits_per_sec >= ip.Ppp_core.Profile.l3_hits_per_sec);
+    (mon.Ppp_core.Solo_profile.l3_hits_per_sec >= ip.Ppp_core.Solo_profile.l3_hits_per_sec);
   Alcotest.(check bool) "FW hits/s lowest" true
     (List.for_all
-       (fun q -> fw.Ppp_core.Profile.l3_hits_per_sec <= q.Ppp_core.Profile.l3_hits_per_sec)
+       (fun q -> fw.Ppp_core.Solo_profile.l3_hits_per_sec <= q.Ppp_core.Solo_profile.l3_hits_per_sec)
        [ ip; mon; re; vpn ]);
   Alcotest.(check bool) "RE most refs/packet" true
     (List.for_all
        (fun q ->
-         re.Ppp_core.Profile.l3_refs_per_packet >= q.Ppp_core.Profile.l3_refs_per_packet)
+         re.Ppp_core.Solo_profile.l3_refs_per_packet >= q.Ppp_core.Solo_profile.l3_refs_per_packet)
        [ ip; mon; fw; vpn ]);
   Alcotest.(check bool) "IP fastest" true
     (List.for_all
-       (fun q -> ip.Ppp_core.Profile.cycles_per_packet <= q.Ppp_core.Profile.cycles_per_packet)
+       (fun q -> ip.Ppp_core.Solo_profile.cycles_per_packet <= q.Ppp_core.Solo_profile.cycles_per_packet)
        [ mon; fw; re; vpn ])
 
 let tests =
@@ -252,13 +250,11 @@ let tests =
     Alcotest.test_case "RE decode malformed" `Quick test_re_decode_malformed;
     Alcotest.test_case "store stale read" `Quick test_store_stale_read_raises;
     Alcotest.test_case "trie pool exhaustion" `Quick test_trie_pool_exhaustion;
-    Alcotest.test_case "table set_align" `Quick test_table_set_align;
-    Alcotest.test_case "series knee edge" `Quick test_series_knee_none;
     Alcotest.test_case "rng copy independence" `Quick test_rng_copy_diverges_from_original;
     Alcotest.test_case "ipv4 invalid cases" `Quick test_ipv4_invalid_cases;
     Alcotest.test_case "machine helpers" `Quick test_machine_helpers;
     Alcotest.test_case "SYN:0:0 parses" `Quick test_app_syn_zero_params;
     Alcotest.test_case "scheduler 3-kind splits" `Quick test_scheduler_three_kind_split_count;
-    Alcotest.test_case "flow_on local node" `Quick test_flow_on_defaults_local_node;
+    Alcotest.test_case "flow_on local node" `Quick test_flow_on_local_node;
     Alcotest.test_case "profile orderings (scaled)" `Slow test_profile_orderings_scaled;
   ]

@@ -157,12 +157,18 @@ let profiles_for ~params ?predictor kinds =
   List.mapi
     (fun i kind ->
       Detector.profile_of ?predictor ~core:i
-        (Ppp_core.Profile.solo ~params kind))
+        (Ppp_core.Solo_profile.solo ~params kind))
     kinds
 
 let monitored_run ~params ~cell kinds =
+  let topo = params.Ppp_core.Runner.config.Ppp_hw.Machine.topology in
   let specs =
-    List.mapi (fun i kind -> Ppp_core.Runner.flow_on ~core:i kind) kinds
+    List.mapi
+      (fun core kind ->
+        Ppp_core.Runner.flow_on
+          ~node:(Ppp_hw.Topology.socket_of_core topo core)
+          ~core kind)
+      kinds
   in
   let config =
     Detector.default_config

@@ -96,11 +96,6 @@ let test_ibuf_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Ibuf.touch: range out of bounds")
     (fun () -> Ibuf.touch_read buf b ~fn:Ppp_hw.Fn.none ~pos:90 ~len:20)
 
-let test_ibuf_lines_covered () =
-  Alcotest.(check int) "zero len" 0 (Ibuf.lines_covered ~pos:10 ~len:0);
-  Alcotest.(check int) "within line" 1 (Ibuf.lines_covered ~pos:10 ~len:10);
-  Alcotest.(check int) "straddle" 2 (Ibuf.lines_covered ~pos:60 ~len:8)
-
 (* --- Packet --- *)
 
 let test_packet_endianness () =
@@ -273,7 +268,6 @@ let tests =
     Alcotest.test_case "iarray peek/poke silent" `Quick test_iarray_peek_silent;
     Alcotest.test_case "ibuf line counting" `Quick test_ibuf_touch_line_counting;
     Alcotest.test_case "ibuf bounds" `Quick test_ibuf_bounds;
-    Alcotest.test_case "ibuf lines_covered" `Quick test_ibuf_lines_covered;
     Alcotest.test_case "packet endianness" `Quick test_packet_endianness;
     Alcotest.test_case "packet resize bounds" `Quick test_packet_resize_bounds;
     Alcotest.test_case "checksum rfc1071 example" `Quick test_checksum_rfc1071_example;

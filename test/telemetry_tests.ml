@@ -94,8 +94,8 @@ let prop_conservation =
           let rs =
             Ppp_core.Runner.run ~params
               [
-                Ppp_core.Runner.flow_on ~core:0 kind;
-                Ppp_core.Runner.flow_on ~core:1 Ppp_apps.App.syn_max;
+                Ppp_core.Runner.flow_on ~node:0 ~core:0 kind;
+                Ppp_core.Runner.flow_on ~node:0 ~core:1 Ppp_apps.App.syn_max;
               ]
           in
           let series = Recorder.series () in
@@ -128,7 +128,7 @@ let test_tiny_slice_length () =
   with_recorder ~sample_cycles:1 (fun () ->
       let rs =
         Ppp_core.Runner.run ~params
-          [ Ppp_core.Runner.flow_on ~core:0 Ppp_apps.App.MON ]
+          [ Ppp_core.Runner.flow_on ~node:0 ~core:0 Ppp_apps.App.MON ]
       in
       match (rs, Recorder.series ()) with
       | [ r ], [ s ] -> check_series_against r s
@@ -391,7 +391,7 @@ let test_trace_shape () =
       ignore
         (Ppp_core.Runner.run
            ~params:{ quick with Ppp_core.Runner.cell = "pair" }
-           [ Ppp_core.Runner.flow_on ~core:0 Ppp_apps.App.MON ]
+           [ Ppp_core.Runner.flow_on ~node:0 ~core:0 Ppp_apps.App.MON ]
           : Ppp_hw.Engine.result list);
       match Export.deterministic_trace ~meta:[] with
       | Json.Obj kvs ->

@@ -161,7 +161,7 @@ let prop_onoff_duty_cycle =
       let mean_on = clamp 4 192 a and mean_off = clamp 4 192 b in
       let oo = Onoff.create ~mean_on ~mean_off ~burst_flows:4 ~flow_base:1_000_000 () in
       let rng = Ppp_util.Rng.create ~seed:(seed_of mean_on mean_off) in
-      let base = Source.of_gen ~name:"null" (fun _ -> ()) in
+      let base = Source.make ~fill:(fun _ _ -> Source.Filled) () in
       let src = Onoff.source oo ~rng ~base () in
       let p = Ppp_net.Packet.create 128 in
       (* Enough packets for ~500 ON/OFF cycles regardless of the means. *)
