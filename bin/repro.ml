@@ -12,11 +12,11 @@ let params_args cli =
   let seed = Cli.int cli [ "--seed" ] ~docv:"N" ~doc:"Random seed." 42 in
   let warmup =
     Cli.int cli [ "--warmup" ] ~docv:"CYCLES" ~doc:"Warmup cycles."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.warmup_cycles
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.warmup_cycles
   in
   let measure =
     Cli.int cli [ "--measure" ] ~docv:"CYCLES" ~doc:"Measured cycles."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.measure_cycles
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.measure_cycles
   in
   let quick =
     Cli.flag cli [ "--quick" ]
@@ -27,7 +27,7 @@ let params_args cli =
       ~doc:
         "Engine burst budget: trace ops a scheduled core may retire per \
          scheduling decision. Output is byte-identical for any value >= 1."
-      Ppp_core.Runner.default_params.Ppp_core.Runner.batch
+      Ppp_core.Runner.Params.default.Ppp_core.Runner.batch
   in
   let jobs =
     Cli.int cli [ "--jobs"; "-j" ] ~docv:"N"

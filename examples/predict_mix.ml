@@ -12,7 +12,7 @@ open Ppp_core
 let mix = Ppp_apps.App.[ MON; IP; VPN; RE; FW; MON ]
 
 let () =
-  let params = Runner.default_params in
+  let params = Runner.Params.default in
   let kinds = List.sort_uniq compare mix in
 
   Printf.printf "offline profiling of %d flow types (solo run + SYN ramp)...\n%!"

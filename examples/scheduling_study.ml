@@ -11,7 +11,7 @@ open Ppp_core
 let combo = Ppp_apps.App.[ (MON, 6); (FW, 6) ]
 
 let () =
-  let params = Runner.default_params in
+  let params = Runner.Params.default in
   Printf.printf "combination: %s\n" (Scheduler.combo_name combo);
   let placements = Scheduler.splits ~config:params.Runner.config combo in
   Printf.printf "distinct placements (up to socket symmetry): %d\n%!"

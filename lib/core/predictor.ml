@@ -6,7 +6,7 @@ type entry = {
 
 type t = (Ppp_apps.App.kind * entry) list
 
-let build ?(params = Runner.default_params) ?levels ~targets () =
+let build ?(params = Runner.Params.default) ?levels ~targets () =
   Parallel.map
     (fun kind ->
       let curve = Sensitivity.measure ~params ?levels ~resource:Sensitivity.Both kind in

@@ -12,30 +12,28 @@ type params = {
   profile : bool;
 }
 
-let default_params =
-  {
-    config = Ppp_hw.Machine.scaled;
-    seed = 42;
-    warmup_cycles = 3_000_000;
-    measure_cycles = 10_000_000;
-    batch = 32;
-    cell = "";
-    profile = false;
-  }
-
-let quick_params =
-  {
-    default_params with
-    config = Ppp_hw.Machine.tiny;
-    warmup_cycles = 300_000;
-    measure_cycles = 1_000_000;
-  }
-
 module Params = struct
   type t = params
 
-  let default = default_params
-  let quick = quick_params
+  let default =
+    {
+      config = Ppp_hw.Machine.scaled;
+      seed = 42;
+      warmup_cycles = 3_000_000;
+      measure_cycles = 10_000_000;
+      batch = 32;
+      cell = "";
+      profile = false;
+    }
+
+  let quick =
+    {
+      default with
+      config = Ppp_hw.Machine.tiny;
+      warmup_cycles = 300_000;
+      measure_cycles = 1_000_000;
+    }
+
   let with_config config p = { p with config }
   let with_seed seed p = { p with seed }
 
@@ -60,7 +58,7 @@ module Params = struct
     else Ok ()
 end
 
-let run_with ?(params = default_params) ?probe build =
+let run_with ?(params = Params.default) ?probe build =
   (match Params.validate params with
   | Ok () -> ()
   | Error e -> invalid_arg ("Runner.run: " ^ e));
@@ -179,7 +177,7 @@ let spec_flows ~params specs _hier ~heaps ~rng =
         source = Ppp_click.Flow.source flow })
     specs
 
-let run ?(params = default_params) ?probe specs =
+let run ?(params = Params.default) ?probe specs =
   fst
     (run_with ~params ?probe (fun hier ~heaps ~rng ->
          (spec_flows ~params specs hier ~heaps ~rng, ())))
@@ -188,7 +186,7 @@ let cell_params params label =
   { params with seed = Ppp_util.Rng.derive ~seed:params.seed label;
     cell = label }
 
-let solo ?(params = default_params) kind =
+let solo ?(params = Params.default) kind =
   (* A pure function of (params, kind): the seed is derived from the kind's
      name, so a solo baseline computed anywhere — any experiment, any cell
      order, any job count — is the same simulation. *)

@@ -40,12 +40,6 @@ type params = {
           observation: results are byte-identical with it on or off. *)
 }
 
-val default_params : params
-(** scaled machine, seed 42, 3M cycles warmup, 10M measured, batch 32. *)
-
-val quick_params : params
-(** Shorter window for tests. *)
-
 (** Builder-style construction: pipe {!Params.default} (or
     {!Params.quick}) through [with_*] setters instead of writing the
     record literal, so adding a knob never breaks existing call sites:
@@ -55,7 +49,12 @@ module Params : sig
   type t = params
 
   val default : t
+  (** scaled machine, seed 42, 3M cycles warmup, 10M measured, batch 32;
+      every [?params] argument defaults to it. *)
+
   val quick : t
+  (** The tiny machine with 0.3M cycles warmup and 1M measured. *)
+
   val with_config : Ppp_hw.Machine.config -> t -> t
   val with_seed : int -> t -> t
 

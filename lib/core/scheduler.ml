@@ -73,7 +73,7 @@ type evaluation = {
   per_flow : (Ppp_apps.App.kind * float) list;
 }
 
-let evaluate ?(params = Runner.default_params) ?(solo = []) combo =
+let evaluate ?(params = Runner.Params.default) ?(solo = []) combo =
   let config = params.Runner.config in
   let cps = Ppp_hw.Machine.cores_per_socket config in
   (* Resolve every solo baseline up front (in parallel for the missing
@@ -83,10 +83,9 @@ let evaluate ?(params = Runner.default_params) ?(solo = []) combo =
     |> List.sort_uniq compare
     |> Parallel.map (fun k ->
            match List.assoc_opt k solo with
-           | Some pps -> (k, pps)
-           | None -> (k, (Runner.solo ~params k).Ppp_hw.Engine.throughput_pps))
+           | Some r -> (k, r)
+           | None -> (k, Runner.solo ~params k))
   in
-  let solo_pps kind = List.assoc kind solos in
   let eval i placement =
     let params =
       Runner.cell_params params
@@ -105,9 +104,9 @@ let evaluate ?(params = Runner.default_params) ?(solo = []) combo =
     let results = Runner.run ~params specs in
     let per_flow =
       List.map2
-        (fun (spec : Runner.spec) r ->
-          let ts = solo_pps spec.Runner.kind in
-          (spec.Runner.kind, (ts -. r.Ppp_hw.Engine.throughput_pps) /. ts))
+        (fun (spec : Runner.spec) corun ->
+          let kind = spec.Runner.kind in
+          (kind, Runner.drop ~solo:(List.assoc kind solos) ~corun))
         specs results
     in
     let drops = List.map snd per_flow in

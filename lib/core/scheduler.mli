@@ -24,11 +24,13 @@ type evaluation = {
 
 val evaluate :
   ?params:Runner.params ->
-  ?solo:(Ppp_apps.App.kind * float) list ->
+  ?solo:(Ppp_apps.App.kind * Ppp_hw.Engine.result) list ->
   combo ->
   evaluation list
 (** Runs every placement. [solo] lets callers share solo baselines across
-    combos (pairs of kind and solo pps); missing kinds are measured. *)
+    combos (pairs of kind and {!Runner.solo} result); missing kinds are
+    measured. Raises [Invalid_argument] through {!Runner.drop} when a solo
+    baseline completed no packet. *)
 
 val best : evaluation list -> evaluation
 (** Placement minimizing average drop. *)

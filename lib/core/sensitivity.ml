@@ -55,7 +55,7 @@ type curve = {
   points : point list;
 }
 
-let measure ?(params = Runner.default_params) ?(levels = default_syn_levels)
+let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
     ?n_competitors ~resource target =
   let n_competitors =
     match n_competitors with
@@ -78,13 +78,10 @@ let measure ?(params = Runner.default_params) ?(levels = default_syn_levels)
         ~competitor:(Ppp_apps.App.SYN level) ~target
     in
     match Runner.run ~params specs with
-    | t :: competitors ->
+    | t :: _ as results ->
         {
           competing_refs_per_sec =
-            List.fold_left
-              (fun acc (r : Ppp_hw.Engine.result) ->
-                acc +. r.Ppp_hw.Engine.l3_refs_per_sec)
-              0.0 competitors;
+            Runner.competing_refs_per_sec results ~target:t;
           drop = Runner.drop ~solo ~corun:t;
           target_hits_per_sec = t.Ppp_hw.Engine.l3_hits_per_sec;
         }

@@ -5,10 +5,12 @@ let make_stall_item cycles =
 
 let max_stall = 50_000
 
-let metered ~budget_per_sec ~freq_hz ~count inner =
-  if budget_per_sec <= 0.0 then invalid_arg "Throttle: budget must be positive";
+let l3_budget_source ~budget_l3_refs_per_sec ~hier ~core ~freq_hz inner =
+  if budget_l3_refs_per_sec <= 0.0 then
+    invalid_arg "Throttle: budget must be positive";
   let start = ref None in
   let consumed = ref 0.0 in
+  let last = ref 0 in
   fun now ->
     let t0 = match !start with
       | Some t -> t
@@ -18,35 +20,18 @@ let metered ~budget_per_sec ~freq_hz ~count inner =
     in
     let elapsed = float_of_int (now - t0) in
     (* Cycles the budget requires for the references issued so far. *)
-    let required = !consumed *. freq_hz /. budget_per_sec in
+    let required = !consumed *. freq_hz /. budget_l3_refs_per_sec in
     if required > elapsed +. 1.0 then
       make_stall_item (min max_stall (int_of_float (required -. elapsed)))
     else begin
       let item = inner now in
-      (match item with
-      | Ppp_hw.Engine.Packet trace
-      | Ppp_hw.Engine.Idle trace
-      | Ppp_hw.Engine.Reordered trace ->
-          consumed := !consumed +. count now trace);
+      (* Meter from the hardware counters: charge the L3 refs observed since
+         the previous poll (the trace itself is not consulted). *)
+      let refs = Ppp_hw.Counters.l3_refs (Ppp_hw.Hierarchy.counters hier core) in
+      consumed := !consumed +. float_of_int (refs - !last);
+      last := refs;
       item
     end
-
-let source ~budget_refs_per_sec ~freq_hz inner =
-  metered ~budget_per_sec:budget_refs_per_sec ~freq_hz
-    ~count:(fun _now trace -> float_of_int (Ppp_hw.Trace.mem_refs trace))
-    inner
-
-let l3_budget_source ~budget_l3_refs_per_sec ~hier ~core ~freq_hz inner =
-  (* Meter from the hardware counters: charge the L3 refs observed since the
-     previous poll (the trace itself is not consulted). *)
-  let last = ref 0 in
-  metered ~budget_per_sec:budget_l3_refs_per_sec ~freq_hz
-    ~count:(fun _now _trace ->
-      let refs = Ppp_hw.Counters.l3_refs (Ppp_hw.Hierarchy.counters hier core) in
-      let delta = refs - !last in
-      last := refs;
-      float_of_int delta)
-    inner
 
 module Two_faced = struct
   let elements ~heap ~rng ~buffer_bytes ~quiet_reads ~loud_reads ~switch_after =

@@ -4,18 +4,11 @@
     in production (e.g. on receiving a crafted packet). The paper's defense:
     monitor each flow's memory-reference rate with hardware counters and,
     when it exceeds the profiled rate, slow the flow down with a control
-    element. [source] implements exactly that as a wrapper around a flow's
-    engine source: it counts the references the flow issues, compares
-    against the budget using the core's cycle counter, and inserts idle time
-    until the average rate is back under budget. *)
-
-val source :
-  budget_refs_per_sec:float ->
-  freq_hz:float ->
-  Ppp_hw.Engine.source ->
-  Ppp_hw.Engine.source
-(** The wrapped flow's long-run memory-reference rate (loads + stores issued,
-    of which L3 refs are a subset) never exceeds the budget. *)
+    element. [l3_budget_source] implements exactly that as a wrapper around
+    a flow's engine source: it reads the L3 references the flow's core has
+    issued from its performance counters, compares them against the budget
+    using the core's cycle counter, and inserts idle time until the average
+    rate is back under budget. *)
 
 val l3_budget_source :
   budget_l3_refs_per_sec:float ->
@@ -24,8 +17,10 @@ val l3_budget_source :
   freq_hz:float ->
   Ppp_hw.Engine.source ->
   Ppp_hw.Engine.source
-(** Like {!source} but meters actual L3 refs/sec read from the core's
-    performance counters (the quantity the paper's prediction cares about). *)
+(** The wrapped flow's long-run rate of L3 references, read from [core]'s
+    counters in [hier] (the quantity the paper's prediction cares about),
+    never exceeds the budget. Raises [Invalid_argument] if the budget is not
+    positive. *)
 
 (** A flow that switches behaviour mid-run: tame for the first
     [switch_after] packets, then maximally aggressive — the paper's

@@ -47,14 +47,10 @@ let worst_case_run ?(label = "worst") ~params kind =
       params
   in
   match Runner.run ~params specs with
-  | t :: competitors ->
-      let competing =
-        List.fold_left
-          (fun acc (r : Ppp_hw.Engine.result) ->
-            acc +. r.Ppp_hw.Engine.l3_refs_per_sec)
-          0.0 competitors
-      in
-      (solo, Runner.drop ~solo ~corun:t, competing)
+  | t :: _ as results ->
+      ( solo,
+        Runner.drop ~solo ~corun:t,
+        Runner.competing_refs_per_sec results ~target:t )
   | [] -> assert false
 
 let worst_case_drop ?label ~params kind =
@@ -131,7 +127,7 @@ let measure_mlp ~params =
       { mlp; competing_refs_per_sec = competing; mon_drop_mlp = drop })
     [ 1; 2; 4 ]
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   {
     bounds = measure_bounds ~params;
     delta_sweep = measure_delta_sweep ~params;

@@ -110,7 +110,7 @@ let run_one ~(params : Runner.params) ~backend ~nrules ~skew ~contended =
   in
   (List.hd results, fp)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let scale = params.Runner.config.Ppp_hw.Machine.scale in
   let cells =
     List.concat_map

@@ -47,17 +47,14 @@ let pair_matrix ~params ~solos ?n_competitors kinds =
         ~n_competitors ~competitor ~target
     in
     match Runner.run ~params specs with
-    | t :: competitors ->
+    | t :: _ as results ->
         let solo = List.assoc target solos in
         {
           target;
           competitor;
           drop = Runner.drop ~solo ~corun:t;
           competing_refs_per_sec =
-            List.fold_left
-              (fun acc (r : Ppp_hw.Engine.result) ->
-                acc +. r.Ppp_hw.Engine.l3_refs_per_sec)
-              0.0 competitors;
+            Runner.competing_refs_per_sec results ~target:t;
           target_result = t;
         }
     | [] -> assert false

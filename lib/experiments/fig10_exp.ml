@@ -32,7 +32,7 @@ let default_combos ~config =
         [ syn_max; FW ];
       ]
 
-let measure ?(params = Runner.default_params) ?combos () =
+let measure ?(params = Runner.Params.default) ?combos () =
   let config = params.Runner.config in
   let combos =
     match combos with Some c -> c | None -> default_combos ~config
@@ -43,8 +43,7 @@ let measure ?(params = Runner.default_params) ?combos () =
     combos
     |> List.concat_map (List.map fst)
     |> List.sort_uniq compare
-    |> Parallel.map (fun k ->
-           (k, (Runner.solo ~params k).Ppp_hw.Engine.throughput_pps))
+    |> Parallel.map (fun k -> (k, Runner.solo ~params k))
   in
   let eval combo =
     let evals = Scheduler.evaluate ~params ~solo:solos combo in

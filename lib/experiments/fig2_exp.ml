@@ -6,7 +6,7 @@ type data = {
   n_competitors : int;
 }
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let n_competitors = Exp_common.default_competitors params.Runner.config in
   let solos = Exp_common.solo_results ~params kinds in

@@ -17,7 +17,7 @@ let default_levels =
       (256, 0);
     ]
 
-let measure ?(params = Runner.default_params) ?(levels = default_levels)
+let measure ?(params = Runner.Params.default) ?(levels = default_levels)
     ?(targets = Exp_common.realistic) () =
   (* One cell per (resource, target) curve; Sensitivity.measure derives
      per-level seeds itself, so the fan-out stays order-independent. *)

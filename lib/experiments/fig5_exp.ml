@@ -13,7 +13,7 @@ type data = {
   checks : point_check list;
 }
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let curves =
     Parallel.map

@@ -8,7 +8,7 @@ type data = {
 
 let deltas = [ 30e-9; Equation1.paper_delta; 60e-9 ]
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let profiles = Solo_profile.table1 ~params Exp_common.realistic in
   let max_hits =
     List.fold_left

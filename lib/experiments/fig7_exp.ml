@@ -10,12 +10,16 @@ type row = {
 type data = { target : Ppp_apps.App.kind; rows : row list }
 
 let tracked_fns =
-  [ "radix_ip_lookup"; "flow_statistics"; "check_ip_header"; "skb_recycle" ]
+  [
+    Ppp_apps.Ip_elements.fn_radix_ip_lookup;
+    Ppp_apps.More_elements.fn_flow_statistics;
+    Ppp_apps.Ip_elements.fn_check_ip_header;
+    Ppp_click.Flow.fn_skb_recycle;
+  ]
 
-let hits_per_packet (r : Ppp_hw.Engine.result) fn_name =
+let hits_per_packet (r : Ppp_hw.Engine.result) fn =
   let c = r.Ppp_hw.Engine.counters in
   let packets = float_of_int (max 1 r.Ppp_hw.Engine.packets) in
-  let fn = Ppp_hw.Fn.register fn_name in
   float_of_int (Ppp_hw.Counters.fn_l3_hits c fn) /. packets
 
 let overall_hits_per_packet (r : Ppp_hw.Engine.result) =
@@ -25,7 +29,7 @@ let overall_hits_per_packet (r : Ppp_hw.Engine.result) =
 
 let conversion ~solo ~corun = if solo <= 0.0 then 0.0 else Float.max 0.0 (1.0 -. (corun /. solo))
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let target = Ppp_apps.App.MON in
   let solo = Runner.solo ~params target in
   let config = params.Runner.config in
@@ -47,13 +51,8 @@ let measure ?(params = Runner.default_params) () =
             ~competitor:(Ppp_apps.App.SYN level) ~target
         in
         match Runner.run ~params specs with
-        | t :: competitors ->
-            let competing =
-              List.fold_left
-                (fun acc (r : Ppp_hw.Engine.result) ->
-                  acc +. r.Ppp_hw.Engine.l3_refs_per_sec)
-                0.0 competitors
-            in
+        | t :: _ as results ->
+            let competing = Runner.competing_refs_per_sec results ~target:t in
             {
               competing_refs_per_sec = competing;
               measured =
@@ -63,7 +62,7 @@ let measure ?(params = Runner.default_params) () =
               per_fn =
                 List.map
                   (fun fn ->
-                    ( fn,
+                    ( Ppp_hw.Fn.name fn,
                       conversion
                         ~solo:(hits_per_packet solo fn)
                         ~corun:(hits_per_packet t fn) ))
@@ -90,7 +89,8 @@ let render data =
            "Figure 7: hit-to-miss conversion (%%) of a %s flow vs cache \
             competition"
            (Ppp_apps.App.name data.target))
-      ([ "competing refs/s (M)"; "measured"; "model" ] @ tracked_fns)
+      ([ "competing refs/s (M)"; "measured"; "model" ]
+      @ List.map Ppp_hw.Fn.name tracked_fns)
   in
   List.iter
     (fun r ->

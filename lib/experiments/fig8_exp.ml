@@ -14,7 +14,7 @@ type data = {
   avg_error_perfect : (Ppp_apps.App.kind * float) list;
 }
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let predictor = Predictor.build ~params ~targets:kinds () in
   let solos = Exp_common.solo_results ~params kinds in

@@ -17,7 +17,7 @@ let mix_for config =
   let cores = Ppp_hw.Topology.cores config.Ppp_hw.Machine.topology in
   List.filteri (fun i _ -> i < cores) full_mix
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let mix = mix_for params.Runner.config in
   let kinds = List.sort_uniq compare mix in
   let predictor = Predictor.build ~params ~targets:kinds () in

@@ -122,7 +122,7 @@ let run_one ~params ~cached ~with_competitors =
   in
   (pps, hit_rate)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let cell scenario with_competitors =
     let run_one ~cached =
       let label =
@@ -134,6 +134,10 @@ let measure ?(params = Runner.default_params) () =
         ~with_competitors
     in
     let plain, _ = run_one ~cached:false in
+    if plain <= 0.0 then
+      invalid_arg
+        "Flowcache_exp: plain LPM baseline completed no packets in its \
+         measurement window";
     let cached, hit_rate = run_one ~cached:true in
     { scenario; plain_pps = plain; cached_pps = cached; speedup = cached /. plain; hit_rate }
   in

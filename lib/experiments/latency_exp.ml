@@ -22,7 +22,7 @@ let row_of scenario (r : Ppp_hw.Engine.result) =
     max_cycles = Ppp_util.Histogram.max_value h;
   }
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let target = Ppp_apps.App.MON in
   let solo = Runner.solo ~params target in
   let corun competitor label =

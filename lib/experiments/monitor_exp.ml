@@ -151,7 +151,7 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
 
 let sample_cycles_of params = max 1 (params.Runner.measure_cycles / 20)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let config = params.Runner.config in
   let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
   let predictor =

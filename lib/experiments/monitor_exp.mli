@@ -36,7 +36,8 @@ type data = {
 
 val default_levels : Ppp_apps.App.syn_params list
 (** Trimmed SYN ramp used for the online predictor's curves (5 levels —
-    enough to interpolate a drop, much cheaper than the Figure 4 ramp). *)
+    enough to interpolate a drop, much cheaper than the Figure 4 ramp). The
+    traffic experiment calibrates its stationary curve on the same ramp. *)
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
 

@@ -9,9 +9,8 @@ type side = {
 
 type data = { separate : side; multiplexed : side; escalation : float }
 
-let fn_firewall = Ppp_hw.Fn.register "firewall"
-
 let side_of label results ~fw_packets =
+  let fw = Ppp_apps.More_elements.fn_firewall in
   let sum f =
     List.fold_left
       (fun acc (r : Ppp_hw.Engine.result) -> acc + f r.Ppp_hw.Engine.counters)
@@ -24,10 +23,10 @@ let side_of label results ~fw_packets =
         (fun acc (r : Ppp_hw.Engine.result) -> acc +. r.Ppp_hw.Engine.throughput_pps)
         0.0 results;
     fw_rule_l3_refs_per_fw_packet =
-      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_refs c fn_firewall))
+      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_refs c fw))
       /. float_of_int (max 1 fw_packets);
     fw_rule_l3_miss_per_fw_packet =
-      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_misses c fn_firewall))
+      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_misses c fw))
       /. float_of_int (max 1 fw_packets);
   }
 
@@ -46,7 +45,7 @@ let mk_sources ~params ~heaps ~rng =
   let dpi = mk Ppp_apps.App.DPI in
   (dpi, fw)
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let run cell flows =
     fst
       (Runner.run_with

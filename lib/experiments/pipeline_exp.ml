@@ -72,7 +72,7 @@ let run_pipeline ~params ~cell ~cores ~mk_staged =
              cores,
            () )))
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let config = params.Runner.config in
   let scale = config.Ppp_hw.Machine.scale in
   let l3 = Ppp_hw.Machine.l3_bytes config in
@@ -153,7 +153,19 @@ let measure ?(params = Runner.default_params) () =
     syn_pipeline = syn_pipe;
   }
 
+(* The per-core throughput a pipelined side is compared with; a parallel
+   baseline that completed no packet leaves the ratio undefined. *)
+let baseline_pps s =
+  if s.per_core_pps <= 0.0 then
+    invalid_arg
+      (Printf.sprintf
+         "Pipeline_exp: %s completed no packets in its measurement window"
+         s.label);
+  s.per_core_pps
+
 let render data =
+  let ip_par = baseline_pps data.ip_parallel
+  and syn_par = baseline_pps data.syn_parallel in
   let open Ppp_util in
   let t =
     Table.create
@@ -179,10 +191,8 @@ let render data =
        of per-core throughput;\nthe contrived 2xL3 workload gains %.1fx \
        per-core from pipelining across sockets.\n"
       data.extra_refs_per_packet
-      (100.0
-      *. (data.ip_parallel.per_core_pps -. data.ip_pipeline.per_core_pps)
-      /. data.ip_parallel.per_core_pps)
-      (data.syn_pipeline.per_core_pps /. data.syn_parallel.per_core_pps)
+      (100.0 *. (ip_par -. data.ip_pipeline.per_core_pps) /. ip_par)
+      (data.syn_pipeline.per_core_pps /. syn_par)
 
 let data_json data =
   let open Output in

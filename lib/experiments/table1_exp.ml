@@ -1,6 +1,6 @@
 open Ppp_core
 
-let profiles ?(params = Runner.default_params) () =
+let profiles ?(params = Runner.Params.default) () =
   Solo_profile.table1 ~params (Ppp_apps.App.realistic @ [ Ppp_apps.App.syn_max ])
 
 let data_json ps =

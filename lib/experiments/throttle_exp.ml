@@ -5,6 +5,9 @@ type data = {
   victim_with_tame_pps : float;
   victim_with_loud_pps : float;
   victim_with_throttled_pps : float;
+  victim_tame_drop : float;
+  victim_loud_drop : float;
+  victim_throttled_drop : float;
   attacker_refs_budget : float;
   attacker_loud_refs : float;
   attacker_throttled_refs : float;
@@ -57,7 +60,7 @@ let run_scenario ~params ~cell ~switch_after ~throttle_budget =
            :: attackers,
            () )))
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let never = max_int in
   let solo = Runner.solo ~params Ppp_apps.App.MON in
   let tame =
@@ -89,13 +92,15 @@ let measure ?(params = Runner.default_params) () =
     victim_with_tame_pps = victim_tame.Ppp_hw.Engine.throughput_pps;
     victim_with_loud_pps = victim_loud.Ppp_hw.Engine.throughput_pps;
     victim_with_throttled_pps = victim_throttled.Ppp_hw.Engine.throughput_pps;
+    victim_tame_drop = Runner.drop ~solo ~corun:victim_tame;
+    victim_loud_drop = Runner.drop ~solo ~corun:victim_loud;
+    victim_throttled_drop = Runner.drop ~solo ~corun:victim_throttled;
     attacker_refs_budget = budget;
     attacker_loud_refs = attacker_rate loud;
     attacker_throttled_refs = attacker_rate throttled;
   }
 
 let render d =
-  let drop x = Exp_common.pct ((d.victim_solo_pps -. x) /. d.victim_solo_pps) in
   let open Ppp_util in
   let t =
     Table.create
@@ -110,21 +115,21 @@ let render d =
     [
       "attackers as profiled (tame)";
       Printf.sprintf "%.0f" d.victim_with_tame_pps;
-      drop d.victim_with_tame_pps;
+      Exp_common.pct d.victim_tame_drop;
       Exp_common.millions (d.attacker_refs_budget /. 1.05);
     ];
   Table.add_row t
     [
       "attackers switch to SYN_MAX";
       Printf.sprintf "%.0f" d.victim_with_loud_pps;
-      drop d.victim_with_loud_pps;
+      Exp_common.pct d.victim_loud_drop;
       Exp_common.millions d.attacker_loud_refs;
     ];
   Table.add_row t
     [
       "switched but throttled to profile";
       Printf.sprintf "%.0f" d.victim_with_throttled_pps;
-      drop d.victim_with_throttled_pps;
+      Exp_common.pct d.victim_throttled_drop;
       Exp_common.millions d.attacker_throttled_refs;
     ];
   Table.to_string t

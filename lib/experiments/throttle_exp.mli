@@ -8,6 +8,9 @@ type data = {
   victim_with_tame_pps : float;  (** two-faced flow before it switches *)
   victim_with_loud_pps : float;  (** after the switch, unthrottled *)
   victim_with_throttled_pps : float;  (** after the switch, throttled *)
+  victim_tame_drop : float;  (** {!Ppp_core.Runner.drop} of each co-run *)
+  victim_loud_drop : float;
+  victim_throttled_drop : float;
   attacker_refs_budget : float;  (** refs/sec allowed by the throttle *)
   attacker_loud_refs : float;  (** refs/sec it reached unthrottled *)
   attacker_throttled_refs : float;

@@ -73,11 +73,6 @@ let mean_off = 256
 let burst_flows = 4
 let migrate_every = 256
 
-let curve_levels =
-  List.map
-    (fun (reads, instrs) -> { Ppp_apps.App.reads; instrs })
-    [ (2, 80_000); (16, 6_000); (32, 1_200); (64, 400); (256, 0) ]
-
 let models = [ Heavy 1.9; Heavy 1.1; Onoff 32; Onoff 512; Churn 64; Churn 8 ]
 let steerings = [ Ppp_traffic.Steering.Rss; Ppp_traffic.Steering.Flow_director ]
 
@@ -188,7 +183,7 @@ let stationary_curve ~(params : Runner.params) =
         in
         ( Runner.competing_refs_per_sec results ~target:r,
           Runner.drop ~solo:solo_r ~corun:r ))
-      curve_levels
+      Monitor_exp.default_levels
   in
   (solo_r, Ppp_util.Series.of_points ((0.0, 0.0) :: points))
 
@@ -292,7 +287,7 @@ let run_cell ~(params : Runner.params) ~curve
         corun_r.Ppp_hw.Engine.latency_reordered 99.0;
   }
 
-let measure ?(params = Runner.default_params) () =
+let measure ?(params = Runner.Params.default) () =
   let twin_solo, curve = stationary_curve ~params in
   let syn_solo = Solo_profile.solo ~params Ppp_apps.App.syn_max in
   let cells =

@@ -52,7 +52,6 @@ let sets t = t.nsets
 let lines t = t.nsets * t.geo.ways
 let line_of_addr t addr = addr lsr t.line_shift
 let set_of_line t line = line land (t.nsets - 1)
-let base t line = set_of_line t line * t.geo.ways
 
 (* The simulator's innermost loop ends here: every replayed memory op probes
    one to three of these way scans. Sentinel returns (no option box), unsafe
@@ -99,34 +98,11 @@ let[@inline] set_aux t i v = Array.unsafe_set t.auxs i v
 let[@inline] line t i = Array.unsafe_get t.tags i
 let[@inline] slot_valid t i = Array.unsafe_get t.tags i <> -1
 
-(* Two-step insert protocol: [victim_slot] picks the way [fill] will
-   overwrite — an invalid way if the set has one, else its LRU way — so the
-   caller reads the victim's line/dirty/aux in place and handles writeback
-   before filling. No eviction record is ever allocated. *)
-let victim_slot t line =
-  let b = base t line in
-  let victim = ref (-1) in
-  let lru = ref b in
-  let lru_stamp = ref (Array.unsafe_get t.stamp b) in
-  for w = 0 to t.geo.ways - 1 do
-    let i = b + w in
-    let tag = Array.unsafe_get t.tags i in
-    if tag = line then invalid_arg "Cache.victim_slot: line already resident";
-    if tag = -1 && !victim = -1 then victim := i;
-    let s = Array.unsafe_get t.stamp i in
-    if s < !lru_stamp then begin
-      lru := i;
-      lru_stamp := s
-    end
-  done;
-  if !victim >= 0 then !victim else !lru
-
-(* [find] and [victim_slot] in one pass over the set, for the L3 miss path
-   (which always needs one or the other): a hit behaves exactly like [find]
-   (touch, way prediction); a miss returns the way [fill] must overwrite,
-   encoded as [-2 - slot] to keep the result an immediate int. The victim
-   choice — first invalid way, else first-scanned LRU way — replicates
-   [victim_slot] decision for decision. *)
+(* [find] and the victim choice in one pass over the set: a hit behaves
+   exactly like [find] (touch, way prediction); a miss returns the way
+   [fill] must overwrite — the first invalid way, else the first-scanned
+   LRU way — encoded as [-2 - slot] to keep the result an immediate int.
+   This is the cache's one set scan besides [probe]'s. *)
 let find_or_victim t line =
   let ways = t.geo.ways in
   let s = set_of_line t line in
@@ -164,6 +140,14 @@ let find_or_victim t line =
     else -2 - (if !invalid >= 0 then !invalid else !lru)
   end
 
+(* Two-step insert protocol: [victim_slot] picks the way [fill] will
+   overwrite, so the caller reads the victim's line/dirty/aux in place and
+   handles writeback before filling. No eviction record is ever allocated. *)
+let victim_slot t line =
+  let fv = find_or_victim t line in
+  if fv >= 0 then invalid_arg "Cache.victim_slot: line already resident";
+  -2 - fv
+
 let fill t ~slot ~dirty ~aux line =
   if Array.unsafe_get t.tags slot = -1 then t.valid <- t.valid + 1;
   Array.unsafe_set t.tags slot line;
@@ -183,14 +167,6 @@ let invalidate_slot t i =
     t.valid <- t.valid - 1
   end
 
-let invalidate t line =
-  let i = probe t line in
-  if i >= 0 then begin
-    invalidate_slot t i;
-    true
-  end
-  else false
-
 let resident t line = probe t line >= 0
 let occupancy t = t.valid
 
@@ -201,12 +177,3 @@ let fold_resident t ~init f =
       acc := f !acc t.tags.(i) ~dirty:(dirty t i) ~aux:t.auxs.(i)
   done;
   !acc
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  Bytes.fill t.dirty_bits 0 (Bytes.length t.dirty_bits) '\000';
-  Array.fill t.auxs 0 (Array.length t.auxs) 0;
-  Array.fill t.mru 0 t.nsets 0;
-  t.tick <- 0;
-  t.valid <- 0

@@ -10,8 +10,9 @@
     surface is allocation-free by design: probes return a plain [int] slot
     or the {!none} sentinel instead of an option, and insertion is a
     two-step [victim_slot]/[fill] protocol instead of an eviction record.
-    Slots are transient handles — valid until the next [fill], [invalidate]
-    or [clear] on the same cache — and are meaningless across caches. *)
+    Slots are transient handles — valid until the next [fill] or
+    [invalidate_slot] on the same cache — and are meaningless across
+    caches. *)
 
 type t
 
@@ -60,19 +61,20 @@ val line : t -> int -> int
 val slot_valid : t -> int -> bool
 (** Whether the slot currently holds a line. *)
 
-val victim_slot : t -> int -> int
-(** [victim_slot t line] is the slot {!fill} should use to make [line]
-    resident: an invalid way of its set if one exists, else the set's LRU
-    way. The caller inspects the victim in place ({!slot_valid}, {!line},
-    {!dirty}, {!aux}) and performs any writeback before filling. [line]
-    must not already be resident (checked). *)
-
 val find_or_victim : t -> int -> int
 (** {!find} and {!victim_slot} in a single scan of the set, for paths that
     always need one or the other (the hierarchy's L3 lookup). A hit acts
     exactly like {!find} (LRU promotion) and returns the slot; a miss
-    returns [-2 - v] where [v] is the slot {!victim_slot} would pick — the
+    returns [-2 - v] where [v] is the slot {!victim_slot} picks — the
     line's LRU state is untouched, matching a plain missed {!find}. *)
+
+val victim_slot : t -> int -> int
+(** [victim_slot t line] is the slot {!fill} should use to make [line]
+    resident: the first invalid way of its set if one exists, else the
+    set's first least-recently-used way. The caller inspects the victim in
+    place ({!slot_valid}, {!line}, {!dirty}, {!aux}) and performs any
+    writeback before filling. Raises [Invalid_argument] if [line] is
+    already resident. *)
 
 val fill : t -> slot:int -> dirty:bool -> aux:int -> int -> unit
 (** [fill t ~slot ~dirty ~aux line] makes [line] resident in [slot] as MRU,
@@ -80,12 +82,8 @@ val fill : t -> slot:int -> dirty:bool -> aux:int -> int -> unit
     {!victim_slot} for [line] (same set; unchecked). *)
 
 val invalidate_slot : t -> int -> unit
-(** Empties a slot (no-op if already empty). *)
-
-val invalidate : t -> int -> bool
-(** [invalidate t line] removes [line]; [true] if it was resident. Callers
-    that need the victim's dirty/aux state probe first and read the slot
-    before invalidating it. *)
+(** Empties a slot (no-op if already empty). Callers that need the line's
+    dirty/aux state {!probe} first and read the slot before emptying it. *)
 
 val resident : t -> int -> bool
 
@@ -96,5 +94,3 @@ val fold_resident :
   t -> init:'a -> ('a -> int -> dirty:bool -> aux:int -> 'a) -> 'a
 (** Folds over resident lines in slot order (an internal, deterministic
     order — not recency). *)
-
-val clear : t -> unit

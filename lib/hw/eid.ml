@@ -1,33 +1,11 @@
 type t = int
 
 let max_ids = 128
-let names = Array.make max_ids "?"
-let next = ref 1
-let by_name : (string, int) Hashtbl.t = Hashtbl.create 32
 
-(* Unlike [Fn], element ids are registered while flows are being built —
-   which the experiment runner does from worker domains — so the registry
-   is mutex-protected. [name] reads without the lock: a published id's slot
-   was written before the id escaped [register]. *)
-let lock = Mutex.create ()
+let table =
+  Name_table.create ~capacity:max_ids ~full:"Eid.register: element registry full"
 
-let other = 0
-
-let () =
-  names.(other) <- "(other)";
-  Hashtbl.add by_name "(other)" other
-
-let register n =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt by_name n with
-      | Some id -> id
-      | None ->
-          if !next >= max_ids then failwith "Eid.register: element registry full";
-          let id = !next in
-          incr next;
-          names.(id) <- n;
-          Hashtbl.add by_name n id;
-          id)
-
-let name id = if id >= 0 && id < max_ids then names.(id) else "?"
-let count () = Mutex.protect lock (fun () -> !next)
+let register n = Name_table.register table n
+let name id = Name_table.name table id
+let count () = Name_table.count table
+let other = register "(other)"

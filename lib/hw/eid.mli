@@ -4,8 +4,9 @@
     Click element (or driver stage) that issued it; the profiler aggregates
     cycles, instructions, L3 behaviour and latency per id — the element
     path through a chain is the profiler's "stack". Ids are registered by
-    name and idempotent, like {!Fn} tags, but the registry is
-    mutex-protected because elements are instantiated from worker domains.
+    name and idempotent, like {!Fn} tags; both registries are the same
+    mutex-protected table implementation, because elements are
+    instantiated from worker domains.
 
     Registration order depends on domain scheduling, so raw ids are only
     meaningful within one process run: exporters must key everything by

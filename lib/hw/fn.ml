@@ -1,21 +1,11 @@
 type t = int
 
 let max_tags = 64
-let names = Array.make max_tags "?"
-let next = ref 0
-let by_name : (string, int) Hashtbl.t = Hashtbl.create 32
 
-let register name =
-  match Hashtbl.find_opt by_name name with
-  | Some tag -> tag
-  | None ->
-      if !next >= max_tags then failwith "Fn.register: tag registry full";
-      let tag = !next in
-      incr next;
-      names.(tag) <- name;
-      Hashtbl.add by_name name tag;
-      tag
+let table =
+  Name_table.create ~capacity:max_tags ~full:"Fn.register: tag registry full"
 
-let name tag = if tag >= 0 && tag < !next then names.(tag) else "?"
-let count () = !next
+let register name = Name_table.register table name
+let name tag = Name_table.name table tag
+let count () = Name_table.count table
 let none = register "-"

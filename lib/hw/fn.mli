@@ -13,7 +13,7 @@ val max_tags : int
 
 val register : string -> t
 (** [register name] returns the tag for [name], allocating one on first use.
-    Idempotent. Raises [Failure] if the registry is full. *)
+    Idempotent; thread-safe. Raises [Failure] if the registry is full. *)
 
 val name : t -> string
 (** Name of a registered tag; ["?"] for unregistered values. *)

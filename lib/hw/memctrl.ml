@@ -21,7 +21,3 @@ let writeback t ~now =
   ()
 
 let transactions t = t.transactions
-
-let reset t =
-  t.free_at <- 0;
-  t.transactions <- 0

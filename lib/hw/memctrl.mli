@@ -20,4 +20,3 @@ val writeback : t -> now:int -> unit
     (posted write). *)
 
 val transactions : t -> int
-val reset : t -> unit

@@ -322,20 +322,8 @@ let finalize t =
     eval_epoch t snapshot live
   done
 
-let probe ?also t =
-  (match also with
-  | Some p when p.Ppp_hw.Engine.sample_cycles <> t.config.sample_cycles ->
-      invalid_arg "Detector.probe: ?also sample_cycles mismatch"
-  | _ -> ());
-  {
-    Ppp_hw.Engine.sample_cycles = t.config.sample_cycles;
-    on_sample =
-      (fun s ->
-        feed t s;
-        match also with
-        | Some p -> p.Ppp_hw.Engine.on_sample s
-        | None -> ());
-  }
+let probe t =
+  { Ppp_hw.Engine.sample_cycles = t.config.sample_cycles; on_sample = feed t }
 
 let config t = t.config
 let profiles t = Array.to_list (Array.map (fun st -> st.profile) t.flows)

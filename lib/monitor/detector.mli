@@ -115,10 +115,10 @@ val create : config:config -> freq_hz:float -> flow_profile list -> t
     ignored (they are invisible to this detector, including in competing
     sums — list every co-runner, with [predict_drop = None] if unjudged). *)
 
-val probe : ?also:Ppp_hw.Engine.probe -> t -> Ppp_hw.Engine.probe
-(** The engine probe feeding this detector. [?also] tees another consumer
-    into the same stream (its [sample_cycles] must match;
-    [Invalid_argument] otherwise) — the engine accepts only one probe. *)
+val probe : t -> Ppp_hw.Engine.probe
+(** The engine probe feeding this detector, on its [sample_cycles] grid.
+    {!Ppp_core.Runner.run_with} tees it with the telemetry sampler, so a
+    run can be both monitored and recorded. *)
 
 val feed : t -> Ppp_hw.Engine.sample -> unit
 (** Direct feed (what {!probe} calls); exposed for replaying samples. *)

@@ -1,6 +1,6 @@
 open Ppp_core
 
-let quick = Runner.quick_params
+let quick = Runner.Params.quick
 
 (* --- Equation 1 --- *)
 
@@ -307,7 +307,10 @@ let test_throttle_caps_rate () =
   in
   let freq_hz = Ppp_hw.Machine.tiny.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
   let budget = 10e6 in
-  let source = Throttle.source ~budget_refs_per_sec:budget ~freq_hz inner in
+  let source =
+    Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget ~hier ~core:0
+      ~freq_hz inner
+  in
   let results =
     Ppp_hw.Engine.run hier
       ~flows:[ { Ppp_hw.Engine.core = 0; label = "greedy"; source } ]
@@ -315,7 +318,7 @@ let test_throttle_caps_rate () =
   in
   match results with
   | [ r ] ->
-      let refs = Ppp_hw.Counters.mem_refs r.Ppp_hw.Engine.counters in
+      let refs = Ppp_hw.Counters.l3_refs r.Ppp_hw.Engine.counters in
       let secs = float_of_int r.Ppp_hw.Engine.window_cycles /. freq_hz in
       let rate = float_of_int refs /. secs in
       Alcotest.(check bool)
@@ -325,7 +328,6 @@ let test_throttle_caps_rate () =
   | _ -> Alcotest.fail "one result"
 
 let test_throttle_does_not_slow_tame_flows () =
-  let hier = Ppp_hw.Machine.build Ppp_hw.Machine.tiny in
   let b = Ppp_hw.Trace.Builder.create () in
   let inner _now =
     Ppp_hw.Trace.Builder.clear b;
@@ -334,19 +336,24 @@ let test_throttle_does_not_slow_tame_flows () =
     Ppp_hw.Engine.Packet (Ppp_hw.Trace.Builder.finish b)
   in
   let freq_hz = Ppp_hw.Machine.tiny.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
-  (* Tame flow: ~1 ref per 600 cycles = 4.7M refs/s, budget 100M. *)
-  let source = Throttle.source ~budget_refs_per_sec:100e6 ~freq_hz inner in
-  let run src =
+  (* Tame flow: at most ~1 ref per 600 cycles = 4.7M refs/s (one L3 ref in
+     all, as the line stays in L1), budget 100M. *)
+  let run wrap =
+    let hier = Ppp_hw.Machine.build Ppp_hw.Machine.tiny in
     match
-      Ppp_hw.Engine.run (Ppp_hw.Machine.build Ppp_hw.Machine.tiny)
-        ~flows:[ { Ppp_hw.Engine.core = 0; label = "t"; source = src } ]
+      Ppp_hw.Engine.run hier
+        ~flows:[ { Ppp_hw.Engine.core = 0; label = "t"; source = wrap hier } ]
         ~warmup_cycles:50_000 ~measure_cycles:500_000
     with
     | [ r ] -> r.Ppp_hw.Engine.packets
     | _ -> Alcotest.fail "one result"
   in
-  ignore hier;
-  let unthrottled = run inner and throttled = run source in
+  let unthrottled = run (fun _ -> inner)
+  and throttled =
+    run (fun hier ->
+        Throttle.l3_budget_source ~budget_l3_refs_per_sec:100e6 ~hier ~core:0
+          ~freq_hz inner)
+  in
   Alcotest.(check bool) "same packet count (within 1%)" true
     (abs (unthrottled - throttled) <= unthrottled / 100 + 1)
 
@@ -354,7 +361,9 @@ let test_throttle_rejects_bad_budget () =
   Alcotest.check_raises "budget" (Invalid_argument "Throttle: budget must be positive")
     (fun () ->
       ignore
-        (Throttle.source ~budget_refs_per_sec:0.0 ~freq_hz:1e9
+        (Throttle.l3_budget_source ~budget_l3_refs_per_sec:0.0
+           ~hier:(Ppp_hw.Machine.build Ppp_hw.Machine.tiny) ~core:0
+           ~freq_hz:1e9
            (fun _ -> Ppp_hw.Engine.Idle Ppp_hw.Trace.empty)
           : Ppp_hw.Engine.source))
 

@@ -21,6 +21,38 @@ let test_registry_complete () =
   Alcotest.(check bool) "find works" true (Registry.find "fig2" <> None);
   Alcotest.(check bool) "unknown" true (Registry.find "bogus" = None)
 
+(* A one-cycle window completes no packet in most cells. Every registered
+   experiment must then either refuse with [Invalid_argument] or report
+   only finite numbers: no "nan" in its text and no non-finite float in
+   its data. *)
+let rec finite_json = function
+  | Output.Json.Float f -> Float.is_finite f
+  | Arr l -> List.for_all finite_json l
+  | Obj kvs -> List.for_all (fun (_, v) -> finite_json v) kvs
+  | Null | Bool _ | Int _ | Str _ -> true
+
+let mentions_nan text =
+  let n = String.length text in
+  let rec from i = i + 3 <= n && (String.sub text i 3 = "nan" || from (i + 1)) in
+  from 0
+
+let test_empty_window_finite_or_typed () =
+  let params = Runner.Params.(quick |> with_windows ~warmup:0 ~measure:1) in
+  List.iter
+    (fun (e : Registry.t) ->
+      match e.Registry.run ~params () with
+      | out ->
+          Alcotest.(check bool)
+            (e.Registry.id ^ " text has no nan")
+            false
+            (mentions_nan out.Output.text);
+          Alcotest.(check bool)
+            (e.Registry.id ^ " data is finite")
+            true
+            (finite_json out.Output.data)
+      | exception Invalid_argument _ -> ())
+    Registry.all
+
 let test_table1_structure () =
   let profiles = Table1_exp.profiles ~params:fast () in
   Alcotest.(check int) "six rows" 6 (List.length profiles);
@@ -196,6 +228,8 @@ let test_fig8_quick_errors_structurally_sound () =
 let tests =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
+    Alcotest.test_case "empty window: finite or Invalid_argument" `Quick
+      test_empty_window_finite_or_typed;
     Alcotest.test_case "table1 structure" `Slow test_table1_structure;
     Alcotest.test_case "fig2 pairs/averages" `Slow test_fig2_pairs_and_averages;
     Alcotest.test_case "fig4 curves sane" `Slow test_fig4_monotone_cache_curves;

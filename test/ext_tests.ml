@@ -308,7 +308,7 @@ let test_dpi_app_kind () =
       ~rng:(Ppp_util.Rng.create ~seed:3) ~scale:128
   in
   Alcotest.(check bool) "has elements" true (List.length b.Ppp_apps.App.elements >= 5);
-  let r = Ppp_core.Runner.solo ~params:Ppp_core.Runner.quick_params Ppp_apps.App.DPI in
+  let r = Ppp_core.Runner.solo ~params:Ppp_core.Runner.Params.quick Ppp_apps.App.DPI in
   Alcotest.(check bool) "runs" true (r.Ppp_hw.Engine.throughput_pps > 0.0)
 
 (* --- multiflow experiment --- *)
@@ -316,7 +316,7 @@ let test_dpi_app_kind () =
 let test_multiflow_escalation () =
   let params =
     {
-      Ppp_core.Runner.default_params with
+      Ppp_core.Runner.Params.default with
       Ppp_core.Runner.warmup_cycles = 400_000;
       measure_cycles = 1_200_000;
     }
@@ -419,7 +419,7 @@ let test_flow_cache_unrouted_drops () =
 (* --- predict_mix --- *)
 
 let test_predict_mix_consistency () =
-  let params = Ppp_core.Runner.quick_params in
+  let params = Ppp_core.Runner.Params.quick in
   let levels = [ { Ppp_apps.App.reads = 8; instrs = 1000 } ] in
   let p =
     Ppp_core.Predictor.build ~params ~levels ~targets:[ Ppp_apps.App.FW ] ()

@@ -100,7 +100,7 @@ let test_registry_bad_args () =
 let test_cross_socket_flows_isolated () =
   (* Two MON flows on different sockets with local data barely affect each
      other (compare against same-socket placement). *)
-  let params = Ppp_core.Runner.quick_params in
+  let params = Ppp_core.Runner.Params.quick in
   let same =
     Ppp_core.Runner.run ~params
       [
@@ -218,7 +218,7 @@ let test_profile_orderings_scaled () =
   (* The Table 1 orderings the paper's analysis rests on, at real windows
      (slow test): MON has the most hits/sec, FW the least among realistic;
      RE has the most refs/packet. *)
-  let params = Ppp_core.Runner.default_params in
+  let params = Ppp_core.Runner.Params.default in
   let p k = Ppp_core.Solo_profile.solo ~params k in
   let ip = p Ppp_apps.App.IP and mon = p Ppp_apps.App.MON in
   let fw = p Ppp_apps.App.FW and re = p Ppp_apps.App.RE in

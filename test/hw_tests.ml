@@ -343,6 +343,16 @@ let test_hierarchy_memctrl_counted () =
   Alcotest.(check int) "none on node 1" 0
     (Hierarchy.memctrl_transactions h ~node:1)
 
+(* An address names its home node. A node the machine lacks has no
+   controller to charge, so the access is rejected. *)
+let test_hierarchy_rejects_missing_node () =
+  let topo = Topology.create ~sockets:1 ~cores_per_socket:2 in
+  let h = Hierarchy.create topo Costs.default Machine.tiny.Machine.geometry in
+  let addr = Topology.node_base 1 in
+  match Hierarchy.access h ~core:0 ~write:false ~fn:Fn.none ~addr ~now:0 with
+  | _ -> Alcotest.fail "an address on node 1 was served by a 1-socket machine"
+  | exception Invalid_argument _ -> ()
+
 (* --- Engine --- *)
 
 let const_source ops_fn =
@@ -499,6 +509,8 @@ let tests =
     Alcotest.test_case "DMA invalidates" `Quick test_hierarchy_dma_invalidates;
     Alcotest.test_case "inclusive back-invalidation" `Quick test_hierarchy_inclusion_back_invalidation;
     Alcotest.test_case "memctrl transactions counted" `Quick test_hierarchy_memctrl_counted;
+    Alcotest.test_case "address on a missing node rejected" `Quick
+      test_hierarchy_rejects_missing_node;
     Alcotest.test_case "engine throughput accounting" `Quick test_engine_throughput_accounting;
     Alcotest.test_case "engine contention slows flows" `Quick test_engine_contention_slows_flows;
     Alcotest.test_case "engine rejects core collision" `Quick test_engine_rejects_core_collision;
@@ -579,7 +591,8 @@ let prop_cache_equals_reference_model =
               end
           | 1 ->
               Ref.invalidate r line;
-              ignore (Cache.invalidate c line : bool);
+              let slot = Cache.probe c line in
+              if slot >= 0 then Cache.invalidate_slot c slot;
               true
           | _ -> Ref.find r line = Cache.resident c line)
         ops)

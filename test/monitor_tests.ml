@@ -216,7 +216,7 @@ let test_monitor_experiment_story () =
      needs enough post-switch slices for the throttle's long-run average to
      bite and the alarm to release. *)
   let d =
-    Ppp_experiments.Monitor_exp.measure ~params:Ppp_core.Runner.quick_params ()
+    Ppp_experiments.Monitor_exp.measure ~params:Ppp_core.Runner.Params.quick ()
   in
   Alcotest.(check int) "tame phase: monitor silent" 0
     Ppp_experiments.Monitor_exp.(

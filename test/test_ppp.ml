@@ -1,9 +1,13 @@
+(* Keep suite names at most 13 characters (hw-properties): Alcotest pads
+   the suite column to the longest name and cuts test names to fit the
+   line, so a longer suite name shortens how every long test name prints. *)
 let () =
   Alcotest.run "ppp"
     [
       ("util", Util_tests.tests);
       ("hw", Hw_tests.tests);
       ("hw-properties", Hw_prop_tests.tests);
+      ("hw-diff", Hierarchy_diff_tests.tests);
       ("simmem+net", Simmem_net_tests.tests);
       ("click", Click_tests.tests);
       ("apps", Apps_tests.tests);
