@@ -40,10 +40,10 @@ let params_args cli =
     Cli.flag cli [ "--profile" ]
       ~doc:
         "Attribute cycles, instructions, L3 hits/misses and per-packet \
-         latency to (core, element) during every run. Pure observation — \
-         simulation results are byte-identical with or without it. Exports \
-         go to --profile-out (default \"profile\"), and the manifest's \
-         profile section when --metrics is given."
+         latency to (core, function tag) during every run. Pure \
+         observation — simulation results are byte-identical with or \
+         without it. Exports go to --profile-out (default \"profile\"), \
+         and the manifest's profile section when --metrics is given."
   in
   fun () ->
     (match Ppp_hw.Machine.by_name !config with
@@ -125,7 +125,7 @@ let telemetry_args cli =
 
 let effective_sample_cycles params t =
   if t.sample_cycles > 0 then t.sample_cycles
-  else max 1 (params.Ppp_core.Runner.measure_cycles / 20)
+  else Ppp_core.Runner.Params.sample_cycles params
 
 let profile_dir params t =
   match t.profile_out with
@@ -308,8 +308,8 @@ let top_main () =
   let cli =
     Cli.create ~prog:"repro top [options] EXPERIMENT..."
       ~summary:
-        "Run experiments with per-element attribution on and print the \
-         top-style hot-spot report: the hottest elements by window cycles \
+        "Run experiments with per-function attribution on and print the \
+         top-style hot-spot report: the hottest function tags by window cycles \
          and by L3 misses, with window share, miss rate and latency tails."
   in
   let params = params_args cli in
@@ -410,17 +410,20 @@ let mix_main () =
   List.iter2
     (fun kind (r : Ppp_hw.Engine.result) ->
       let solo = List.assoc kind solos in
+      (* Before the row: a list literal's cells evaluate right to left, and
+         an empty solo window must report the drop's error. *)
+      let drop = Ppp_core.Runner.drop ~solo ~corun:r in
       Ppp_util.Table.add_row t
         [
           Ppp_apps.App.name kind;
           string_of_int r.Ppp_hw.Engine.core;
           Printf.sprintf "%.0f" r.Ppp_hw.Engine.throughput_pps;
-          Printf.sprintf "%.2f" (100.0 *. Ppp_core.Runner.drop ~solo ~corun:r);
+          Printf.sprintf "%.2f" (100.0 *. drop);
           Printf.sprintf "%.1f" (r.Ppp_hw.Engine.l3_refs_per_sec /. 1e6);
           Printf.sprintf "%.1f" (r.Ppp_hw.Engine.l3_hits_per_sec /. 1e6);
           Printf.sprintf "%.0f"
-            (float_of_int r.Ppp_hw.Engine.window_cycles
-            /. float_of_int (max 1 r.Ppp_hw.Engine.packets));
+            (Ppp_core.Runner.per_packet r.Ppp_hw.Engine.window_cycles
+               ~packets:r.Ppp_hw.Engine.packets);
           string_of_int
             (Ppp_util.Histogram.percentile r.Ppp_hw.Engine.latency 50.0);
           string_of_int
@@ -707,7 +710,7 @@ let toplevel_usage =
   \  run      Run one or more experiments by id.\n\
   \  all      Run every experiment (the full reproduction).\n\
   \  mix      Co-run an ad-hoc set of flows (one per core).\n\
-  \  top      Profile experiments and print the per-element hot-spot report.\n\
+  \  top      Profile experiments and print the per-function hot-spot report.\n\
   \  monitor  Co-run flows under the online contention monitor.\n\
   \  predict  Predict contention-induced drop from offline profiles.\n\
   \  capture  Write a flow type's generated traffic to a pcap file.\n\

@@ -10,11 +10,6 @@ type t = {
 
 val create : rng:Ppp_util.Rng.t -> t
 
-val set_elem : t -> Ppp_hw.Eid.t -> unit
-(** Scope subsequent traced operations to element [e] (until the next call
-    or the builder's clear). {!Element.process_all} does this around every
-    element; drivers scope their RX/TX/recycle stages the same way. *)
-
 val compute : t -> fn:Ppp_hw.Fn.t -> int -> unit
 (** Charge [n] instructions of pure compute to [fn]. *)
 

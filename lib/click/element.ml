@@ -2,20 +2,15 @@ type verdict = Forward | Drop
 
 type t = {
   kind : string;
-  name : string;
-  eid : Ppp_hw.Eid.t;
   process : Ctx.t -> Ppp_net.Packet.t -> verdict;
 }
 
-let make ~kind ?name process =
-  let name = match name with Some n -> n | None -> kind in
-  { kind; name; eid = Ppp_hw.Eid.register name; process }
+let make ~kind process = { kind; process }
 
 let rec process_all elements ctx pkt =
   match elements with
   | [] -> Forward
   | e :: rest -> (
-      Ctx.set_elem ctx e.eid;
       match e.process ctx pkt with
       | Forward -> process_all rest ctx pkt
       | Drop -> Drop)

@@ -10,19 +10,14 @@ type verdict = Forward | Drop
 
 type t = {
   kind : string;  (** the element class name, e.g. "RadixIPLookup" *)
-  name : string;  (** instance label *)
-  eid : Ppp_hw.Eid.t;
-      (** stable element id registered from [name] — what the profiler
-          attributes this element's traced operations to *)
   process : Ctx.t -> Ppp_net.Packet.t -> verdict;
 }
+(** An element's traced operations carry the function tags ({!Ppp_hw.Fn})
+    its class registered, so counters and profiles attribute its work by
+    tag; instances of one class share their tags across flows, the way the
+    paper's per-function Oprofile breakdown aggregates. *)
 
-val make : kind:string -> ?name:string -> (Ctx.t -> Ppp_net.Packet.t -> verdict) -> t
-(** Instances sharing a [name] (default: [kind]) share an element id, so
-    attribution aggregates across flows the way the paper's per-function
-    Oprofile breakdown does. *)
+val make : kind:string -> (Ctx.t -> Ppp_net.Packet.t -> verdict) -> t
 
 val process_all : t list -> Ctx.t -> Ppp_net.Packet.t -> verdict
-(** Push the packet through the chain; stops at the first [Drop]. Scopes
-    each element's id over its [process] call ({!Ctx.set_elem}), so the
-    trace records the packet's element path op by op. *)
+(** Push the packet through the chain; stops at the first [Drop]. *)

@@ -2,12 +2,6 @@ let fn_from_device = Ppp_hw.Fn.register "from_device"
 let fn_to_device = Ppp_hw.Fn.register "to_device"
 let fn_skb_recycle = Ppp_hw.Fn.register "skb_recycle"
 
-(* Driver stages get element ids too, so a profile covers the whole packet
-   path — not just the element chain. *)
-let eid_from_device = Ppp_hw.Eid.register "from_device"
-let eid_to_device = Ppp_hw.Eid.register "to_device"
-let eid_skb_recycle = Ppp_hw.Eid.register "skb_recycle"
-
 (* The NIC side of a flow. A pipeline's egress stage has no TX ring: it
    rewrites the MAC and recycles the buffer, nothing more. *)
 type nic = {
@@ -90,7 +84,6 @@ let header_bytes = 54 (* Ethernet + IPv4 + transport ports *)
 let receive nic ctx pkt =
   let open Ppp_hw.Trace in
   let b = ctx.Ctx.builder in
-  Ctx.set_elem ctx eid_from_device;
   let slot = nic.seq mod nic.rx_slots in
   nic.seq <- nic.seq + 1;
   pkt.Ppp_net.Packet.buf_addr <- nic.buf_base + (slot * buf_stride);
@@ -112,7 +105,6 @@ let receive nic ctx pkt =
   slot
 
 let transmit nic ctx pkt slot =
-  Ctx.set_elem ctx eid_to_device;
   (match nic.tx_desc with
   | Some tx_desc ->
       Ppp_simmem.Iarray.set tx_desc ctx.Ctx.builder ~fn:fn_to_device slot
@@ -124,7 +116,6 @@ let transmit nic ctx pkt slot =
 
 let recycle nic ctx slot =
   let b = ctx.Ctx.builder in
-  Ctx.set_elem ctx eid_skb_recycle;
   ignore (Ppp_simmem.Iarray.get nic.free_list b ~fn:fn_skb_recycle slot : int);
   Ppp_simmem.Iarray.set nic.free_list b ~fn:fn_skb_recycle slot slot;
   Ctx.compute ctx ~fn:fn_skb_recycle 15
@@ -137,7 +128,6 @@ let source t (_now : int) =
   match Ppp_traffic.Source.fill t.src t.pkt with
   | Ppp_traffic.Source.Exhausted ->
       (* Empty input queue: the flow polls and finds nothing. *)
-      Ctx.set_elem t.ctx eid_from_device;
       Ctx.compute t.ctx ~fn:fn_from_device 100;
       let (_ : Ppp_hw.Trace.t) = Ppp_hw.Trace.Builder.view b in
       t.item_idle

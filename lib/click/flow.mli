@@ -43,15 +43,12 @@ val reorders : t -> int
     the flow's high-water mark), as observed at the receive path. *)
 
 val fn_from_device : Ppp_hw.Fn.t
+(** Function tags for the driver stages (shared by {!Staged} pipelines), so
+    counters and profiles attribute RX/TX/recycle work alongside the
+    element chain. *)
+
 val fn_to_device : Ppp_hw.Fn.t
 val fn_skb_recycle : Ppp_hw.Fn.t
-
-val eid_from_device : Ppp_hw.Eid.t
-(** Element ids for the driver stages (shared by {!Staged} pipelines), so
-    profiles attribute RX/TX/recycle work alongside the element chain. *)
-
-val eid_to_device : Ppp_hw.Eid.t
-val eid_skb_recycle : Ppp_hw.Eid.t
 
 (** {2 The driver steps, shared with {!Staged}} *)
 

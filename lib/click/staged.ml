@@ -66,7 +66,6 @@ let dropped t = t.dropped
 let queue_full q = Queue.length q.fifo >= q.slots
 
 let push_queue t q ctx slot =
-  Ctx.set_elem ctx Flow.eid_to_device;
   let i = q.pushed mod q.slots in
   q.pushed <- q.pushed + 1;
   Iarray.set q.ring ctx.Ctx.builder ~fn:Flow.fn_to_device i
@@ -74,7 +73,6 @@ let push_queue t q ctx slot =
   Queue.push slot q.fifo
 
 let pop_queue t q ctx =
-  Ctx.set_elem ctx Flow.eid_from_device;
   let i = q.popped mod q.slots in
   q.popped <- q.popped + 1;
   let slot = Queue.pop q.fifo in

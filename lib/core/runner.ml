@@ -43,6 +43,7 @@ module Params = struct
   let with_batch batch p = { p with batch }
   let with_cell cell p = { p with cell }
   let with_profile profile p = { p with profile }
+  let sample_cycles p = max 1 (p.measure_cycles / 20)
 
   let validate p =
     if p.warmup_cycles < 0 then
@@ -201,6 +202,12 @@ let drop ~solo ~corun =
     invalid_arg
       "Runner.drop: solo run completed no packets in its measurement window";
   (ts -. corun.Ppp_hw.Engine.throughput_pps) /. ts
+
+let per_packet n ~packets =
+  if packets <= 0 then
+    invalid_arg
+      "Runner.per_packet: no packet completed in the measurement window";
+  float_of_int n /. float_of_int packets
 
 let competing_refs_per_sec results ~target =
   List.fold_left

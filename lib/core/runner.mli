@@ -35,9 +35,9 @@ type params = {
           by the telemetry layer — it never influences the simulation. *)
   profile : bool;
       (** When true, the run attributes cycles / instructions / L3 events /
-          latency to (core, element) and records the per-element profile
-          into the {!Ppp_telemetry.Recorder} under [params.cell]. Pure
-          observation: results are byte-identical with it on or off. *)
+          latency to (core, function tag) and records the profile into the
+          {!Ppp_telemetry.Recorder} under [params.cell]. Pure observation:
+          results are byte-identical with it on or off. *)
 }
 
 (** Builder-style construction: pipe {!Params.default} (or
@@ -70,11 +70,17 @@ module Params : sig
 
   val with_profile : bool -> t -> t
 
+  val sample_cycles : t -> int
+  (** The default slice of a sampled window: [max 1 (measure_cycles / 20)],
+      twenty slices per window. The contention monitor's epoch and
+      [repro --sample-cycles 0] both use it. *)
+
   val validate : t -> (unit, string) result
   (** [Ok ()] iff the windows and the burst budget can be run: warmup >= 0,
       measure >= 1 and batch >= 1. A negative warmup would otherwise run
       silently. A valid window may still complete no packet; {!drop}
-      rejects such a solo baseline. The error is one line naming the bad
+      rejects such a solo baseline, and {!per_packet} any per-packet
+      figure of it. The error is one line naming the bad
       value, e.g. ["measurement window must be >= 1 cycle, got 0"]. *)
 end
 
@@ -101,7 +107,7 @@ val run_with :
     Observation never changes the results. When the
     {!Ppp_telemetry.Recorder} is configured, the run feeds it a per-core
     simulated-time counter series and a wall-clock span, both tagged with
-    [params.cell]; with [params.profile] it records the per-element profile
+    [params.cell]; with [params.profile] it records the per-tag profile
     under the same cell. [?probe] is teed with the telemetry sampler (the
     engine takes a single probe): both receive every sample, and the
     sampler records this cell on the probe's slice grid
@@ -145,6 +151,12 @@ val drop : solo:Ppp_hw.Engine.result -> corun:Ppp_hw.Engine.result -> float
     [Invalid_argument] when [solo] completed no packet in its window (a
     window that {!Params.validate} accepts can still be too short for one
     packet), instead of returning NaN. *)
+
+val per_packet : int -> packets:int -> float
+(** [per_packet n ~packets] is [n] per packet over a measurement window.
+    Raises [Invalid_argument] when [packets] is 0: a window that completed
+    no packet has no per-packet figures, and reporting one would read an
+    empty measurement as a result. *)
 
 val competing_refs_per_sec :
   Ppp_hw.Engine.result list -> target:Ppp_hw.Engine.result -> float

@@ -5,6 +5,9 @@ let resource_name = function
   | Memctrl_only -> "memctrl-only"
   | Both -> "cache+memctrl"
 
+let default_competitors config =
+  min 5 (Ppp_hw.Machine.cores_per_socket config - 1)
+
 let placement ~config resource ~n_competitors ~competitor ~target =
   let cps = Ppp_hw.Machine.cores_per_socket config in
   if n_competitors > cps - 1 && resource <> Memctrl_only then
@@ -60,10 +63,7 @@ let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
   let n_competitors =
     match n_competitors with
     | Some n -> n
-    | None ->
-        (* As many co-located competitors as the socket allows, up to the
-           paper's five. *)
-        min 5 (Ppp_hw.Machine.cores_per_socket params.Runner.config - 1)
+    | None -> default_competitors params.Runner.config
   in
   let solo = Runner.solo ~params target in
   let solo_pps = solo.Ppp_hw.Engine.throughput_pps in

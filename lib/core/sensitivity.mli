@@ -14,6 +14,10 @@ type resource = Cache_only | Memctrl_only | Both
 
 val resource_name : resource -> string
 
+val default_competitors : Ppp_hw.Machine.config -> int
+(** The paper's five co-runners, clamped to what one socket holds beside
+    the target: [min 5 (cores_per_socket - 1)]. *)
+
 val placement :
   config:Ppp_hw.Machine.config ->
   resource ->
@@ -46,7 +50,7 @@ val measure :
   resource:resource ->
   Ppp_apps.App.kind ->
   curve
-(** [n_competitors] defaults to min(5, cores_per_socket - 1). *)
+(** [n_competitors] defaults to {!default_competitors}. *)
 
 val to_series : curve -> Ppp_util.Series.t
 (** Piecewise-linear drop(competing refs/sec) — the predictor's input. *)

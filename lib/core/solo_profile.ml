@@ -13,8 +13,7 @@ type t = {
 
 let of_result kind (r : Ppp_hw.Engine.result) =
   let c = r.Ppp_hw.Engine.counters in
-  let packets = float_of_int (max 1 r.Ppp_hw.Engine.packets) in
-  let per_packet n = float_of_int n /. packets in
+  let per_packet n = Runner.per_packet n ~packets:r.Ppp_hw.Engine.packets in
   {
     kind;
     throughput_pps = r.Ppp_hw.Engine.throughput_pps;
@@ -23,7 +22,7 @@ let of_result kind (r : Ppp_hw.Engine.result) =
       /. float_of_int (max 1 (Ppp_hw.Counters.instructions c));
     l3_refs_per_sec = r.Ppp_hw.Engine.l3_refs_per_sec;
     l3_hits_per_sec = r.Ppp_hw.Engine.l3_hits_per_sec;
-    cycles_per_packet = float_of_int r.Ppp_hw.Engine.window_cycles /. packets;
+    cycles_per_packet = per_packet r.Ppp_hw.Engine.window_cycles;
     l3_refs_per_packet = per_packet (Ppp_hw.Counters.l3_refs c);
     l3_misses_per_packet = per_packet (Ppp_hw.Counters.l3_misses c);
     l2_hits_per_packet = per_packet (Ppp_hw.Counters.l2_hits c);

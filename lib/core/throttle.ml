@@ -34,12 +34,13 @@ let l3_budget_source ~budget_l3_refs_per_sec ~hier ~core ~freq_hz inner =
     end
 
 module Two_faced = struct
+  let fn = Ppp_hw.Fn.register "two_faced_syn"
+
   let elements ~heap ~rng ~buffer_bytes ~quiet_reads ~loud_reads ~switch_after =
     let buffer =
       Ppp_simmem.Iarray.create heap ~elem_bytes:64 (max 64 (buffer_bytes / 64)) 0
     in
     let n = Ppp_simmem.Iarray.length buffer in
-    let fn = Ppp_apps.More_elements.fn_syn in
     let count = ref 0 in
     [
       Ppp_click.Element.make ~kind:"TwoFacedSyn" (fun ctx _pkt ->

@@ -24,7 +24,8 @@ val l3_budget_source :
 
 (** A flow that switches behaviour mid-run: tame for the first
     [switch_after] packets, then maximally aggressive — the paper's
-    adversarial example of a flow that lies to offline profiling. *)
+    adversarial example of a flow that lies to offline profiling. Its
+    element ("TwoFacedSyn") counts under its own tag, ["two_faced_syn"]. *)
 module Two_faced : sig
   val elements :
     heap:Ppp_simmem.Heap.t ->

@@ -37,8 +37,7 @@ let worst_case_run ?(label = "worst") ~params kind =
   let solo = Runner.solo ~params kind in
   let specs =
     Sensitivity.placement ~config:params.Runner.config Sensitivity.Both
-      ~n_competitors:
-        (min 5 (Ppp_hw.Machine.cores_per_socket params.Runner.config - 1))
+      ~n_competitors:(Sensitivity.default_competitors params.Runner.config)
       ~competitor:Ppp_apps.App.syn_max ~target:kind
   in
   let params =

@@ -143,8 +143,7 @@ let measure ?(params = Runner.Params.default) () =
       skew;
       hit_rate = float_of_int hits /. float_of_int (max 1 lookups);
       upcalls_per_packet =
-        float_of_int upcalls
-        /. float_of_int (max 1 solo.Ppp_hw.Engine.packets);
+        Runner.per_packet upcalls ~packets:solo.Ppp_hw.Engine.packets;
       lookups;
       hits;
       upcalls;

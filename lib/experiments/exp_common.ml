@@ -14,12 +14,9 @@ let solo_results ~params kinds =
   (* One cell per kind; Runner.solo derives each cell's seed. *)
   Parallel.map (fun k -> (k, Runner.solo ~params k)) kinds
 
-let default_competitors config =
-  min 5 (Ppp_hw.Machine.cores_per_socket config - 1)
-
 let co_runners ~params ~heap ~rng kind =
   let config = params.Runner.config in
-  List.init (default_competitors config) (fun i ->
+  List.init (Sensitivity.default_competitors config) (fun i ->
       let flow =
         Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
           ~scale:config.Ppp_hw.Machine.scale ()
@@ -34,7 +31,7 @@ let pair_matrix ~params ~solos ?n_competitors kinds =
   let n_competitors =
     match n_competitors with
     | Some n -> n
-    | None -> default_competitors params.Runner.config
+    | None -> Sensitivity.default_competitors params.Runner.config
   in
   let pair (target, competitor) =
     let params =

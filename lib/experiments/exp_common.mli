@@ -16,18 +16,16 @@ val solo_results :
   (Ppp_apps.App.kind * Ppp_hw.Engine.result) list
 (** Solo baselines, one parallel cell per kind. *)
 
-val default_competitors : Ppp_hw.Machine.config -> int
-(** The paper's five co-runners, clamped to what one socket can hold. *)
-
 val co_runners :
   params:Ppp_core.Runner.params ->
   heap:Ppp_simmem.Heap.t ->
   rng:Ppp_util.Rng.t ->
   Ppp_apps.App.kind ->
   Ppp_hw.Engine.flow list
-(** {!default_competitors} flows of one kind on cores 1..n, for a
-    {!Ppp_core.Runner.run_with} builder whose target sits on core 0. Each is
-    built on [heap] from its own [Rng.split rng], in core order. *)
+(** {!Ppp_core.Sensitivity.default_competitors} flows of one kind on cores
+    1..n, for a {!Ppp_core.Runner.run_with} builder whose target sits on
+    core 0. Each is built on [heap] from its own [Rng.split rng], in core
+    order. *)
 
 val pair_matrix :
   params:Ppp_core.Runner.params ->
@@ -36,9 +34,10 @@ val pair_matrix :
   Ppp_apps.App.kind list ->
   pair_result list
 (** For every ordered pair (X, Y): X co-runs with [n_competitors] (default
-    {!default_competitors}) flows of type Y, all on one socket with local
-    data — the Figure 2 scenarios. Cells run under {!Ppp_core.Parallel.map},
-    each seeded from its (target, competitor) label. *)
+    {!Ppp_core.Sensitivity.default_competitors}) flows of type Y, all on one
+    socket with local data — the Figure 2 scenarios. Cells run under
+    {!Ppp_core.Parallel.map}, each seeded from its (target, competitor)
+    label. *)
 
 val find_pair :
   pair_result list -> target:Ppp_apps.App.kind -> competitor:Ppp_apps.App.kind ->

@@ -8,7 +8,7 @@ type data = {
 
 let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
-  let n_competitors = Exp_common.default_competitors params.Runner.config in
+  let n_competitors = Sensitivity.default_competitors params.Runner.config in
   let solos = Exp_common.solo_results ~params kinds in
   let pairs = Exp_common.pair_matrix ~params ~solos ~n_competitors kinds in
   { pairs; averages = Exp_common.avg_drop_per_target pairs; n_competitors }

@@ -1,6 +1,7 @@
 (** Figure 2: contention-induced drop for every (target, N x competitor)
-    pair of realistic flow types (N = {!Exp_common.default_competitors}),
-    plus the per-target averages. *)
+    pair of realistic flow types
+    (N = {!Ppp_core.Sensitivity.default_competitors}), plus the per-target
+    averages. *)
 
 type data = {
   pairs : Exp_common.pair_result list;

@@ -18,14 +18,14 @@ let tracked_fns =
   ]
 
 let hits_per_packet (r : Ppp_hw.Engine.result) fn =
-  let c = r.Ppp_hw.Engine.counters in
-  let packets = float_of_int (max 1 r.Ppp_hw.Engine.packets) in
-  float_of_int (Ppp_hw.Counters.fn_l3_hits c fn) /. packets
+  Runner.per_packet
+    (Ppp_hw.Counters.fn_l3_hits r.Ppp_hw.Engine.counters fn)
+    ~packets:r.Ppp_hw.Engine.packets
 
 let overall_hits_per_packet (r : Ppp_hw.Engine.result) =
-  let c = r.Ppp_hw.Engine.counters in
-  float_of_int (Ppp_hw.Counters.l3_hits c)
-  /. float_of_int (max 1 r.Ppp_hw.Engine.packets)
+  Runner.per_packet
+    (Ppp_hw.Counters.l3_hits r.Ppp_hw.Engine.counters)
+    ~packets:r.Ppp_hw.Engine.packets
 
 let conversion ~solo ~corun = if solo <= 0.0 then 0.0 else Float.max 0.0 (1.0 -. (corun /. solo))
 
@@ -39,7 +39,7 @@ let measure ?(params = Runner.Params.default) () =
   let chunks =
     Ppp_apps.App.working_set_bytes target ~scale:config.Ppp_hw.Machine.scale / 64
   in
-  let n_competitors = Exp_common.default_competitors config in
+  let n_competitors = Sensitivity.default_competitors config in
   let rows =
     Parallel.mapi
       (fun i level ->

@@ -15,8 +15,10 @@ type data = { cells : cell list }
    setting where a moderate number of heavy flows dominates. *)
 let universe = 2000
 
+let fn_cached_ip_lookup = Ppp_hw.Fn.register "cached_ip_lookup"
+
 let lookup_element table ~trie ~hop_table =
-  let fn = Ppp_apps.Ip_elements.fn_radix_ip_lookup in
+  let fn = fn_cached_ip_lookup in
   Ppp_click.Element.make ~kind:"CachedIPLookup" (fun ctx pkt ->
       let b = ctx.Ppp_click.Ctx.builder in
       let cached = Ppp_classify.Flow_table.find table b ~fn pkt in

@@ -31,7 +31,7 @@ val lookup_element :
     annotation, with the port cached per flow. A hit costs the table probe
     and skips the trie walk and the next-hop read; a miss does both and
     installs a routed flow's port. Unrouted packets are dropped and never
-    installed. Counts under {!Ppp_apps.Ip_elements.fn_radix_ip_lookup}. *)
+    installed. Counts under its own tag, ["cached_ip_lookup"]. *)
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
 val render : data -> string

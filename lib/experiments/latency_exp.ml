@@ -16,7 +16,9 @@ let row_of scenario (r : Ppp_hw.Engine.result) =
   {
     scenario;
     throughput_pps = r.Ppp_hw.Engine.throughput_pps;
-    mean_cycles = Ppp_util.Histogram.mean h;
+    mean_cycles =
+      Runner.per_packet (Ppp_util.Histogram.total h)
+        ~packets:(Ppp_util.Histogram.count h);
     p50_cycles = Ppp_util.Histogram.percentile h 50.0;
     p99_cycles = Ppp_util.Histogram.percentile h 99.0;
     max_cycles = Ppp_util.Histogram.max_value h;
@@ -28,8 +30,7 @@ let measure ?(params = Runner.Params.default) () =
   let corun competitor label =
     let specs =
       Sensitivity.placement ~config:params.Runner.config Sensitivity.Both
-        ~n_competitors:
-          (min 5 (Ppp_hw.Machine.cores_per_socket params.Runner.config - 1))
+        ~n_competitors:(Sensitivity.default_competitors params.Runner.config)
         ~competitor ~target
     in
     let params =

@@ -149,8 +149,6 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
       alerts = Report.alerts_json det;
     } )
 
-let sample_cycles_of params = max 1 (params.Runner.measure_cycles / 20)
-
 let measure ?(params = Runner.Params.default) () =
   let config = params.Runner.config in
   let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
@@ -176,7 +174,7 @@ let measure ?(params = Runner.Params.default) () =
          (tame_kinds ~config)
   in
   let det_config =
-    Detector.default_config ~sample_cycles:(sample_cycles_of params)
+    Detector.default_config ~sample_cycles:(Runner.Params.sample_cycles params)
   in
   (* Switch mid-window: the tame-face packet rate tells us how many packets
      the aggressor completes by the middle of the measurement window. *)

@@ -23,11 +23,13 @@ let side_of label results ~fw_packets =
         (fun acc (r : Ppp_hw.Engine.result) -> acc +. r.Ppp_hw.Engine.throughput_pps)
         0.0 results;
     fw_rule_l3_refs_per_fw_packet =
-      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_refs c fw))
-      /. float_of_int (max 1 fw_packets);
+      Runner.per_packet
+        (sum (fun c -> Ppp_hw.Counters.fn_l3_refs c fw))
+        ~packets:fw_packets;
     fw_rule_l3_miss_per_fw_packet =
-      float_of_int (sum (fun c -> Ppp_hw.Counters.fn_l3_misses c fw))
-      /. float_of_int (max 1 fw_packets);
+      Runner.per_packet
+        (sum (fun c -> Ppp_hw.Counters.fn_l3_misses c fw))
+        ~packets:fw_packets;
   }
 
 (* Both sources on node 0, each from its own split of the stream. FW's

@@ -46,8 +46,8 @@ let side_of_results label results =
     label;
     throughput_pps = pps;
     per_core_pps = pps /. float_of_int cores;
-    l3_refs_per_packet = float_of_int refs /. float_of_int (max 1 packets);
-    l3_misses_per_packet = float_of_int misses /. float_of_int (max 1 packets);
+    l3_refs_per_packet = Runner.per_packet refs ~packets;
+    l3_misses_per_packet = Runner.per_packet misses ~packets;
     cores;
   }
 

@@ -187,9 +187,6 @@ let stationary_curve ~(params : Runner.params) =
   in
   (solo_r, Ppp_util.Series.of_points ((0.0, 0.0) :: points))
 
-let sample_cycles_of (params : Runner.params) =
-  max 1 (params.Runner.measure_cycles / 20)
-
 let run_cell ~(params : Runner.params) ~curve
     ~(twin_solo : Ppp_hw.Engine.result) ~(syn_solo : Solo_profile.t) ~cfg ~steering
     =
@@ -219,7 +216,9 @@ let run_cell ~(params : Runner.params) ~curve
      experiment quantifies. *)
   let det_config =
     {
-      (Detector.default_config ~sample_cycles:(sample_cycles_of params)) with
+      (Detector.default_config
+         ~sample_cycles:(Runner.Params.sample_cycles params))
+      with
       Detector.aggressor_margin = 0.25;
     }
   in
@@ -233,9 +232,7 @@ let run_cell ~(params : Runner.params) ~curve
       predict_drop =
         Some (fun ~refs_per_sec -> Ppp_util.Series.eval curve refs_per_sec);
     }
-    :: List.init
-         (min 5 (Ppp_hw.Machine.cores_per_socket config - 1))
-         (fun i ->
+    :: List.init (Sensitivity.default_competitors config) (fun i ->
            {
              Detector.label = "SYN";
              core = 1 + i;

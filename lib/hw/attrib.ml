@@ -1,104 +1,85 @@
-(* Per-(core, element) attribution accumulators for the profiling engine.
+(* Per-(core, function tag) attribution accumulators for the profiling
+   engine.
 
-   Layout: every counter is one flat int array indexed [core * stride +
-   elem] with [stride = Eid.max_ids], so the engine's profiled op path does
-   plain int stores into preallocated rows — no boxing, no hashing, no
-   allocation. Latency histograms are the one lazy piece: a (core, elem)
-   pair gets its histogram on the first in-window packet that touches it.
+   Layout: cycles and instructions are flat int arrays indexed [core *
+   stride + fn] with [stride = Fn.max_tags], so the engine's profiled op
+   path does plain int stores into preallocated rows — no boxing, no
+   hashing, no allocation. Latency histograms are the one lazy piece: a
+   (core, fn) pair gets its histogram on the first in-window packet that
+   touches it. L3 hits and misses are not counted here at all: the window
+   counters already tally them per tag, and the engine hands each core's
+   window delta over in [set_window].
 
-   Window totals ([cycles]/[instructions]/[l3_hits]/[l3_misses]) are bumped
-   only for ops the engine executes inside the measurement window, with the
-   same boundary convention as the counter snapshots (the op crossing the
-   warmup boundary lands in the warm baseline and is excluded; the op
-   crossing the window end is included) — so per-element sums reproduce the
-   window's [Counters.diff] exactly.
+   Window totals ([cycles]/[instructions]) are bumped only for ops the
+   engine executes inside the measurement window, with the same boundary
+   convention as the counter snapshots (the op crossing the warmup boundary
+   lands in the warm baseline and is excluded; the op crossing the window
+   end is included) — so per-tag sums reproduce the window's
+   [Counters.diff] exactly.
 
-   Per-packet element time uses the [pkt_cycles] scratch row plus a touched
-   stack: scratch accumulates over the whole in-flight trace regardless of
-   window position (a packet's latency spans the boundary it completes
-   behind), and [finish_trace] either records each touched element's share
-   into its latency histogram (packets completing in-window) or just
-   resets the scratch (idle traces, out-of-window packets). Every traced op
-   costs at least one cycle, so [pkt_cycles > 0] doubles as the touched
-   marker. *)
+   Per-packet time uses the [pkt_cycles] scratch row plus a touched stack:
+   scratch accumulates over the whole in-flight trace regardless of window
+   position (a packet's latency spans the boundary it completes behind),
+   and [finish_trace] either records each touched tag's share into its
+   latency histogram (packets completing in-window) or just resets the
+   scratch (idle traces, out-of-window packets). Every traced op costs at
+   least one cycle, so [pkt_cycles > 0] doubles as the touched marker. *)
 
 type t = {
   cores : int;
   stride : int;
   cycles : int array;
   instructions : int array;
-  l3_hits : int array;
-  l3_misses : int array;
   lat : Ppp_util.Histogram.t option array;
-  pkt_cycles : int array; (* scratch: in-flight trace's cycles per elem *)
-  touched : int array; (* per-core stack of elems with nonzero scratch *)
+  pkt_cycles : int array; (* scratch: in-flight trace's cycles per tag *)
+  touched : int array; (* per-core stack of tags with nonzero scratch *)
   ntouched : int array; (* per core: live entries in [touched] *)
   window_start : int array; (* per core, filled in by the engine *)
   window_cycles : int array;
+  window_counters : Counters.t array;
 }
 
 let create ~cores =
   if cores < 1 then invalid_arg "Attrib.create: cores must be >= 1";
-  let stride = Eid.max_ids in
+  let stride = Fn.max_tags in
   let n = cores * stride in
   {
     cores;
     stride;
     cycles = Array.make n 0;
     instructions = Array.make n 0;
-    l3_hits = Array.make n 0;
-    l3_misses = Array.make n 0;
     lat = Array.make n None;
     pkt_cycles = Array.make n 0;
     touched = Array.make n 0;
     ntouched = Array.make cores 0;
     window_start = Array.make cores 0;
     window_cycles = Array.make cores 0;
+    window_counters = Array.make cores (Counters.create ());
   }
 
 (* Shared placeholder threaded through the engine when profiling is off:
    gated behind the hoisted [prof] flag, it is never written. *)
 let none = create ~cores:1
 
-let[@inline] touch t ~core i cyc =
+let[@inline] op t ~core ~fn ~instrs ~cycles ~in_window =
+  let i = (core * t.stride) + fn in
   let c = Array.unsafe_get t.pkt_cycles i in
   if c = 0 then begin
     let n = Array.unsafe_get t.ntouched core in
-    Array.unsafe_set t.touched ((core * t.stride) + n) (i - (core * t.stride));
+    Array.unsafe_set t.touched ((core * t.stride) + n) fn;
     Array.unsafe_set t.ntouched core (n + 1)
   end;
-  Array.unsafe_set t.pkt_cycles i (c + cyc)
-
-let[@inline] mem_op t ~core ~elem ~cycles ~l3_hit ~l3_miss ~in_window =
-  let i = (core * t.stride) + elem in
-  touch t ~core i cycles;
-  if in_window then begin
-    Array.unsafe_set t.cycles i (Array.unsafe_get t.cycles i + cycles);
-    Array.unsafe_set t.instructions i (Array.unsafe_get t.instructions i + 1);
-    Array.unsafe_set t.l3_hits i (Array.unsafe_get t.l3_hits i + l3_hit);
-    Array.unsafe_set t.l3_misses i (Array.unsafe_get t.l3_misses i + l3_miss)
-  end
-
-let[@inline] compute_op t ~core ~elem ~instrs ~cycles ~in_window =
-  let i = (core * t.stride) + elem in
-  touch t ~core i cycles;
+  Array.unsafe_set t.pkt_cycles i (c + cycles);
   if in_window then begin
     Array.unsafe_set t.cycles i (Array.unsafe_get t.cycles i + cycles);
     Array.unsafe_set t.instructions i (Array.unsafe_get t.instructions i + instrs)
   end
 
-let[@inline] stall_op t ~core ~elem ~cycles ~in_window =
-  let i = (core * t.stride) + elem in
-  touch t ~core i cycles;
-  if in_window then
-    Array.unsafe_set t.cycles i (Array.unsafe_get t.cycles i + cycles)
-
 let finish_trace t ~core ~record =
   let base = core * t.stride in
   let n = t.ntouched.(core) in
   for s = 0 to n - 1 do
-    let e = t.touched.(base + s) in
-    let i = base + e in
+    let i = base + t.touched.(base + s) in
     if record then begin
       let h =
         match t.lat.(i) with
@@ -114,15 +95,16 @@ let finish_trace t ~core ~record =
   done;
   t.ntouched.(core) <- 0
 
-let set_window t ~core ~start ~cycles =
+let set_window t ~core ~start ~cycles ~counters =
   t.window_start.(core) <- start;
-  t.window_cycles.(core) <- cycles
+  t.window_cycles.(core) <- cycles;
+  t.window_counters.(core) <- counters
 
 let cores t = t.cores
-let cycles t ~core ~elem = t.cycles.((core * t.stride) + elem)
-let instructions t ~core ~elem = t.instructions.((core * t.stride) + elem)
-let l3_hits t ~core ~elem = t.l3_hits.((core * t.stride) + elem)
-let l3_misses t ~core ~elem = t.l3_misses.((core * t.stride) + elem)
-let latency t ~core ~elem = t.lat.((core * t.stride) + elem)
+let cycles t ~core ~fn = t.cycles.((core * t.stride) + fn)
+let instructions t ~core ~fn = t.instructions.((core * t.stride) + fn)
+let l3_hits t ~core ~fn = Counters.fn_l3_hits t.window_counters.(core) fn
+let l3_misses t ~core ~fn = Counters.fn_l3_misses t.window_counters.(core) fn
+let latency t ~core ~fn = t.lat.((core * t.stride) + fn)
 let window_start t ~core = t.window_start.(core)
 let window_cycles t ~core = t.window_cycles.(core)

@@ -283,43 +283,28 @@ let run ?probe ?attrib ?(batch = 32) hier ~flows ~warmup_cycles
         let w = Array.unsafe_get !ops !pos in
         let kc = Trace.raw_kind w in
         if kc = Trace.k_read || kc = Trace.k_write then begin
-          if prof then begin
-            (* Exact L3 attribution by construction: diff the core's own
-               counters around the access (only the accessing core's
-               counters move, by at most one hit or miss). *)
-            let ctr = st.ctr in
-            let h0 = Counters.l3_hits ctr and m0 = Counters.l3_misses ctr in
-            let lat =
-              Hierarchy.access hier ~core ~write:(kc = Trace.k_write)
-                ~fn:(Trace.raw_fn w) ~addr:(Trace.raw_payload w) ~now:!time
-            in
-            Attrib.mem_op at ~core ~elem:(Trace.raw_elem w) ~cycles:lat
-              ~l3_hit:(Counters.l3_hits ctr - h0)
-              ~l3_miss:(Counters.l3_misses ctr - m0)
-              ~in_window:!in_w;
-            time := !time + lat
-          end
-          else begin
-            let lat =
-              Hierarchy.access hier ~core ~write:(kc = Trace.k_write)
-                ~fn:(Trace.raw_fn w) ~addr:(Trace.raw_payload w) ~now:!time
-            in
-            time := !time + lat
-          end
+          let fn = Trace.raw_fn w in
+          let lat =
+            Hierarchy.access hier ~core ~write:(kc = Trace.k_write) ~fn
+              ~addr:(Trace.raw_payload w) ~now:!time
+          in
+          if prof then
+            Attrib.op at ~core ~fn ~instrs:1 ~cycles:lat ~in_window:!in_w;
+          time := !time + lat
         end
         else if kc = Trace.k_compute then begin
           let payload = Trace.raw_payload w in
           pend_instr := !pend_instr + payload;
           let dt = Costs.compute_cycles costs payload in
           if prof then
-            Attrib.compute_op at ~core ~elem:(Trace.raw_elem w)
-              ~instrs:payload ~cycles:dt ~in_window:!in_w;
+            Attrib.op at ~core ~fn:(Trace.raw_fn w) ~instrs:payload ~cycles:dt
+              ~in_window:!in_w;
           time := !time + dt
         end
         else if kc = Trace.k_stall then begin
           let dt = Trace.raw_payload w in
           if prof then
-            Attrib.stall_op at ~core ~elem:(Trace.raw_elem w) ~cycles:dt
+            Attrib.op at ~core ~fn:(Trace.raw_fn w) ~instrs:0 ~cycles:dt
               ~in_window:!in_w;
           time := !time + dt
         end
@@ -352,7 +337,7 @@ let run ?probe ?attrib ?(batch = 32) hier ~flows ~warmup_cycles
                   (!time - st.pkt_start)
             end
           end;
-          (* The per-element latency commit uses the same gate as the
+          (* The per-tag latency commit uses the same gate as the
              window latency record above, read before the snapshot runs. *)
           if prof then
             Attrib.finish_trace at ~core
@@ -462,7 +447,7 @@ let run ?probe ?attrib ?(batch = 32) hier ~flows ~warmup_cycles
          let packets = st.end_packets - st.warm_packets in
          if prof then
            Attrib.set_window at ~core:st.core ~start:st.warm_time
-             ~cycles:(st.end_time - st.warm_time);
+             ~cycles:(st.end_time - st.warm_time) ~counters:ctr;
          {
            core = st.flow.core;
            label = st.flow.label;

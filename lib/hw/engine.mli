@@ -92,13 +92,16 @@ val run :
     measurement window is additionally delivered as contiguous time slices
     through [probe.on_sample]; sampling does not perturb the simulation.
 
-    When [attrib] is given, every replayed op's cycles, instructions and L3
-    hits/misses are attributed to its {!Trace.elem} element id in the given
+    When [attrib] is given, every replayed op's cycles and instructions
+    are attributed to its function tag ({!Trace.raw_fn}) in the given
     accumulators (window-gated with the exact counter-snapshot boundary
-    semantics), and each in-window packet's per-element time is recorded
-    into the per-(core, element) latency histograms. Attribution reads the
-    simulation but never perturbs it: results are byte-identical with and
-    without [attrib], and without it the op path pays a single hoisted
+    semantics), each in-window packet's per-tag time is recorded into the
+    per-(core, tag) latency histograms, and each core's window counter
+    delta — whose per-tag L3 tallies are the profile's L3 columns — is
+    handed over when the window closes. Attribution reads the simulation
+    but never perturbs it: every op makes the same single
+    {!Hierarchy.access} call either way, results are byte-identical with
+    and without [attrib], and without it the op path pays a single hoisted
     branch (still allocation-free — the [alloc] test suite pins both).
 
     [batch] (default 32; must be >= 1) caps how many trace operations the

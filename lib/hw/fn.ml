@@ -1,11 +1,23 @@
 type t = int
 
 let max_tags = 64
+let names = Array.make max_tags "?"
+let tags : (string, int) Hashtbl.t = Hashtbl.create 32
+let lock = Mutex.create ()
 
-let table =
-  Name_table.create ~capacity:max_tags ~full:"Fn.register: tag registry full"
+let register name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt tags name with
+      | Some tag -> tag
+      | None ->
+          let tag = Hashtbl.length tags in
+          if tag >= max_tags then failwith "Fn.register: tag registry full";
+          names.(tag) <- name;
+          Hashtbl.add tags name tag;
+          tag)
 
-let register name = Name_table.register table name
-let name tag = Name_table.name table tag
-let count () = Name_table.count table
+(* Reads without the lock: a tag's slot is written before [register]
+   returns it. *)
+let name tag = if tag >= 0 && tag < max_tags then names.(tag) else "?"
+let count () = Mutex.protect lock (fun () -> Hashtbl.length tags)
 let none = register "-"

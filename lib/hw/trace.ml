@@ -9,12 +9,9 @@ let make_trace ops len = { ops; len }
 
 let kind_bits = 3
 let fn_bits = 6
-let elem_bits = 7
-let elem_shift = kind_bits + fn_bits
-let payload_shift = elem_shift + elem_bits
+let payload_shift = kind_bits + fn_bits
 let kind_mask = (1 lsl kind_bits) - 1
 let fn_mask = (1 lsl fn_bits) - 1
-let elem_mask = (1 lsl elem_bits) - 1
 let max_payload = (1 lsl (62 - payload_shift)) - 1
 
 let encode k fn payload =
@@ -32,7 +29,6 @@ let kind_of_int = function
 let length t = t.len
 let kind t i = kind_of_int (t.ops.(i) land kind_mask)
 let fn t i = (t.ops.(i) lsr kind_bits) land fn_mask
-let elem t i = (t.ops.(i) lsr elem_shift) land elem_mask
 let payload t i = t.ops.(i) lsr payload_shift
 
 (* Raw decode surface for the engine's hot replay loop: one array load per
@@ -46,7 +42,6 @@ let k_dma = 4
 let[@inline] raw t i = Array.unsafe_get t.ops i
 let[@inline] raw_kind w = w land kind_mask
 let[@inline] raw_fn w = (w lsr kind_bits) land fn_mask
-let[@inline] raw_elem w = (w lsr elem_shift) land elem_mask
 let[@inline] raw_payload w = w lsr payload_shift
 
 (* The whole packed vector, decoded in one step: the engine's burst loop
@@ -87,7 +82,6 @@ module Builder = struct
   type t = {
     mutable ops : int array;
     mutable len : int;
-    mutable cur_elem : int;  (* element id stamped into every pushed op *)
     viewed : trace;  (* pooled record refreshed and returned by [view] *)
   }
 
@@ -95,15 +89,10 @@ module Builder = struct
     {
       ops = Array.make (Int.max 16 initial_capacity) 0;
       len = 0;
-      cur_elem = 0;
       viewed = make_trace [||] 0;
     }
 
-  let clear b =
-    b.len <- 0;
-    b.cur_elem <- 0
-
-  let set_elem b e = b.cur_elem <- e land elem_mask
+  let clear b = b.len <- 0
 
   let push b v =
     if b.len = Array.length b.ops then begin
@@ -111,7 +100,7 @@ module Builder = struct
       Array.blit b.ops 0 bigger 0 b.len;
       b.ops <- bigger
     end;
-    b.ops.(b.len) <- v lor (b.cur_elem lsl elem_shift);
+    b.ops.(b.len) <- v;
     b.len <- b.len + 1
 
   let compute b ~fn n = if n > 0 then push b (encode 0 fn n)

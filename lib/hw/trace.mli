@@ -6,9 +6,11 @@
     replays traces from co-scheduled cores interleaved in simulated time,
     which is what creates cache and memory-controller contention.
 
-    Each op packs into one int: 3 bits of kind, 6 bits of function tag,
-    7 bits of element id, and 46 bits of payload (an address for memory
-    ops, an instruction count for compute, cycles for stalls). *)
+    Each op packs into one int: 3 bits of kind, 6 bits of function tag
+    ({!Fn}) and 53 bits of payload (an address for memory ops, an
+    instruction count for compute, cycles for stalls). The tag is the one
+    attribution key: the counters tally L3 behaviour by it, and the
+    profiler ({!Attrib}) cycles, instructions and latency. *)
 
 type op_kind = Compute | Read | Write | Stall | Dma
 
@@ -18,11 +20,6 @@ type t
 val length : t -> int
 val kind : t -> int -> op_kind
 val fn : t -> int -> Fn.t
-
-val elem : t -> int -> Eid.t
-(** Element id stamped on op [i] ({!Eid.other} when the builder had no
-    element in scope). *)
-
 val payload : t -> int -> int
 
 val iter : t -> (op_kind -> Fn.t -> int -> unit) -> unit
@@ -49,10 +46,8 @@ val raw_kind : int -> int
 (** Kind code of a packed word: one of [k_compute]..[k_dma]. *)
 
 val raw_fn : int -> Fn.t
-
-val raw_elem : int -> Eid.t
-(** Element id of a packed word — what the profiling engine attributes the
-    op's cycles and cache events to. *)
+(** Function tag of a packed word — what the counters and the profiling
+    engine attribute the op to. *)
 
 val raw_payload : int -> int
 
@@ -76,13 +71,6 @@ module Builder : sig
   val create : ?initial_capacity:int -> unit -> t
 
   val clear : t -> unit
-  (** Empties the builder and resets the element scope to {!Eid.other}. *)
-
-  val set_elem : t -> Eid.t -> unit
-  (** [set_elem b e] stamps element [e] on every subsequently pushed op,
-      until the next [set_elem] or [clear]. Element chains call this as
-      control moves between elements, so a finished trace carries the
-      packet's element path op by op. *)
 
   val compute : t -> fn:Fn.t -> int -> unit
   (** [compute b ~fn n] records [n] instructions of pure compute. [n <= 0] is

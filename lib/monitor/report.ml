@@ -63,32 +63,31 @@ let verdict det (p : Detector.flow_profile) =
 let verdicts det =
   List.map (fun p -> (p, verdict det p)) (Detector.profiles det)
 
+(* The per-kind fields of an event, shared by the alerts JSON and the
+   telemetry events. *)
+let event_detail (e : Detector.event) =
+  match e.Detector.e_kind with
+  | Detector.Flow_degraded { measured_drop; predicted_drop } ->
+      [
+        ("measured_drop", Json.Float measured_drop);
+        ("predicted_drop", Json.Float predicted_drop);
+      ]
+  | Detector.Hidden_aggressor { measured_refs_per_sec; profiled_refs_per_sec }
+    ->
+      [
+        ("measured_l3_refs_per_sec", Json.Float measured_refs_per_sec);
+        ("profiled_l3_refs_per_sec", Json.Float profiled_refs_per_sec);
+      ]
+  | Detector.Recovered { condition } -> [ ("condition", Json.Str condition) ]
+
 let event_json (e : Detector.event) =
-  let common =
-    [
-      ("epoch", Json.Int e.Detector.e_epoch);
-      ("t_cycles", Json.Int e.Detector.e_t_cycles);
-      ("flow", Json.Str e.Detector.e_flow);
-      ("core", Json.Int e.Detector.e_core);
-      ("kind", Json.Str (Detector.kind_name e.Detector.e_kind));
-    ]
-  in
-  let detail =
-    match e.Detector.e_kind with
-    | Detector.Flow_degraded { measured_drop; predicted_drop } ->
-        [
-          ("measured_drop", Json.Float measured_drop);
-          ("predicted_drop", Json.Float predicted_drop);
-        ]
-    | Detector.Hidden_aggressor { measured_refs_per_sec; profiled_refs_per_sec }
-      ->
-        [
-          ("measured_l3_refs_per_sec", Json.Float measured_refs_per_sec);
-          ("profiled_l3_refs_per_sec", Json.Float profiled_refs_per_sec);
-        ]
-    | Detector.Recovered { condition } -> [ ("condition", Json.Str condition) ]
-  in
-  Json.Obj (common @ detail)
+  Json.Obj
+    (("epoch", Json.Int e.Detector.e_epoch)
+    :: ("t_cycles", Json.Int e.Detector.e_t_cycles)
+    :: ("flow", Json.Str e.Detector.e_flow)
+    :: ("core", Json.Int e.Detector.e_core)
+    :: ("kind", Json.Str (Detector.kind_name e.Detector.e_kind))
+    :: event_detail e)
 
 let alerts_json det =
   let c = Detector.config det in
@@ -183,22 +182,6 @@ let verdict_table det =
 let to_telemetry_events ~cell det =
   List.map
     (fun (e : Detector.event) ->
-      let args =
-        match e.Detector.e_kind with
-        | Detector.Flow_degraded { measured_drop; predicted_drop } ->
-            [
-              ("measured_drop", Json.Float measured_drop);
-              ("predicted_drop", Json.Float predicted_drop);
-            ]
-        | Detector.Hidden_aggressor
-            { measured_refs_per_sec; profiled_refs_per_sec } ->
-            [
-              ("measured_l3_refs_per_sec", Json.Float measured_refs_per_sec);
-              ("profiled_l3_refs_per_sec", Json.Float profiled_refs_per_sec);
-            ]
-        | Detector.Recovered { condition } ->
-            [ ("condition", Json.Str condition) ]
-      in
       {
         Ppp_telemetry.Event.experiment = "";
         cell;
@@ -206,6 +189,6 @@ let to_telemetry_events ~cell det =
         core = e.Detector.e_core;
         flow = e.Detector.e_flow;
         name = "monitor." ^ Detector.kind_name e.Detector.e_kind;
-        args;
+        args = event_detail e;
       })
     (Detector.events det)

@@ -6,8 +6,8 @@
       one thread per simulated core, counter events ("C" phase) for L3
       hits+misses per second, packets per second and latency quantiles,
       plus thread-scoped instant events ("i" phase) for monitor alerts and
-      complete events ("X" phase) for per-element profile attribution
-      (each core's window laid out as one slice per element, spanning its
+      complete events ("X" phase) for per-function-tag profile attribution
+      (each core's window laid out as one slice per tag, spanning its
       attributed cycles). Timestamps are {e simulated cycles} (the viewer
       will label them as microseconds; 1 displayed us = 1 cycle).
     - {b Wall clock} (nondeterministic, optional): a single process of

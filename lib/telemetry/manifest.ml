@@ -32,7 +32,7 @@ let alerts_json events =
       ("by_name", Json.Obj by_name);
     ]
 
-(* Schema 5: the profile section summarizes per-element attribution when a
+(* Schema 5: the profile section summarizes per-tag attribution when a
    run was profiled (--profile). Always present like the other sections;
    an empty section (0 entries) is the valid shape for unprofiled runs. *)
 let profile_json (entries : Recorder.profile_entry list) =

@@ -31,8 +31,8 @@ val json :
     [data] is the experiment's structured result verbatim — what
     [repro run --json] prints under the same key), an [alerts] section
     summarizing monitor events (count + per-name breakdown), and a
-    [profile] section summarizing per-element attribution (totals +
-    per-element breakdown with worst-core latency percentiles). Both
+    [profile] section summarizing per-function-tag attribution (totals +
+    per-tag breakdown with worst-core latency percentiles). Both
     sections span experiments and are always emitted; with no data they
     are the empty-but-valid shapes ({["events": 0]}, {["entries": 0]}), so
     runs that exercise neither subsystem stay schema-conforming. *)

@@ -1,9 +1,9 @@
 (* Attribution profiles: Attrib accumulators -> recorder entries, folded
    flamegraph stacks, and the `top` hot-spot report.
 
-   Raw element ids are registration-order dependent across job counts
-   (Ppp_hw.Eid), so everything built here is keyed by element NAME and
-   sorted — the rendered exports are byte-identical for any --jobs. *)
+   Rows are function tags (Ppp_hw.Fn), keyed by tag NAME and sorted, so the
+   rendered exports never depend on tag numbering and are byte-identical
+   for any --jobs. *)
 
 open Ppp_hw
 
@@ -14,22 +14,22 @@ let entries ~cell ~flow attrib =
   let out = ref [] in
   for core = Attrib.cores attrib - 1 downto 0 do
     let pr_flow = flow ~core in
-    for elem = Eid.count () - 1 downto 0 do
-      let cycles = Attrib.cycles attrib ~core ~elem in
-      let lat = Attrib.latency attrib ~core ~elem in
-      (* An element appears if it retired window cycles or recorded packet
-         latency; untouched (core, elem) rows are skipped entirely. *)
+    for fn = Fn.count () - 1 downto 0 do
+      let cycles = Attrib.cycles attrib ~core ~fn in
+      let lat = Attrib.latency attrib ~core ~fn in
+      (* A tag appears if it retired window cycles or recorded packet
+         latency; untouched (core, fn) rows are skipped entirely. *)
       if cycles > 0 || lat <> None then
         out :=
           {
             Recorder.pr_cell = cell;
             pr_core = core;
             pr_flow;
-            pr_elem = Eid.name elem;
+            pr_elem = Fn.name fn;
             pr_cycles = cycles;
-            pr_instructions = Attrib.instructions attrib ~core ~elem;
-            pr_l3_hits = Attrib.l3_hits attrib ~core ~elem;
-            pr_l3_misses = Attrib.l3_misses attrib ~core ~elem;
+            pr_instructions = Attrib.instructions attrib ~core ~fn;
+            pr_l3_hits = Attrib.l3_hits attrib ~core ~fn;
+            pr_l3_misses = Attrib.l3_misses attrib ~core ~fn;
             pr_packets =
               (match lat with
               | None -> 0
@@ -54,7 +54,7 @@ let entries ~cell ~flow attrib =
 let record ~cell ~flow attrib =
   Recorder.add_profile (entries ~cell ~flow attrib)
 
-(* Folded flamegraph stacks: one "flow;element value" line per stack,
+(* Folded flamegraph stacks: one "flow;tag value" line per stack,
    aggregated over cores and cells, sorted lexicographically. Loadable by
    flamegraph.pl / inferno / speedscope as-is. *)
 let folded ~value entries =
@@ -142,7 +142,7 @@ let by_element entries =
     rows
 
 let window_cycles_total entries =
-  (* One window per (cell, core), however many elements it contains. *)
+  (* One window per (cell, core), however many tags it contains. *)
   List.map
     (fun (e : Recorder.profile_entry) ->
       (e.Recorder.pr_cell, e.Recorder.pr_core, e.Recorder.pr_window_cycles))

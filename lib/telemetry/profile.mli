@@ -2,25 +2,28 @@
     recorder entries and renders the profiler's user-facing exports — the
     folded flamegraph stacks and the [top]-style hot-spot report.
 
-    All exports are keyed by element {e name} and sorted: raw
-    {!Ppp_hw.Eid} ids depend on domain scheduling, so rendering by name is
-    what makes profile output byte-identical across [--jobs] settings. *)
+    Rows are function tags ({!Ppp_hw.Fn}): the same key the counters tally
+    L3 behaviour by, so a profile row and the Figure 7 breakdown name the
+    same code. The driver stages and most element classes issue one tag
+    each; FlowClassifier issues two, [flow_classify] for its fast path and
+    [classifier_upcall] for the slow path. All exports are keyed by tag
+    {e name} and sorted, so profile output is byte-identical across
+    [--jobs] settings. *)
 
 val entries :
   cell:string ->
   flow:(core:int -> string) ->
   Ppp_hw.Attrib.t ->
   Recorder.profile_entry list
-(** One entry per (core, element) pair with nonzero attribution. [flow]
-    labels the flow pinned to a core. Sorted by (cell, core, element
-    name). *)
+(** One entry per (core, tag) pair with nonzero attribution. [flow]
+    labels the flow pinned to a core. Sorted by (cell, core, tag name). *)
 
 val record :
   cell:string -> flow:(core:int -> string) -> Ppp_hw.Attrib.t -> unit
 (** [entries] pushed into the global {!Recorder}. *)
 
 val folded_cycles : Recorder.profile_entry list -> string
-(** Folded flamegraph stacks — one ["flow;element cycles"] line per stack,
+(** Folded flamegraph stacks — one ["flow;tag cycles"] line per stack,
     aggregated over cores and cells, lexicographically sorted. Loadable
     directly by flamegraph.pl / inferno / speedscope. *)
 
@@ -42,7 +45,7 @@ type element_total = {
 }
 
 val by_element : Recorder.profile_entry list -> element_total list
-(** Totals aggregated by element name over all cores and cells, sorted by
+(** Totals aggregated by tag name over all cores and cells, sorted by
     descending cycles then name. Latency percentiles are the maximum over
     the aggregated (cell, core) entries — the worst core's tail. *)
 
@@ -51,7 +54,7 @@ val window_cycles_total : Recorder.profile_entry list -> int
     the denominator for the report's "% of window" column. *)
 
 val top : ?k:int -> title:string -> Recorder.profile_entry list -> string
-(** The [top]-style report: the [k] (default 10) hottest elements by
+(** The [top]-style report: the [k] (default 10) hottest tags by
     window cycles — with window share, instructions, L3 refs, miss rate
     and latency tail — then the top [k] by L3 misses. Deterministic for a
     fixed seed regardless of job count. *)

@@ -22,13 +22,15 @@ type profile_entry = {
   pr_cell : string;  (** experiment cell label, e.g. "fig2/ip" *)
   pr_core : int;
   pr_flow : string;  (** label of the flow running on [pr_core] *)
-  pr_elem : string;  (** element name ({!Ppp_hw.Eid.name}) *)
-  pr_cycles : int;  (** cycles retired inside this element (window only) *)
+  pr_elem : string;
+      (** the row: a function tag's name ({!Ppp_hw.Fn.name}), one per
+          element class or driver stage *)
+  pr_cycles : int;  (** cycles retired under this tag (window only) *)
   pr_instructions : int;
   pr_l3_hits : int;
   pr_l3_misses : int;
   pr_packets : int;  (** packets whose latency was attributed here *)
-  pr_lat_p50 : int;  (** per-packet cycles spent in this element *)
+  pr_lat_p50 : int;  (** per-packet cycles spent under this tag *)
   pr_lat_p90 : int;
   pr_lat_p99 : int;
   pr_lat_p999 : int;
@@ -100,6 +102,5 @@ val add_profile : profile_entry list -> unit
 (** Thread-safe; always recorded (like {!record_experiment}). *)
 
 val profile : unit -> profile_entry list
-(** Sorted by (cell, core, elem). Element names are stable across job
-    counts (ids are registered globally by name), so this order — and the
-    entries themselves — are deterministic regardless of [--jobs]. *)
+(** Sorted by (cell, core, elem). Rows are tag names, so this order — and
+    the entries themselves — are deterministic regardless of [--jobs]. *)

@@ -127,7 +127,7 @@ let engine_window ?(attrib = false) kinds measure_cycles =
 (* The contended fig2 placement, IP against 5 MON on one socket, whose
    flows generate their traces without allocating. Engine.run then
    allocates a fixed window setup (result records, latency histograms, the
-   profiler's lazily created per-element histograms) and nothing per op,
+   profiler's lazily created per-tag histograms) and nothing per op,
    so quadrupling the measured window must not add a single byte, with the
    profiler off or on. *)
 let test_engine_window () =

@@ -57,8 +57,8 @@ let () =
       print_newline ()
   | [| _; "top"; id |] ->
       (* The `repro top <id>` hot-spot report: the experiment run under the
-         per-element profiler, rendered as the top-k table. Attribution is
-         simulated-clock only and the report is keyed by element name, so
+         per-tag profiler, rendered as the top-k table. Attribution is
+         simulated-clock only and the report is keyed by tag name, so
          the snapshot is stable across job counts. *)
       ignore
         (run ~params:(Ppp_core.Runner.Params.with_profile true golden_params)

@@ -1,15 +1,15 @@
-(* The per-element attribution profiler's contract, in three parts:
+(* The per-function-tag attribution profiler's contract, in three parts:
 
-   1. Conservation — for every core, the per-element sums of instructions /
+   1. Conservation — for every core, the per-tag sums of instructions /
       L3 hits / L3 misses equal the engine window's {!Counters.diff}, the
-      per-element cycles sum to [window_cycles], and the per-element
-      latency histograms' totals sum to the packet latency total. Exact,
-      for random flow sets, seeds and batch sizes.
+      per-tag cycles sum to [window_cycles], and the per-tag latency
+      histograms' totals sum to the packet latency total. Exact, for random
+      flow sets, seeds and batch sizes.
    2. Purity — attribution reads the simulation but never perturbs it:
       results with [?attrib] are identical to results without.
    3. Determinism — the user-facing exports (folded stacks, hot-spot
       report) are byte-identical under --jobs 4 --batch 32 and
-      --jobs 1 --batch 1, because everything is keyed by element name. *)
+      --jobs 1 --batch 1, because everything is keyed by tag name. *)
 
 open Ppp_hw
 
@@ -45,10 +45,10 @@ let run_attributed ?(reorder_every = 0) ~batch ~seed kind_ixs =
   in
   (attrib, results)
 
-let sum_elems at ~core read =
+let sum_tags at ~core read =
   let acc = ref 0 in
-  for elem = 0 to Eid.count () - 1 do
-    acc := !acc + read at ~core ~elem
+  for fn = 0 to Fn.count () - 1 do
+    acc := !acc + read at ~core ~fn
   done;
   !acc
 
@@ -59,26 +59,26 @@ let check_conservation name (at, results) =
       let ctx what = Printf.sprintf "%s: core %d %s" name core what in
       Alcotest.(check int) (ctx "instructions conserved")
         (Counters.instructions r.Engine.counters)
-        (sum_elems at ~core Attrib.instructions);
+        (sum_tags at ~core Attrib.instructions);
       Alcotest.(check int) (ctx "L3 hits conserved")
         (Counters.l3_hits r.Engine.counters)
-        (sum_elems at ~core Attrib.l3_hits);
+        (sum_tags at ~core Attrib.l3_hits);
       Alcotest.(check int) (ctx "L3 misses conserved")
         (Counters.l3_misses r.Engine.counters)
-        (sum_elems at ~core Attrib.l3_misses);
+        (sum_tags at ~core Attrib.l3_misses);
       Alcotest.(check int) (ctx "cycles sum to the window")
         r.Engine.window_cycles
-        (sum_elems at ~core Attrib.cycles);
-      (* Each in-window packet records its per-element time into each
-         touched element's histogram; summed over elements that must
-         reproduce the engine's packet latency total exactly. *)
+        (sum_tags at ~core Attrib.cycles);
+      (* Each in-window packet records its per-tag time into each touched
+         tag's histogram; summed over tags that must reproduce the engine's
+         packet latency total exactly. *)
       let lat_total = ref 0 in
-      for elem = 0 to Eid.count () - 1 do
-        match Attrib.latency at ~core ~elem with
+      for fn = 0 to Fn.count () - 1 do
+        match Attrib.latency at ~core ~fn with
         | Some h -> lat_total := !lat_total + Ppp_util.Histogram.total h
         | None -> ()
       done;
-      Alcotest.(check int) (ctx "per-element latency sums to packet latency")
+      Alcotest.(check int) (ctx "per-tag latency sums to packet latency")
         (Ppp_util.Histogram.total r.Engine.latency)
         !lat_total)
     results
@@ -101,14 +101,77 @@ let prop_conservation =
       List.for_all
         (fun (r : Engine.result) ->
           let core = r.Engine.core in
-          sum_elems at ~core Attrib.instructions
+          sum_tags at ~core Attrib.instructions
           = Counters.instructions r.Engine.counters
-          && sum_elems at ~core Attrib.l3_hits
+          && sum_tags at ~core Attrib.l3_hits
              = Counters.l3_hits r.Engine.counters
-          && sum_elems at ~core Attrib.l3_misses
+          && sum_tags at ~core Attrib.l3_misses
              = Counters.l3_misses r.Engine.counters
-          && sum_elems at ~core Attrib.cycles = r.Engine.window_cycles)
+          && sum_tags at ~core Attrib.cycles = r.Engine.window_cycles)
         results)
+
+(* One FlowClassifier element issues two tags, the fast path's and the
+   upcall's, so it profiles as two rows. A 16-entry table over 64 flows
+   keeps both paths busy inside the window. The L3 columns are the window
+   counters' per-tag tallies, for every tag. *)
+let test_fastpath_split () =
+  let open Ppp_classify in
+  let config = Machine.tiny in
+  let hier = Machine.build config in
+  let heap = Ppp_simmem.Heap.create ~node:0 in
+  let rng = Ppp_util.Rng.create ~seed:42 in
+  let rules = Rulegen.make ~rng:(Ppp_util.Rng.split rng) ~n:64 in
+  let fp =
+    Fastpath.create ~heap ~table_entries:16
+      ~backend:(List.hd Classifier.all) rules
+  in
+  let frng = Ppp_util.Rng.split rng in
+  let flowids =
+    Array.init 64 (fun i -> Rulegen.flowid_matching ~rng:frng rules.(i))
+  in
+  let source =
+    Ppp_traffic.Source.make
+      ~fill:(fun _ pkt ->
+        let f = flowids.(Ppp_util.Rng.int frng 64) in
+        Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:f.Ppp_net.Flowid.src
+          ~dst:f.Ppp_net.Flowid.dst ~sport:f.Ppp_net.Flowid.sport
+          ~dport:f.Ppp_net.Flowid.dport ~wire_len:64;
+        Ppp_traffic.Source.Filled)
+      ()
+  in
+  let flow =
+    Ppp_click.Flow.create ~heap ~rng ~label:"classifier" ~source
+      ~elements:[ Fastpath.element fp ] ()
+  in
+  let at = Attrib.create ~cores:(Topology.cores config.Machine.topology) in
+  let r =
+    match
+      Engine.run ~attrib:at hier
+        ~flows:
+          [ { Engine.core = 0; label = "classifier";
+              source = Ppp_click.Flow.source flow } ]
+        ~warmup_cycles:20_000 ~measure_cycles:60_000
+    with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "one flow, one result"
+  in
+  List.iter
+    (fun fn ->
+      Alcotest.(check bool)
+        (Fn.name fn ^ " accrues cycles") true
+        (Attrib.cycles at ~core:0 ~fn > 0))
+    [ Fastpath.fn_fast; Fastpath.fn_upcall ];
+  for fn = 0 to Fn.count () - 1 do
+    let what col = Printf.sprintf "%s %s = window counters" (Fn.name fn) col in
+    Alcotest.(check int) (what "L3 hits")
+      (Counters.fn_l3_hits r.Engine.counters fn)
+      (Attrib.l3_hits at ~core:0 ~fn);
+    Alcotest.(check int) (what "L3 misses")
+      (Counters.fn_l3_misses r.Engine.counters fn)
+      (Attrib.l3_misses at ~core:0 ~fn)
+  done;
+  Alcotest.(check int) "cycles sum to the window" r.Engine.window_cycles
+    (sum_tags at ~core:0 Attrib.cycles)
 
 (* Attribution must not perturb the simulation: with and without [?attrib],
    the engine's results are identical (the full fingerprint, histograms
@@ -171,8 +234,7 @@ let test_latency_partition () =
 
 (* The exports' determinism pin: fig2 profiled under --jobs 4 --batch 32
    renders the same folded stacks and hot-spot report as --jobs 1 --batch 1.
-   Element ids differ across runs (registration order depends on domain
-   scheduling); keying by name is what makes this hold. *)
+   Rows are keyed and sorted by tag name, never by tag number. *)
 let with_jobs n f =
   let prev = Ppp_core.Parallel.configured_jobs () in
   Ppp_core.Parallel.set_jobs n;
@@ -212,6 +274,8 @@ let tests =
     Alcotest.test_case "conservation on pinned workloads" `Quick
       test_conservation_pair;
     QCheck_alcotest.to_alcotest prop_conservation;
+    Alcotest.test_case "fast path and upcall profile as two tags" `Quick
+      test_fastpath_split;
     Alcotest.test_case "attribution is pure observation" `Quick
       test_attrib_pure;
     Alcotest.test_case "latency partitions in-order/reordered" `Quick

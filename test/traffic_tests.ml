@@ -164,8 +164,10 @@ let prop_onoff_duty_cycle =
       let base = Source.make ~fill:(fun _ _ -> Source.Filled) () in
       let src = Onoff.source oo ~rng ~base () in
       let p = Ppp_net.Packet.create 128 in
-      (* Enough packets for ~500 ON/OFF cycles regardless of the means. *)
-      let n = 500 * (mean_on + mean_off) in
+      (* Enough packets for ~2,000 ON/OFF cycles regardless of the means:
+         one 500-cycle run's duty cycle has a standard deviation of up to
+         0.016, which put 0.05 only 3–4σ out; 2,000 cycles halve it. *)
+      let n = 2000 * (mean_on + mean_off) in
       for _ = 1 to n do
         ignore (Source.fill src p)
       done;
