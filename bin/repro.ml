@@ -223,12 +223,11 @@ let list_main () =
 
 (* --- run / all --- *)
 
-let find_experiment id =
+let find_experiment cli id =
   match Ppp_experiments.Registry.find id with
   | Some e -> e
   | None ->
-      Printf.eprintf "unknown experiment %S (try `repro list`)\n" id;
-      exit 1
+      Cli.die cli (Printf.sprintf "unknown experiment %S (try `repro list`)" id)
 
 let run_experiment ~verbose params (e : Ppp_experiments.Registry.t) =
   let id = e.Ppp_experiments.Registry.id in
@@ -295,7 +294,7 @@ let run_all_main ~all () =
   in
   let ids = positional cli (Cli.parse cli ~start:2 Sys.argv) in
   let params = params () and telemetry = telemetry () in
-  let experiments = List.map find_experiment ids in
+  let experiments = List.map (find_experiment cli) ids in
   setup_telemetry params telemetry;
   if !json then print_json params ~verbose:telemetry.verbose experiments
   else
@@ -324,7 +323,7 @@ let top_main () =
   let params = params () in
   if !k < 1 then Cli.die cli "--top must be >= 1";
   let params = Ppp_core.Runner.Params.with_profile true params in
-  let experiments = List.map find_experiment ids in
+  let experiments = List.map (find_experiment cli) ids in
   List.iter
     (fun (e : Ppp_experiments.Registry.t) ->
       (* One report per experiment: the profile accumulates per cell, so
@@ -340,15 +339,16 @@ let top_main () =
 
 (* --- mix / predict / capture --- *)
 
-let parse_kinds names =
+let parse_kinds cli names =
   List.map
     (fun n ->
       match Ppp_apps.App.of_name n with
       | Some k -> k
       | None ->
-          Printf.eprintf
-            "unknown flow type %S (IP MON FW RE VPN SYN_MAX SYN:<r>:<i>)\n" n;
-          exit 1)
+          Cli.die cli
+            (Printf.sprintf
+               "unknown flow type %S (IP MON FW RE VPN DPI SYN_MAX SYN:<r>:<i>)"
+               n))
     names
 
 (* mix and monitor place one flow per core, from core 0 up, each with its
@@ -387,7 +387,7 @@ let mix_main () =
   let params = params () and telemetry = telemetry () in
   check_flows_fit cli params names;
   setup_telemetry params telemetry;
-  let kinds = parse_kinds names in
+  let kinds = parse_kinds cli names in
   let specs = local_specs params kinds in
   let solos =
     List.map
@@ -447,8 +447,8 @@ let predict_main () =
     | _ -> Cli.die cli "expected a target flow and at least one competitor"
   in
   let params = params () in
-  let t = List.hd (parse_kinds [ target ]) in
-  let cs = parse_kinds competitors in
+  let t = List.hd (parse_kinds cli [ target ]) in
+  let cs = parse_kinds cli competitors in
   let targets = List.sort_uniq compare (t :: cs) in
   Printf.printf "profiling %d flow types offline...\n%!" (List.length targets);
   let p = Ppp_core.Predictor.build ~params ~targets () in
@@ -483,7 +483,7 @@ let capture_main () =
     | _ -> Cli.die cli "expected exactly one flow type"
   in
   let params = params () in
-  let kind = List.hd (parse_kinds [ name ]) in
+  let kind = List.hd (parse_kinds cli [ name ]) in
   check_output_file !out;
   let heap = Ppp_simmem.Heap.create ~node:0 in
   let rng = Ppp_util.Rng.create ~seed:params.Ppp_core.Runner.seed in
@@ -512,29 +512,6 @@ let float_arg cli r ~name =
   match float_of_string_opt !r with
   | Some v -> v
   | None -> Cli.die cli (Printf.sprintf "%s expects a number, got %S" name !r)
-
-let print_monitor_events det =
-  List.iter
-    (fun (e : Ppp_monitor.Detector.event) ->
-      let detail =
-        match e.Ppp_monitor.Detector.e_kind with
-        | Ppp_monitor.Detector.Flow_degraded { measured_drop; predicted_drop }
-          ->
-            Printf.sprintf "measured drop %.1f%% vs predicted %.1f%%"
-              (100.0 *. measured_drop) (100.0 *. predicted_drop)
-        | Ppp_monitor.Detector.Hidden_aggressor
-            { measured_refs_per_sec; profiled_refs_per_sec } ->
-            Printf.sprintf "%.1fM L3 refs/s vs %.1fM profiled"
-              (measured_refs_per_sec /. 1e6)
-              (profiled_refs_per_sec /. 1e6)
-        | Ppp_monitor.Detector.Recovered { condition } -> condition ^ " cleared"
-      in
-      Printf.printf "  epoch %3d @ %d cy  %-10s core %d  %-17s %s\n"
-        e.Ppp_monitor.Detector.e_epoch e.Ppp_monitor.Detector.e_t_cycles
-        e.Ppp_monitor.Detector.e_flow e.Ppp_monitor.Detector.e_core
-        (Ppp_monitor.Detector.kind_name e.Ppp_monitor.Detector.e_kind)
-        detail)
-    (Ppp_monitor.Detector.events det)
 
 let monitor_main () =
   let cli =
@@ -590,16 +567,13 @@ let monitor_main () =
   check_flows_fit cli params names;
   Option.iter Ppp_telemetry.Export.ensure_dir !monitor_out;
   setup_telemetry params telemetry;
-  let kinds = parse_kinds names in
+  let kinds = parse_kinds cli names in
   let specs = local_specs params kinds in
   let uniq = List.sort_uniq compare kinds in
   Printf.printf "profiling %d flow types offline...\n%!" (List.length uniq);
   let predictor =
     Ppp_core.Predictor.build ~params
       ~levels:Ppp_experiments.Monitor_exp.default_levels ~targets:uniq ()
-  in
-  let solos =
-    List.map (fun k -> (k, Ppp_core.Solo_profile.solo ~params k)) uniq
   in
   let det_config =
     {
@@ -614,90 +588,50 @@ let monitor_main () =
   let profiles =
     List.mapi
       (fun i kind ->
-        Ppp_monitor.Detector.profile_of ~predictor ~core:i
-          (List.assoc kind solos))
+        Ppp_monitor.Detector.profile ~label:(Ppp_apps.App.name kind) ~core:i
+          ~predict_drop:
+            (Ppp_core.Predictor.predict_drop_at predictor ~target:kind)
+          (Ppp_core.Predictor.solo predictor kind))
       kinds
-  in
-  let freq_hz =
-    params.Ppp_core.Runner.config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz
   in
   (* [budgets] throttles the listed cores to their L3 refs/sec budget. *)
   let monitored_run ~cell ~budgets =
-    let det =
-      Ppp_monitor.Detector.create ~config:det_config ~freq_hz profiles
-    in
-    let throttle hier (f : Ppp_hw.Engine.flow) =
-      match List.assoc_opt f.Ppp_hw.Engine.core budgets with
-      | Some budget ->
-          {
-            f with
-            Ppp_hw.Engine.source =
-              Ppp_core.Throttle.l3_budget_source
-                ~budget_l3_refs_per_sec:budget ~hier ~core:f.Ppp_hw.Engine.core
-                ~freq_hz f.Ppp_hw.Engine.source;
-          }
-      | None -> f
-    in
     let params = Ppp_core.Runner.Params.with_cell cell params in
-    let (_ : Ppp_hw.Engine.result list), () =
-      Ppp_core.Runner.run_with ~params ~probe:(Ppp_monitor.Detector.probe det)
-        (fun hier ~heaps ~rng ->
-          ( List.map (throttle hier)
-              (Ppp_core.Runner.spec_flows ~params specs hier ~heaps ~rng),
-            () ))
+    let (_ : Ppp_hw.Engine.result list), (), det =
+      Ppp_monitor.Report.monitored_run ~params ~config:det_config ~budgets
+        profiles (fun hier ~heaps ~rng ->
+          (Ppp_core.Runner.spec_flows ~params specs hier ~heaps ~rng, ()))
     in
-    Ppp_monitor.Detector.finalize det;
-    if Ppp_telemetry.Recorder.sampling () <> None then
-      Ppp_telemetry.Recorder.add_events
-        (Ppp_monitor.Report.to_telemetry_events ~cell det);
+    Ppp_util.Table.print (Ppp_monitor.Report.verdict_table det);
+    print_string (Ppp_monitor.Report.events_text det);
     det
   in
+  let write_monitor_dir dir det =
+    Ppp_telemetry.Export.write_monitor_dir ~dir
+      ~alerts:(Ppp_monitor.Report.alerts_json det)
+      ~timeline_csv:(Ppp_monitor.Report.timeline_csv det);
+    Printf.eprintf "wrote alerts.json, monitor.csv to %s/\n%!" dir
+  in
   let det = monitored_run ~cell:"monitor" ~budgets:[] in
-  Ppp_util.Table.print (Ppp_monitor.Report.verdict_table det);
-  print_monitor_events det;
-  (match !monitor_out with
-  | Some dir ->
-      Ppp_telemetry.Export.write_monitor_dir ~dir
-        ~alerts:(Ppp_monitor.Report.alerts_json det)
-        ~timeline_csv:(Ppp_monitor.Report.timeline_csv det);
-      Printf.eprintf "wrote alerts.json, monitor.csv to %s/\n%!" dir
-  | None -> ());
+  Option.iter (fun dir -> write_monitor_dir dir det) !monitor_out;
   (if !closed_loop then
-     match Ppp_monitor.Detector.recommendations det with
+     match Ppp_monitor.Detector.budgets det with
      | [] ->
          Printf.printf
            "\nclosed loop: no throttle recommendations; nothing to apply\n"
-     | recs ->
-         (* First recommendation per core wins: it is the budget the alert
-            asked for at detection time. *)
-         let budgets =
-           List.fold_left
-             (fun acc (r : Ppp_monitor.Detector.recommendation) ->
-               if List.mem_assoc r.Ppp_monitor.Detector.r_core acc then acc
-               else
-                 (r.Ppp_monitor.Detector.r_core,
-                  r.Ppp_monitor.Detector.r_budget_l3_refs_per_sec)
-                 :: acc)
-             [] recs
-         in
+     | budgets ->
          Printf.printf "\nclosed loop: throttling %s\n%!"
            (String.concat ", "
               (List.map
                  (fun (core, budget) ->
                    Printf.sprintf "core %d to %.1fM L3 refs/s" core
                      (budget /. 1e6))
-                 (List.rev budgets)));
-         let det2 = monitored_run ~cell:"monitor/closed-loop" ~budgets in
-         Ppp_util.Table.print (Ppp_monitor.Report.verdict_table det2);
-         print_monitor_events det2;
-         (match !monitor_out with
-         | Some dir ->
-             let dir = Filename.concat dir "closed_loop" in
-             Ppp_telemetry.Export.write_monitor_dir ~dir
-               ~alerts:(Ppp_monitor.Report.alerts_json det2)
-               ~timeline_csv:(Ppp_monitor.Report.timeline_csv det2);
-             Printf.eprintf "wrote alerts.json, monitor.csv to %s/\n%!" dir
-         | None -> ()));
+                 budgets));
+         let det = monitored_run ~cell:"monitor/closed-loop" ~budgets in
+         Option.iter
+           (fun dir ->
+             write_monitor_dir (Filename.concat dir "closed_loop") det)
+           !monitor_out);
   finish_telemetry params telemetry
 
 (* --- dispatch --- *)

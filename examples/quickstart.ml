@@ -58,8 +58,7 @@ let () =
 
   (* 4. Wrap everything into a flow on core 0 and run it to steady state. *)
   let flow =
-    Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng) ~label:"demo"
-      ~source ~elements ()
+    Ppp_click.Flow.create ~heap ~label:"demo" ~source ~elements ()
   in
   let results =
     Ppp_hw.Engine.run hier

@@ -38,7 +38,7 @@ let () =
   let heap = Ppp_simmem.Heap.create ~node:0 in
   let flow_built = Ppp_apps.App.build Ppp_apps.App.MON ~heap ~rng ~scale in
   let flow =
-    Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng) ~label:"replay"
+    Ppp_click.Flow.create ~heap ~label:"replay"
       ~source:(Ppp_traffic.Pcap.replay replayed)
       ~elements:flow_built.Ppp_apps.App.elements ()
   in

@@ -235,8 +235,7 @@ let build kind ~heap ~rng ~scale =
 let flow kind ~heap ~rng ~scale ?label () =
   let b = build kind ~heap ~rng ~scale in
   let label = match label with Some l -> l | None -> name kind in
-  Flow.create ~heap ~rng:(Rng.split rng) ~label ~source:b.source
-    ~elements:b.elements ()
+  Flow.create ~heap ~label ~source:b.source ~elements:b.elements ()
 
 let registered = ref false
 

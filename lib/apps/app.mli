@@ -38,7 +38,8 @@ val realistic : kind list
 
 val name : kind -> string
 val of_name : string -> kind option
-(** Recognizes "IP" "MON" "FW" "RE" "VPN" "SYN_MAX" and "SYN:<reads>:<instrs>". *)
+(** Recognizes "IP" "MON" "FW" "RE" "VPN" "DPI" "SYN_MAX" and
+    "SYN:<reads>:<instrs>". *)
 
 type built = {
   elements : Ppp_click.Element.t list;
@@ -56,6 +57,21 @@ val ip_substrate : heap:Ppp_simmem.Heap.t -> scale:int -> Route_pool.substrate
 (** The forwarding substrate every realistic flow at [scale] runs over (see
     {!Route_pool.shared}): its route pool, trie and next-hop table, placed
     on [heap]. *)
+
+val tuple_source :
+  rng:Ppp_util.Rng.t ->
+  pool:Route_pool.t ->
+  flows:int ->
+  wire:int ->
+  payload:(Ppp_net.Packet.t -> unit) ->
+  Ppp_traffic.Source.t
+(** The realistic apps' traffic: each packet is one of [flows] flows, drawn
+    uniformly from [rng], with a stable 5-tuple per flow routed through
+    [pool], [wire] bytes on the wire, its payload written by [payload], and
+    per-flow sequence numbers. *)
+
+val no_payload : Ppp_net.Packet.t -> unit
+(** The [payload] of a flow whose payload bytes are never read. *)
 
 val flow :
   kind ->

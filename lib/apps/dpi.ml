@@ -14,18 +14,14 @@ type t = {
   mutable matches_seen : int;
 }
 
-let create ~heap ?max_states patterns =
+let create ~heap patterns =
   if patterns = [] then invalid_arg "Dpi.create: no patterns";
   if List.length patterns > 62 then invalid_arg "Dpi.create: too many patterns";
   List.iter
     (fun p -> if p = "" then invalid_arg "Dpi.create: empty pattern")
     patterns;
   let pats = Array.of_list patterns in
-  let cap =
-    match max_states with
-    | Some m -> m
-    | None -> Array.fold_left (fun acc p -> acc + String.length p) 1 pats
-  in
+  let cap = Array.fold_left (fun acc p -> acc + String.length p) 1 pats in
   (* Build goto/fail/output with plain arrays first. *)
   let goto = Array.make_matrix cap 256 (-1) in
   let fail = Array.make cap 0 in
@@ -116,19 +112,19 @@ let scan_quiet t b ~pos ~len = scan_gen t Iarray.peek Iarray.peek b ~pos ~len
 let matches_seen t = t.matches_seen
 
 let element ?(drop_on_match = true) t =
-  Ppp_click.Element.make ~kind:"DPI" (fun ctx pkt ->
-      let pos = Ppp_net.Transport.payload_offset pkt in
-      let len = pkt.Ppp_net.Packet.len - pos in
-      if len <= 0 then Ppp_click.Element.Forward
-      else begin
-        Ppp_click.Ctx.touch_packet ctx pkt ~fn:fn_dpi ~write:false ~pos ~len;
-        (* One compare/advance per byte. *)
-        Ppp_click.Ctx.compute ctx ~fn:fn_dpi (2 * len);
-        let matches =
-          scan t ctx.Ppp_click.Ctx.builder ~fn:fn_dpi pkt.Ppp_net.Packet.data
-            ~pos ~len
-        in
-        t.matches_seen <- t.matches_seen + List.length matches;
-        if matches <> [] && drop_on_match then Ppp_click.Element.Drop
-        else Ppp_click.Element.Forward
-      end)
+  (fun ctx pkt ->
+    let pos = Ppp_net.Transport.payload_offset pkt in
+    let len = pkt.Ppp_net.Packet.len - pos in
+    if len <= 0 then Ppp_click.Element.Forward
+    else begin
+      Ppp_click.Ctx.touch_packet ctx pkt ~fn:fn_dpi ~write:false ~pos ~len;
+      (* One compare/advance per byte. *)
+      Ppp_click.Ctx.compute ctx ~fn:fn_dpi (2 * len);
+      let matches =
+        scan t ctx.Ppp_click.Ctx.builder ~fn:fn_dpi pkt.Ppp_net.Packet.data
+          ~pos ~len
+      in
+      t.matches_seen <- t.matches_seen + List.length matches;
+      if matches <> [] && drop_on_match then Ppp_click.Element.Drop
+      else Ppp_click.Element.Forward
+    end)

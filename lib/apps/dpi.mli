@@ -9,10 +9,10 @@
 
 type t
 
-val create : heap:Ppp_simmem.Heap.t -> ?max_states:int -> string list -> t
+val create : heap:Ppp_simmem.Heap.t -> string list -> t
 (** Builds the automaton for the given patterns (non-empty, at most 62 —
-    match sets are bitmasks). [max_states] defaults to the sum of pattern
-    lengths + 1. Raises [Invalid_argument] on empty patterns or too many. *)
+    match sets are bitmasks), with room for the sum of pattern lengths + 1
+    states. Raises [Invalid_argument] on empty patterns or too many. *)
 
 val patterns : t -> string list
 val states : t -> int

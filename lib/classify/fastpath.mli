@@ -13,13 +13,12 @@ val create :
   heap:Ppp_simmem.Heap.t ->
   ?table_entries:int ->
   ?probe_limit:int ->
-  ?upcall_cost:int ->
   backend:Classifier.kind ->
   Rule.t array ->
   t
-(** [upcall_cost] is the instruction charge of the fast-path-to-slow-path
-    transition itself (context switch, queueing), default 400 — the
-    classifier search adds its own references on top. *)
+(** Every miss charges the upcall's 400 instructions for the
+    fast-path-to-slow-path transition itself (context switch, queueing);
+    the classifier search adds its own references on top. *)
 
 val element : t -> Ppp_click.Element.t
 (** Forward with the action written into the packet's first byte, or Drop

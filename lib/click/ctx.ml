@@ -1,6 +1,6 @@
-type t = { builder : Ppp_hw.Trace.Builder.t; rng : Ppp_util.Rng.t }
+type t = { builder : Ppp_hw.Trace.Builder.t }
 
-let create ~rng = { builder = Ppp_hw.Trace.Builder.create (); rng }
+let create () = { builder = Ppp_hw.Trace.Builder.create () }
 let compute t ~fn n = Ppp_hw.Trace.Builder.compute t.builder ~fn n
 let read t ~fn addr = Ppp_hw.Trace.Builder.read t.builder ~fn addr
 let write t ~fn addr = Ppp_hw.Trace.Builder.write t.builder ~fn addr

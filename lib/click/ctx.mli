@@ -1,14 +1,12 @@
 (** Per-packet processing context handed to every element.
 
-    Bundles the trace builder collecting this packet's operations with the
-    flow's private RNG (for elements with randomized behaviour). *)
+    Holds the trace builder collecting this packet's operations. An element
+    with randomized behaviour owns its generator, split from the flow's
+    stream when the element is built. *)
 
-type t = {
-  builder : Ppp_hw.Trace.Builder.t;
-  rng : Ppp_util.Rng.t;
-}
+type t = { builder : Ppp_hw.Trace.Builder.t }
 
-val create : rng:Ppp_util.Rng.t -> t
+val create : unit -> t
 
 val compute : t -> fn:Ppp_hw.Fn.t -> int -> unit
 (** Charge [n] instructions of pure compute to [fn]. *)

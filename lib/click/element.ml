@@ -1,16 +1,11 @@
 type verdict = Forward | Drop
 
-type t = {
-  kind : string;
-  process : Ctx.t -> Ppp_net.Packet.t -> verdict;
-}
-
-let make ~kind process = { kind; process }
+type t = Ctx.t -> Ppp_net.Packet.t -> verdict
 
 let rec process_all elements ctx pkt =
   match elements with
   | [] -> Forward
   | e :: rest -> (
-      match e.process ctx pkt with
+      match e ctx pkt with
       | Forward -> process_all rest ctx pkt
       | Drop -> Drop)

@@ -8,16 +8,12 @@
 
 type verdict = Forward | Drop
 
-type t = {
-  kind : string;  (** the element class name, e.g. "RadixIPLookup" *)
-  process : Ctx.t -> Ppp_net.Packet.t -> verdict;
-}
-(** An element's traced operations carry the function tags ({!Ppp_hw.Fn})
-    its class registered, so counters and profiles attribute its work by
-    tag; instances of one class share their tags across flows, the way the
-    paper's per-function Oprofile breakdown aggregates. *)
-
-val make : kind:string -> (Ctx.t -> Ppp_net.Packet.t -> verdict) -> t
+type t = Ctx.t -> Ppp_net.Packet.t -> verdict
+(** An element is its processing function. Its traced operations carry the
+    function tags ({!Ppp_hw.Fn}) its class registered, so counters and
+    profiles attribute its work by tag; instances of one class share their
+    tags across flows, the way the paper's per-function Oprofile breakdown
+    aggregates. *)
 
 val process_all : t list -> Ctx.t -> Ppp_net.Packet.t -> verdict
 (** Push the packet through the chain; stops at the first [Drop]. *)

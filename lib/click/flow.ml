@@ -53,9 +53,9 @@ type t = {
          latency into the reordered histogram column. *)
 }
 
-let create ~heap ~rng ~label ~source ~elements ?(rx_slots = 64) () =
+let create ~heap ~label ~source ~elements ?(rx_slots = 64) () =
   if rx_slots <= 0 then invalid_arg "Flow.create: rx_slots must be positive";
-  let ctx = Ctx.create ~rng in
+  let ctx = Ctx.create () in
   {
     label;
     src = source;

@@ -20,7 +20,6 @@ type t
 
 val create :
   heap:Ppp_simmem.Heap.t ->
-  rng:Ppp_util.Rng.t ->
   label:string ->
   source:Ppp_traffic.Source.t ->
   elements:Element.t list ->

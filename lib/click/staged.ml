@@ -27,7 +27,7 @@ type t = {
 let stall_cycles = 120
 let header_bytes = 54
 
-let create ~heap ~rng ~source ~stages ?(queue_slots = 32) () =
+let create ~heap ~source ~stages ?(queue_slots = 32) () =
   let n = List.length stages in
   if n < 2 then invalid_arg "Staged.create: need at least two stages";
   if queue_slots <= 0 then invalid_arg "Staged.create: queue_slots";
@@ -46,8 +46,7 @@ let create ~heap ~rng ~source ~stages ?(queue_slots = 32) () =
   let stages =
     Array.of_list
       (List.mapi
-         (fun index elements ->
-           { elements; ctx = Ctx.create ~rng:(Ppp_util.Rng.split rng); index })
+         (fun index elements -> { elements; ctx = Ctx.create (); index })
          stages)
   in
   {

@@ -17,7 +17,6 @@ type t
 
 val create :
   heap:Ppp_simmem.Heap.t ->
-  rng:Ppp_util.Rng.t ->
   source:Ppp_traffic.Source.t ->
   stages:Element.t list list ->
   ?queue_slots:int ->

@@ -18,8 +18,14 @@ val build :
   targets:Ppp_apps.App.kind list ->
   unit ->
   t
-(** Profiles every kind in [targets]: solo refs/sec, solo throughput, and a
-    SYN sensitivity curve in the [Both] configuration. *)
+(** Profiles every kind in [targets]: one solo run ({!Runner.solo}), kept
+    whole, and a SYN sensitivity curve in the [Both] configuration measured
+    against that same run. *)
+
+val solo : t -> Ppp_apps.App.kind -> Ppp_hw.Engine.result
+(** The target's solo run, the baseline of its curve: callers that need a
+    solo baseline of a profiled kind read it here instead of simulating it
+    again. *)
 
 val solo_refs_per_sec : t -> Ppp_apps.App.kind -> float
 val solo_throughput : t -> Ppp_apps.App.kind -> float

@@ -59,13 +59,12 @@ type curve = {
 }
 
 let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
-    ?n_competitors ~resource target =
+    ?n_competitors ~resource ~solo target =
   let n_competitors =
     match n_competitors with
     | Some n -> n
     | None -> default_competitors params.Runner.config
   in
-  let solo = Runner.solo ~params target in
   let solo_pps = solo.Ppp_hw.Engine.throughput_pps in
   let run_level i level =
     let params =

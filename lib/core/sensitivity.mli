@@ -48,9 +48,14 @@ val measure :
   ?levels:Ppp_apps.App.syn_params list ->
   ?n_competitors:int ->
   resource:resource ->
+  solo:Ppp_hw.Engine.result ->
   Ppp_apps.App.kind ->
   curve
-(** [n_competitors] defaults to {!default_competitors}. *)
+(** The target's drop against each SYN level, measured against [solo], the
+    target's {!Runner.solo} run under the same [params]: the caller
+    simulates that baseline once and shares it (fig4 and fig5 across their
+    curves and pairs, {!Predictor.build} with the run it keeps).
+    [n_competitors] defaults to {!default_competitors}. *)
 
 val to_series : curve -> Ppp_util.Series.t
 (** Piecewise-linear drop(competing refs/sec) — the predictor's input. *)

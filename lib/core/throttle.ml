@@ -43,17 +43,17 @@ module Two_faced = struct
     let n = Ppp_simmem.Iarray.length buffer in
     let count = ref 0 in
     [
-      Ppp_click.Element.make ~kind:"TwoFacedSyn" (fun ctx _pkt ->
-          incr count;
-          let loud = !count > switch_after in
-          let reads = if loud then loud_reads else quiet_reads in
-          Ppp_click.Ctx.compute ctx ~fn (if loud then 0 else 6_000);
-          for _ = 1 to reads do
-            ignore
-              (Ppp_simmem.Iarray.get buffer ctx.Ppp_click.Ctx.builder ~fn
-                 (Ppp_util.Rng.int rng n)
-                : int)
-          done;
-          Ppp_click.Element.Forward);
+      (fun ctx _pkt ->
+        incr count;
+        let loud = !count > switch_after in
+        let reads = if loud then loud_reads else quiet_reads in
+        Ppp_click.Ctx.compute ctx ~fn (if loud then 0 else 6_000);
+        for _ = 1 to reads do
+          ignore
+            (Ppp_simmem.Iarray.get buffer ctx.Ppp_click.Ctx.builder ~fn
+               (Ppp_util.Rng.int rng n)
+              : int)
+        done;
+        Ppp_click.Element.Forward);
     ]
 end

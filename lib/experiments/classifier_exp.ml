@@ -79,7 +79,7 @@ let build_flow ~(params : Runner.params) ~heap ~rng ~backend ~nrules =
     ]
   in
   let flow =
-    Ppp_click.Flow.create ~heap ~rng ~label:"classifier" ~source ~elements ()
+    Ppp_click.Flow.create ~heap ~label:"classifier" ~source ~elements ()
   in
   let set_skew s = zipf := Ppp_traffic.Zipf.create ~n:u ~s in
   (flow, fp, set_skew)

@@ -27,12 +27,8 @@ let co_runners ~params ~heap ~rng kind =
         source = Ppp_click.Flow.source flow;
       })
 
-let pair_matrix ~params ~solos ?n_competitors kinds =
-  let n_competitors =
-    match n_competitors with
-    | Some n -> n
-    | None -> Sensitivity.default_competitors params.Runner.config
-  in
+let pair_matrix ~params ~solos kinds =
+  let n_competitors = Sensitivity.default_competitors params.Runner.config in
   let pair (target, competitor) =
     let params =
       Runner.cell_params params

@@ -30,11 +30,10 @@ val co_runners :
 val pair_matrix :
   params:Ppp_core.Runner.params ->
   solos:(Ppp_apps.App.kind * Ppp_hw.Engine.result) list ->
-  ?n_competitors:int ->
   Ppp_apps.App.kind list ->
   pair_result list
-(** For every ordered pair (X, Y): X co-runs with [n_competitors] (default
-    {!Ppp_core.Sensitivity.default_competitors}) flows of type Y, all on one
+(** For every ordered pair (X, Y): X co-runs with
+    {!Ppp_core.Sensitivity.default_competitors} flows of type Y, all on one
     socket with local data — the Figure 2 scenarios. Cells run under
     {!Ppp_core.Parallel.map}, each seeded from its (target, competitor)
     label. *)

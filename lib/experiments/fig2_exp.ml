@@ -10,7 +10,7 @@ let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let n_competitors = Sensitivity.default_competitors params.Runner.config in
   let solos = Exp_common.solo_results ~params kinds in
-  let pairs = Exp_common.pair_matrix ~params ~solos ~n_competitors kinds in
+  let pairs = Exp_common.pair_matrix ~params ~solos kinds in
   { pairs; averages = Exp_common.avg_drop_per_target pairs; n_competitors }
 
 let render data =

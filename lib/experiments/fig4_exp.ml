@@ -20,13 +20,17 @@ let default_levels =
 let measure ?(params = Runner.Params.default) ?(levels = default_levels)
     ?(targets = Exp_common.realistic) () =
   (* One cell per (resource, target) curve; Sensitivity.measure derives
-     per-level seeds itself, so the fan-out stays order-independent. *)
+     per-level seeds itself, so the fan-out stays order-independent. A
+     target's three curves share its one solo baseline. *)
   let resources =
     [ Sensitivity.Cache_only; Sensitivity.Memctrl_only; Sensitivity.Both ]
   in
+  let solos = Exp_common.solo_results ~params targets in
   let curves =
     Parallel.map
-      (fun (resource, k) -> Sensitivity.measure ~params ~levels ~resource k)
+      (fun (resource, k) ->
+        Sensitivity.measure ~params ~levels ~resource
+          ~solo:(List.assoc k solos) k)
       (List.concat_map
          (fun resource -> List.map (fun k -> (resource, k)) targets)
          resources)

@@ -15,12 +15,15 @@ type data = {
 
 let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
+  let solos = Exp_common.solo_results ~params kinds in
   let curves =
     Parallel.map
-      (fun k -> (k, Sensitivity.measure ~params ~resource:Sensitivity.Both k))
+      (fun k ->
+        ( k,
+          Sensitivity.measure ~params ~resource:Sensitivity.Both
+            ~solo:(List.assoc k solos) k ))
       kinds
   in
-  let solos = Exp_common.solo_results ~params kinds in
   let pairs = Exp_common.pair_matrix ~params ~solos kinds in
   let checks =
     List.map

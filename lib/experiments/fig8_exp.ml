@@ -17,7 +17,7 @@ type data = {
 let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let predictor = Predictor.build ~params ~targets:kinds () in
-  let solos = Exp_common.solo_results ~params kinds in
+  let solos = List.map (fun k -> (k, Predictor.solo predictor k)) kinds in
   let pairs = Exp_common.pair_matrix ~params ~solos kinds in
   let cells =
     List.map

@@ -29,11 +29,10 @@ let measure ?(params = Runner.Params.default) () =
   let results =
     Runner.run ~params:(Runner.Params.with_cell "fig9/mix" params) specs
   in
-  let solos = Exp_common.solo_results ~params kinds in
   let flows =
     List.map2
       (fun kind (r : Ppp_hw.Engine.result) ->
-        let solo = List.assoc kind solos in
+        let solo = Predictor.solo predictor kind in
         let competitors = List.filteri (fun i _ -> i <> r.Ppp_hw.Engine.core) mix in
         {
           kind;

@@ -19,34 +19,34 @@ let fn_cached_ip_lookup = Ppp_hw.Fn.register "cached_ip_lookup"
 
 let lookup_element table ~trie ~hop_table =
   let fn = fn_cached_ip_lookup in
-  Ppp_click.Element.make ~kind:"CachedIPLookup" (fun ctx pkt ->
-      let b = ctx.Ppp_click.Ctx.builder in
-      let cached = Ppp_classify.Flow_table.find table b ~fn pkt in
-      Ppp_click.Ctx.compute ctx ~fn 12;
-      let port =
-        if cached <> Ppp_classify.Flow_table.absent then cached
-        else
-          let hop =
-            Ppp_apps.Radix_trie.lookup trie b ~fn (Ppp_net.Ipv4.dst pkt)
+  (fun ctx pkt ->
+    let b = ctx.Ppp_click.Ctx.builder in
+    let cached = Ppp_classify.Flow_table.find table b ~fn pkt in
+    Ppp_click.Ctx.compute ctx ~fn 12;
+    let port =
+      if cached <> Ppp_classify.Flow_table.absent then cached
+      else
+        let hop =
+          Ppp_apps.Radix_trie.lookup trie b ~fn (Ppp_net.Ipv4.dst pkt)
+        in
+        if hop = 0 then -1 (* unrouted: dropped, never installed *)
+        else begin
+          let port =
+            Ppp_simmem.Iarray.get hop_table b ~fn
+              ((hop - 1) mod Ppp_simmem.Iarray.length hop_table)
+            land 0xFF
           in
-          if hop = 0 then -1 (* unrouted: dropped, never installed *)
-          else begin
-            let port =
-              Ppp_simmem.Iarray.get hop_table b ~fn
-                ((hop - 1) mod Ppp_simmem.Iarray.length hop_table)
-              land 0xFF
-            in
-            Ppp_classify.Flow_table.install table b ~fn
-              (Ppp_net.Flowid.of_packet pkt) port;
-            port
-          end
-      in
-      if port < 0 then Ppp_click.Element.Drop
-      else begin
-        Ppp_net.Packet.set8 pkt 0 port;
-        Ppp_click.Ctx.touch_packet ctx pkt ~fn ~write:true ~pos:0 ~len:1;
-        Ppp_click.Element.Forward
-      end)
+          Ppp_classify.Flow_table.install table b ~fn
+            (Ppp_net.Flowid.of_packet pkt) port;
+          port
+        end
+    in
+    if port < 0 then Ppp_click.Element.Drop
+    else begin
+      Ppp_net.Packet.set8 pkt 0 port;
+      Ppp_click.Ctx.touch_packet ctx pkt ~fn ~write:true ~pos:0 ~len:1;
+      Ppp_click.Element.Forward
+    end)
 
 (* Build an IP flow whose lookup element is either the plain trie chain or
    the cached lookup; identical trie, traffic and state sizes. *)
@@ -55,27 +55,12 @@ let build_flow ~params ~heap ~rng ~cached =
     Ppp_apps.App.ip_substrate ~heap
       ~scale:params.Runner.config.Ppp_hw.Machine.scale
   in
-  let gen_rng = Ppp_util.Rng.split rng in
-  let seqs = Array.make universe 0 in
-  let source () =
-    Ppp_traffic.Source.make ~name:"uniform-universe"
-      ~fill:(fun s pkt ->
-        let f = Ppp_util.Rng.int gen_rng universe in
-        let h = Ppp_util.Hashes.fnv1a_int (f lxor 0x5bd1e995) in
-        Ppp_traffic.Gen.fill_ipv4_udp pkt
-          ~src:(0x0A000000 lor (h land 0xFFFFFF))
-          ~dst:(Ppp_apps.Route_pool.dst_of_flow pool f)
-          ~sport:(1024 + ((h lsr 24) land 0x3FFF))
-          ~dport:(1024 + ((h lsr 40) land 0x3FFF))
-          ~wire_len:64;
-        let seq = seqs.(f) in
-        seqs.(f) <- seq + 1;
-        Ppp_traffic.Source.set_meta s ~flow:f ~seq;
-        Ppp_traffic.Source.Filled)
-      ()
+  let source =
+    Ppp_apps.App.tuple_source ~rng:(Ppp_util.Rng.split rng) ~pool
+      ~flows:universe ~wire:64 ~payload:Ppp_apps.App.no_payload
   in
   if not cached then
-    ( Ppp_click.Flow.create ~heap ~rng ~label:"IP" ~source:(source ())
+    ( Ppp_click.Flow.create ~heap ~label:"IP" ~source
         ~elements:(Ppp_apps.Ip_elements.forwarding_chain ~hop_table trie)
         (),
       None )
@@ -91,7 +76,7 @@ let build_flow ~params ~heap ~rng ~cached =
         Ppp_apps.Ip_elements.dec_ip_ttl ();
       ]
     in
-    ( Ppp_click.Flow.create ~heap ~rng ~label:"IP+cache" ~source:(source ())
+    ( Ppp_click.Flow.create ~heap ~label:"IP+cache" ~source
         ~elements (),
       Some table )
   end

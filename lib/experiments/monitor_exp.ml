@@ -26,7 +26,7 @@ type data = {
   aggressor_profiled_refs : float;
   sample_cycles : int;
   switch_after : int;
-  budget : float option;  (** the detector's own recommendation, once made *)
+  budget : float option;  (** the detector's first recommendation, once made *)
   tame : phase;
   loud : phase;
   throttled : phase;
@@ -48,7 +48,7 @@ let aggressor_flow ~params ~switch_after ~heap ~rng =
       ~buffer_bytes:(12 * 1024 * 1024 / scale)
       ~quiet_reads:4 ~loud_reads:256 ~switch_after
   in
-  Ppp_click.Flow.create ~heap ~rng ~label:"two-faced"
+  Ppp_click.Flow.create ~heap ~label:"two-faced"
     ~source:(Ppp_traffic.Source.constant ()) ~elements ()
 
 (* The aggressor's offline profile is its tame face: what a solo
@@ -69,15 +69,13 @@ let aggressor_solo ~params =
   | _ -> assert false
 
 let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
-    ~throttle_budget =
+    ~budgets =
   let params = Runner.cell_params params cell in
   let config = params.Runner.config in
-  let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
   let scale = config.Ppp_hw.Machine.scale in
-  let det = Detector.create ~config:det_config ~freq_hz profiles in
-  let results, () =
-    Runner.run_with ~params ~probe:(Detector.probe det)
-      (fun hier ~heaps ~rng ->
+  let results, (), det =
+    Report.monitored_run ~params ~config:det_config ~budgets profiles
+      (fun _ ~heaps ~rng ->
         let heap = heaps.(0) in
         let victim =
           Ppp_apps.App.flow Ppp_apps.App.MON ~heap
@@ -86,14 +84,6 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
         let aggressor =
           aggressor_flow ~params ~switch_after ~heap
             ~rng:(Ppp_util.Rng.split rng)
-        in
-        let aggressor_source =
-          let source = Ppp_click.Flow.source aggressor in
-          match throttle_budget with
-          | None -> source
-          | Some budget ->
-              Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget ~hier
-                ~core:1 ~freq_hz source
         in
         let tame =
           List.mapi
@@ -110,21 +100,12 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
         ( { Ppp_hw.Engine.core = 0; label = "MON";
             source = Ppp_click.Flow.source victim }
           :: { Ppp_hw.Engine.core = 1; label = "two-faced";
-               source = aggressor_source }
+               source = Ppp_click.Flow.source aggressor }
           :: tame,
           () ))
   in
-  Detector.finalize det;
-  if Ppp_telemetry.Recorder.sampling () <> None then
-    Ppp_telemetry.Recorder.add_events (Report.to_telemetry_events ~cell det);
   let victim_r = List.hd results in
   let aggressor_r = List.nth results 1 in
-  let count k =
-    List.length
-      (List.filter
-         (fun (e : Detector.event) -> Detector.kind_name e.Detector.e_kind = k)
-         (Detector.events det))
-  in
   let first_aggressor_epoch =
     List.fold_left
       (fun acc (e : Detector.event) ->
@@ -138,9 +119,9 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
       cell;
       victim_pps = victim_r.Ppp_hw.Engine.throughput_pps;
       aggressor_l3_refs_per_sec = aggressor_r.Ppp_hw.Engine.l3_refs_per_sec;
-      n_degraded = count "flow_degraded";
-      n_aggressor = count "hidden_aggressor";
-      n_recovered = count "recovered";
+      n_degraded = Detector.count det "flow_degraded";
+      n_aggressor = Detector.count det "hidden_aggressor";
+      n_recovered = Detector.count det "recovered";
       first_aggressor_epoch;
       verdicts =
         List.map
@@ -156,21 +137,18 @@ let measure ?(params = Runner.Params.default) () =
     Predictor.build ~params ~levels:default_levels
       ~targets:[ Ppp_apps.App.MON ] ()
   in
-  let victim_solo = Solo_profile.solo ~params Ppp_apps.App.MON in
+  let victim_solo = Predictor.solo predictor Ppp_apps.App.MON in
   let aggr_solo = aggressor_solo ~params in
   let profiles =
-    Detector.profile_of ~predictor ~core:0 victim_solo
-    :: {
-         Detector.label = "two-faced";
-         core = 1;
-         solo_pps = aggr_solo.Ppp_hw.Engine.throughput_pps;
-         solo_l3_refs_per_sec = aggr_solo.Ppp_hw.Engine.l3_refs_per_sec;
-         solo_l3_hits_per_sec = aggr_solo.Ppp_hw.Engine.l3_hits_per_sec;
-         predict_drop = None;
-       }
+    Detector.profile ~label:"MON" ~core:0
+      ~predict_drop:
+        (Predictor.predict_drop_at predictor ~target:Ppp_apps.App.MON)
+      victim_solo
+    :: Detector.profile ~label:"two-faced" ~core:1 aggr_solo
     :: List.mapi
          (fun i kind ->
-           Detector.profile_of ~core:(2 + i) (Solo_profile.solo ~params kind))
+           Detector.profile ~label:(Ppp_apps.App.name kind) ~core:(2 + i)
+             (Runner.solo ~params kind))
          (tame_kinds ~config)
   in
   let det_config =
@@ -187,31 +165,29 @@ let measure ?(params = Runner.Params.default) () =
   in
   let run_phase = run_phase ~params ~profiles ~config:det_config in
   let _, tame =
-    run_phase ~cell:"monitor/tame" ~switch_after:max_int ~throttle_budget:None
+    run_phase ~cell:"monitor/tame" ~switch_after:max_int ~budgets:[]
   in
   let loud_det, loud =
-    run_phase ~cell:"monitor/loud" ~switch_after ~throttle_budget:None
+    run_phase ~cell:"monitor/loud" ~switch_after ~budgets:[]
   in
-  (* Closed loop: the budget is the detector's own recommendation, not an
-     oracle's — what a controller reacting to the alert would apply. *)
-  let budget =
-    match Detector.recommendations loud_det with
-    | r :: _ -> Some r.Detector.r_budget_l3_refs_per_sec
-    | [] -> None
-  in
-  let fallback =
-    aggr_solo.Ppp_hw.Engine.l3_refs_per_sec *. 1.05
-  in
+  (* Closed loop: the budgets are the detector's own recommendations, not an
+     oracle's — what a controller reacting to the alerts would apply. Without
+     one, the aggressor is held to its profiled rate plus the detector's
+     default headroom. *)
+  let budgets = Detector.budgets loud_det in
   let _, throttled =
     run_phase ~cell:"monitor/throttled" ~switch_after
-      ~throttle_budget:(Some (Option.value budget ~default:fallback))
+      ~budgets:
+        (if budgets = [] then
+           [ (1, aggr_solo.Ppp_hw.Engine.l3_refs_per_sec *. 1.05) ]
+         else budgets)
   in
   {
-    victim_solo_pps = victim_solo.Solo_profile.throughput_pps;
+    victim_solo_pps = victim_solo.Ppp_hw.Engine.throughput_pps;
     aggressor_profiled_refs = aggr_solo.Ppp_hw.Engine.l3_refs_per_sec;
     sample_cycles = det_config.Detector.sample_cycles;
     switch_after;
-    budget;
+    budget = Option.map snd (List.nth_opt budgets 0);
     tame;
     loud;
     throttled;

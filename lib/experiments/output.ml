@@ -20,12 +20,3 @@ let table ?title cols rs =
   match title with
   | None -> body
   | Some title -> Json.Obj [ ("title", Json.Str title); ("rows", body) ]
-
-let points ?(x = "x") ?(y = "y") pts =
-  Json.Arr
-    (List.map
-       (fun (px, py) -> Json.Obj [ (x, Json.Float px); (y, Json.Float py) ])
-       pts)
-
-let series ?x ?y s =
-  points ?x ?y (Array.to_list (Ppp_util.Series.points s))

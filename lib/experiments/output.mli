@@ -27,15 +27,6 @@ module Col : sig
   val bool : string -> ('row -> bool) -> 'row t
 end
 
-val row : 'row Col.t list -> 'row -> Json.t
-(** One row as an object, keys in column order. *)
-
 val table : ?title:string -> 'row Col.t list -> 'row list -> Json.t
-(** Rows as an array of objects; with [?title], wrapped as
-    [{"title": ..., "rows": [...]}]. *)
-
-val points : ?x:string -> ?y:string -> (float * float) list -> Json.t
-(** Sample points as [{x, y}] objects (key names default to "x"/"y"). *)
-
-val series : ?x:string -> ?y:string -> Ppp_util.Series.t -> Json.t
-(** {!points} applied to a {!Ppp_util.Series.t}'s samples. *)
+(** Rows as an array of objects, keys in column order; with [?title],
+    wrapped as [{"title": ..., "rows": [...]}]. *)

@@ -80,7 +80,7 @@ let measure ?(params = Runner.Params.default) () =
   let mk_ip_flow ~heap ~rng =
     let b = Ppp_apps.App.build Ppp_apps.App.IP ~heap ~rng ~scale in
     Ppp_click.Flow.source
-      (Ppp_click.Flow.create ~heap ~rng ~label:"IP"
+      (Ppp_click.Flow.create ~heap ~label:"IP"
          ~source:b.Ppp_apps.App.source ~elements:b.Ppp_apps.App.elements ())
   in
   let ip_par =
@@ -94,7 +94,7 @@ let measure ?(params = Runner.Params.default) () =
       | first :: rest -> ([ first ], rest)
       | [] -> assert false
     in
-    Ppp_click.Staged.create ~heap:heaps.(0) ~rng ~source:b.Ppp_apps.App.source
+    Ppp_click.Staged.create ~heap:heaps.(0) ~source:b.Ppp_apps.App.source
       ~stages:[ stage0; stage1 ] ()
   in
   let ip_pipe =
@@ -114,7 +114,7 @@ let measure ?(params = Runner.Params.default) () =
         ~reads_per_packet:reads_total ~instrs_per_packet:100
     in
     Ppp_click.Flow.source
-      (Ppp_click.Flow.create ~heap ~rng ~label:"SYN2x"
+      (Ppp_click.Flow.create ~heap ~label:"SYN2x"
          ~source:(Ppp_traffic.Source.constant ())
          ~elements:[ Ppp_apps.More_elements.Syn.element syn ] ())
   in
@@ -129,7 +129,7 @@ let measure ?(params = Runner.Params.default) () =
         ~buffer_bytes:(l3 * 9 / 10) ~reads_per_packet:(reads_total / 2)
         ~instrs_per_packet:50
     in
-    Ppp_click.Staged.create ~heap:heaps.(0) ~rng
+    Ppp_click.Staged.create ~heap:heaps.(0)
       ~source:(Ppp_traffic.Source.constant ())
       ~stages:
         [

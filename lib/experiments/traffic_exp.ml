@@ -93,7 +93,7 @@ let model_source cfg ~u ~seed ~rng =
   | Uniform -> uniform_source ~rng ~flows:u
   | Heavy alpha ->
       let ht = Ppp_traffic.Heavy_tail.create ~seed ~flows:u ~alpha () in
-      Ppp_traffic.Heavy_tail.source ht ~rng ()
+      Ppp_traffic.Heavy_tail.source ht ~rng
   | Onoff mean_on ->
       (* Background is the uniform twin; bursts take ids above it. *)
       let base = uniform_source ~rng ~flows:u in
@@ -101,72 +101,76 @@ let model_source cfg ~u ~seed ~rng =
         Ppp_traffic.Onoff.create ~mean_on ~mean_off ~burst_flows ~flow_base:u
           ()
       in
-      Ppp_traffic.Onoff.source oo ~rng ~base ()
+      Ppp_traffic.Onoff.source oo ~rng ~base
   | Churn every ->
-      let ch = Ppp_traffic.Churn.create ~live:u ~churn_every:every () in
-      Ppp_traffic.Churn.source ch ~rng ()
+      let ch = Ppp_traffic.Churn.create ~live:u ~churn_every:every in
+      Ppp_traffic.Churn.source ch ~rng
 
-(* One engine run of the victim pipeline under [cfg]+[steering], optionally
-   against co-runners of [competitor] kind (built after the victim from the
-   same stream, so the victim's simulation is identical either way). Returns
-   the victim's result, every result, and the victim flow, fast path and
+(* The builder of one engine run of the victim pipeline under
+   [cfg]+[steering], optionally against co-runners of [competitor] kind
+   (built after the victim from the same stream, so the victim's simulation
+   is identical either way). Its state is the victim flow, fast path and
    steering model whose counters the cell reads after the run. *)
-let run_phase ~(params : Runner.params) ~cfg ~steering ?probe ?competitor ()
-    =
+let victim_mix ~(params : Runner.params) ~cfg ~steering ?competitor () _
+    ~heaps ~rng =
   let config = params.Runner.config in
-  let scale = config.Ppp_hw.Machine.scale in
-  let results, (victim, fp, st) =
-    Runner.run_with ~params ?probe (fun _ ~heaps ~rng ->
-        let heap = heaps.(0) in
-        let u = universe scale in
-        let rules =
-          Ppp_classify.Rulegen.make ~rng:(Ppp_util.Rng.split rng)
-            ~n:(rule_count scale)
-        in
-        let fp =
-          Ppp_classify.Fastpath.create ~heap ~table_entries:(max 16 (u / 4))
-            ~backend:Ppp_classify.Classifier.Tss rules
-        in
-        let inner =
-          model_source cfg ~u ~seed:params.Runner.seed
-            ~rng:(Ppp_util.Rng.split rng)
-        in
-        let st =
-          Ppp_traffic.Steering.create ~migrate_every
-            ~cores:(Ppp_hw.Machine.cores_per_socket config)
-            steering
-        in
-        let elements =
-          [
-            Ppp_apps.Ip_elements.check_ip_header ();
-            Ppp_classify.Fastpath.element fp;
-            Ppp_apps.Ip_elements.dec_ip_ttl ();
-          ]
-        in
-        let victim =
-          Ppp_click.Flow.create ~heap ~rng:(Ppp_util.Rng.split rng)
-            ~label:"victim"
-            ~source:(Ppp_traffic.Steering.source st inner)
-            ~elements ()
-        in
-        let competitors =
-          match competitor with
-          | None -> []
-          | Some kind -> Exp_common.co_runners ~params ~heap ~rng kind
-        in
-        ( { Ppp_hw.Engine.core = 0; label = "victim";
-            source = Ppp_click.Flow.source victim }
-          :: competitors,
-          (victim, fp, st) ))
+  let heap = heaps.(0) in
+  let u = universe config.Ppp_hw.Machine.scale in
+  let rules =
+    Ppp_classify.Rulegen.make ~rng:(Ppp_util.Rng.split rng)
+      ~n:(rule_count config.Ppp_hw.Machine.scale)
   in
-  (List.hd results, results, victim, fp, st)
+  let fp =
+    Ppp_classify.Fastpath.create ~heap ~table_entries:(max 16 (u / 4))
+      ~backend:Ppp_classify.Classifier.Tss rules
+  in
+  let inner =
+    model_source cfg ~u ~seed:params.Runner.seed ~rng:(Ppp_util.Rng.split rng)
+  in
+  let st =
+    Ppp_traffic.Steering.create ~migrate_every
+      ~cores:(Ppp_hw.Machine.cores_per_socket config)
+      steering
+  in
+  let elements =
+    [
+      Ppp_apps.Ip_elements.check_ip_header ();
+      Ppp_classify.Fastpath.element fp;
+      Ppp_apps.Ip_elements.dec_ip_ttl ();
+    ]
+  in
+  let victim =
+    Ppp_click.Flow.create ~heap ~label:"victim"
+      ~source:(Ppp_traffic.Steering.source st inner)
+      ~elements ()
+  in
+  (* One more split, unused, so the co-runners keep the streams the goldens
+     pin. *)
+  let (_ : Ppp_util.Rng.t) = Ppp_util.Rng.split rng in
+  let competitors =
+    match competitor with
+    | None -> []
+    | Some kind -> Exp_common.co_runners ~params ~heap ~rng kind
+  in
+  ( { Ppp_hw.Engine.core = 0; label = "victim";
+      source = Ppp_click.Flow.source victim }
+    :: competitors,
+    (victim, fp, st) )
+
+(* An unmonitored run of [victim_mix]: the victim's result and every
+   result. *)
+let run_phase ~params ~cfg ~steering ?competitor () =
+  let results, _ =
+    Runner.run_with ~params (victim_mix ~params ~cfg ~steering ?competitor ())
+  in
+  (List.hd results, results)
 
 (* The paper's offline calibration, on the stationary twin: solo baseline,
    then drop vs competing refs/sec along a SYN ramp (5 co-runners per
    level, the same shape the cells face). *)
 let stationary_curve ~(params : Runner.params) =
   let solo_p = Runner.cell_params params "traffic/curve/solo" in
-  let solo_r, _, _, _, _ =
+  let solo_r, _ =
     run_phase ~params:solo_p ~cfg:Uniform ~steering:Ppp_traffic.Steering.Rss
       ()
   in
@@ -177,7 +181,7 @@ let stationary_curve ~(params : Runner.params) =
           Runner.cell_params params
             (Printf.sprintf "traffic/curve/%d" level.Ppp_apps.App.reads)
         in
-        let r, results, _, _, _ =
+        let r, results =
           run_phase ~params:p ~cfg:Uniform ~steering:Ppp_traffic.Steering.Rss
             ~competitor:(Ppp_apps.App.SYN level) ()
         in
@@ -188,15 +192,13 @@ let stationary_curve ~(params : Runner.params) =
   (solo_r, Ppp_util.Series.of_points ((0.0, 0.0) :: points))
 
 let run_cell ~(params : Runner.params) ~curve
-    ~(twin_solo : Ppp_hw.Engine.result) ~(syn_solo : Solo_profile.t) ~cfg ~steering
-    =
+    ~(twin_solo : Ppp_hw.Engine.result) ~(syn_solo : Ppp_hw.Engine.result)
+    ~cfg ~steering =
   let mname = model_name cfg in
   let sname = Ppp_traffic.Steering.model_name steering in
   let label = Printf.sprintf "traffic/%s/%s/%s" mname (knob_name cfg) sname in
   let params = Runner.cell_params params label in
-  let config = params.Runner.config in
-  let freq_hz = config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz in
-  let solo_r, _, _, _, _ =
+  let solo_r, _ =
     run_phase
       ~params:(Runner.Params.with_cell (label ^ "/solo") params)
       ~cfg ~steering ()
@@ -223,40 +225,20 @@ let run_cell ~(params : Runner.params) ~curve
     }
   in
   let profiles =
-    {
-      Detector.label = "victim";
-      core = 0;
-      solo_pps = twin_solo.Ppp_hw.Engine.throughput_pps;
-      solo_l3_refs_per_sec = twin_solo.Ppp_hw.Engine.l3_refs_per_sec;
-      solo_l3_hits_per_sec = twin_solo.Ppp_hw.Engine.l3_hits_per_sec;
-      predict_drop =
-        Some (fun ~refs_per_sec -> Ppp_util.Series.eval curve refs_per_sec);
-    }
-    :: List.init (Sensitivity.default_competitors config) (fun i ->
-           {
-             Detector.label = "SYN";
-             core = 1 + i;
-             solo_pps = syn_solo.Solo_profile.throughput_pps;
-             solo_l3_refs_per_sec = syn_solo.Solo_profile.l3_refs_per_sec;
-             solo_l3_hits_per_sec = syn_solo.Solo_profile.l3_hits_per_sec;
-             predict_drop = None;
-           })
+    Detector.profile ~label:"victim" ~core:0
+      ~predict_drop:(fun ~refs_per_sec ->
+        Ppp_util.Series.eval curve refs_per_sec)
+      twin_solo
+    :: List.init (Sensitivity.default_competitors params.Runner.config)
+         (fun i -> Detector.profile ~label:"SYN" ~core:(1 + i) syn_solo)
   in
-  let det = Detector.create ~config:det_config ~freq_hz profiles in
-  let corun_r, results, victim, fp, st =
-    run_phase
-      ~params:(Runner.Params.with_cell (label ^ "/corun") params)
-      ~cfg ~steering ~probe:(Detector.probe det)
-      ~competitor:Ppp_apps.App.syn_max ()
+  let params = Runner.Params.with_cell (label ^ "/corun") params in
+  let results, (victim, fp, st), det =
+    Ppp_monitor.Report.monitored_run ~params ~config:det_config ~budgets:[]
+      profiles
+      (victim_mix ~params ~cfg ~steering ~competitor:Ppp_apps.App.syn_max ())
   in
-  Detector.finalize det;
-  let false_alerts =
-    List.length
-      (List.filter
-         (fun (e : Detector.event) ->
-           Detector.kind_name e.Detector.e_kind = "hidden_aggressor")
-         (Detector.events det))
-  in
+  let corun_r = List.hd results in
   let measured_drop = Runner.drop ~solo:solo_r ~corun:corun_r in
   let predicted_drop =
     Ppp_util.Series.eval curve
@@ -271,7 +253,7 @@ let run_cell ~(params : Runner.params) ~curve
     measured_drop;
     predicted_drop;
     abs_err = Float.abs (measured_drop -. predicted_drop);
-    false_alerts;
+    false_alerts = Detector.count det "hidden_aggressor";
     reorders = Ppp_click.Flow.reorders victim;
     migrations = Ppp_traffic.Steering.migrations st;
     evictions = Ppp_classify.Flow_table.evictions table;
@@ -286,7 +268,7 @@ let run_cell ~(params : Runner.params) ~curve
 
 let measure ?(params = Runner.Params.default) () =
   let twin_solo, curve = stationary_curve ~params in
-  let syn_solo = Solo_profile.solo ~params Ppp_apps.App.syn_max in
+  let syn_solo = Runner.solo ~params Ppp_apps.App.syn_max in
   let cells =
     List.concat_map
       (fun cfg -> List.map (fun steering -> (cfg, steering)) steerings)

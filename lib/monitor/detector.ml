@@ -3,23 +3,16 @@ type flow_profile = {
   core : int;
   solo_pps : float;
   solo_l3_refs_per_sec : float;
-  solo_l3_hits_per_sec : float;
   predict_drop : (refs_per_sec:float -> float) option;
 }
 
-let profile_of ?predictor ~core (p : Ppp_core.Solo_profile.t) =
+let profile ?predict_drop ~label ~core (solo : Ppp_hw.Engine.result) =
   {
-    label = Ppp_apps.App.name p.Ppp_core.Solo_profile.kind;
+    label;
     core;
-    solo_pps = p.Ppp_core.Solo_profile.throughput_pps;
-    solo_l3_refs_per_sec = p.Ppp_core.Solo_profile.l3_refs_per_sec;
-    solo_l3_hits_per_sec = p.Ppp_core.Solo_profile.l3_hits_per_sec;
-    predict_drop =
-      Option.map
-        (fun pred ~refs_per_sec ->
-          Ppp_core.Predictor.predict_drop_at pred
-            ~target:p.Ppp_core.Solo_profile.kind ~refs_per_sec)
-        predictor;
+    solo_pps = solo.Ppp_hw.Engine.throughput_pps;
+    solo_l3_refs_per_sec = solo.Ppp_hw.Engine.l3_refs_per_sec;
+    predict_drop;
   }
 
 type config = {
@@ -315,7 +308,6 @@ let finalize t =
                     p99_latency = 0;
                     ewma_pps = 0.0;
                     ewma_l3_refs_per_sec = 0.0;
-                    ewma_mem_refs_per_sec = 0.0;
                   }))
         t.flows
     in
@@ -331,6 +323,18 @@ let epochs t = t.epochs
 let rows t = List.rev t.acc_rows
 let events t = List.rev t.acc_events
 let recommendations t = List.rev t.acc_recs
+
+let budgets t =
+  List.rev
+    (List.fold_left
+       (fun acc r ->
+         if List.mem_assoc r.r_core acc then acc
+         else (r.r_core, r.r_budget_l3_refs_per_sec) :: acc)
+       [] (recommendations t))
+
+let count t kind =
+  List.length
+    (List.filter (fun e -> kind_name e.e_kind = kind) (events t))
 
 let alerted t ~core =
   match Array.find_opt (fun st -> st.profile.core = core) t.flows with

@@ -32,19 +32,21 @@ type flow_profile = {
   core : int;  (** the core the flow runs on; unique per detector *)
   solo_pps : float;
   solo_l3_refs_per_sec : float;
-  solo_l3_hits_per_sec : float;
   predict_drop : (refs_per_sec:float -> float) option;
       (** the flow's sensitivity curve evaluated at a competing rate
           (typically {!Ppp_core.Predictor.predict_drop_at}); [None] disables
           degradation detection for this flow (nothing to violate). *)
 }
 
-val profile_of :
-  ?predictor:Ppp_core.Predictor.t ->
+val profile :
+  ?predict_drop:(refs_per_sec:float -> float) ->
+  label:string ->
   core:int ->
-  Ppp_core.Solo_profile.t ->
+  Ppp_hw.Engine.result ->
   flow_profile
-(** Baseline from an offline solo profile; [?predictor] supplies the curve. *)
+(** The flow's baseline, read from a solo run that has already been
+    simulated (for a predicted flow, {!Ppp_core.Predictor.solo}): its
+    throughput and L3 refs/sec. [?predict_drop] supplies the curve. *)
 
 type config = {
   sample_cycles : int;  (** slice length; must match the engine probe's *)
@@ -113,7 +115,10 @@ type t
 val create : config:config -> freq_hz:float -> flow_profile list -> t
 (** Flows must cover every core to monitor; samples from other cores are
     ignored (they are invisible to this detector, including in competing
-    sums — list every co-runner, with [predict_drop = None] if unjudged). *)
+    sums — list every co-runner, with [predict_drop = None] if unjudged).
+    A simulation is monitored through {!Report.monitored_run}, which creates,
+    feeds and finalizes the detector around the run; [create] with {!feed}
+    replays a recorded or synthetic sample stream. *)
 
 val probe : t -> Ppp_hw.Engine.probe
 (** The engine probe feeding this detector, on its [sample_cycles] grid.
@@ -138,6 +143,14 @@ val events : t -> event list
 (** Fired events in emission (simulated-time) order. *)
 
 val recommendations : t -> recommendation list
+
+val budgets : t -> (int * float) list
+(** Per-core L3 refs/sec budgets: the first recommendation for each core,
+    the budget its alert asked for at detection time, in the order the
+    cores were first flagged. *)
+
+val count : t -> string -> int
+(** The number of fired events of the given {!kind_name}. *)
 
 val alerted : t -> core:int -> bool * bool
 (** Current (degraded, aggressor) alarm states of the flow on [core] —

@@ -15,12 +15,12 @@ type rates = {
   pps : float;  (** instantaneous packets per simulated second *)
   l3_refs_per_sec : float;
   l3_hits_per_sec : float;
-  mem_refs_per_sec : float;  (** all loads + stores issued *)
+  mem_refs_per_sec : float;
+      (** all loads + stores issued; instantaneous only (monitor.csv) *)
   p50_latency : int;  (** median per-packet latency of the slice, cycles *)
   p99_latency : int;
   ewma_pps : float;  (** smoothed rates as of this slice (inclusive) *)
   ewma_l3_refs_per_sec : float;
-  ewma_mem_refs_per_sec : float;
 }
 (** One slice interpreted as rates. The [ewma_*] fields are snapshots of the
     estimator's smoothed state immediately after absorbing this slice. *)
@@ -35,6 +35,3 @@ val create : alpha:float -> freq_hz:float -> t
 val push : t -> Ppp_hw.Engine.sample -> rates
 (** Absorb one slice and return it interpreted as rates. Slices of one flow
     must be pushed in time order (the engine's probe guarantees this). *)
-
-val slices : t -> int
-(** Number of slices absorbed so far. *)

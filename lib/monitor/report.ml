@@ -179,6 +179,33 @@ let verdict_table det =
     (verdicts det);
   tbl
 
+(* The per-kind fields of an event as text, for the printed event list. *)
+let event_text (e : Detector.event) =
+  match e.Detector.e_kind with
+  | Detector.Flow_degraded { measured_drop; predicted_drop } ->
+      Printf.sprintf "measured drop %.1f%% vs predicted %.1f%%"
+        (100.0 *. measured_drop) (100.0 *. predicted_drop)
+  | Detector.Hidden_aggressor { measured_refs_per_sec; profiled_refs_per_sec }
+    ->
+      Printf.sprintf "%.1fM L3 refs/s vs %.1fM profiled"
+        (measured_refs_per_sec /. 1e6)
+        (profiled_refs_per_sec /. 1e6)
+  | Detector.Recovered { condition } -> condition ^ " cleared"
+
+let events_text det =
+  String.concat ""
+    (List.map
+       (fun (e : Detector.event) ->
+         Printf.sprintf "  epoch %3d @ %d cy  %-10s core %d  %-17s %s\n"
+           e.Detector.e_epoch e.Detector.e_t_cycles e.Detector.e_flow
+           e.Detector.e_core
+           (Detector.kind_name e.Detector.e_kind)
+           (event_text e))
+       (Detector.events det))
+
+(* Detector events as telemetry events, named [monitor.<kind_name>]: they
+   surface as Chrome-trace instant events and in the manifest's alerts
+   section. *)
 let to_telemetry_events ~cell det =
   List.map
     (fun (e : Detector.event) ->
@@ -192,3 +219,31 @@ let to_telemetry_events ~cell det =
         args = event_detail e;
       })
     (Detector.events det)
+
+let monitored_run ~params ~config ~budgets profiles build =
+  let freq_hz =
+    params.Ppp_core.Runner.config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz
+  in
+  let det = Detector.create ~config ~freq_hz profiles in
+  let throttle hier (f : Ppp_hw.Engine.flow) =
+    match List.assoc_opt f.Ppp_hw.Engine.core budgets with
+    | Some budget ->
+        {
+          f with
+          Ppp_hw.Engine.source =
+            Ppp_core.Throttle.l3_budget_source ~budget_l3_refs_per_sec:budget
+              ~hier ~core:f.Ppp_hw.Engine.core ~freq_hz f.Ppp_hw.Engine.source;
+        }
+    | None -> f
+  in
+  let results, state =
+    Ppp_core.Runner.run_with ~params ~probe:(Detector.probe det)
+      (fun hier ~heaps ~rng ->
+        let flows, state = build hier ~heaps ~rng in
+        (List.map (throttle hier) flows, state))
+  in
+  Detector.finalize det;
+  if Ppp_telemetry.Recorder.sampling () <> None then
+    Ppp_telemetry.Recorder.add_events
+      (to_telemetry_events ~cell:params.Ppp_core.Runner.cell det);
+  (results, state, det)

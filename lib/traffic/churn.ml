@@ -10,11 +10,10 @@ type t = {
   flow_ids : int array; (* the live-flow table: slot -> flow id *)
   seqs : int array; (* slot -> next sequence number *)
   churn_every : int;
-  flow_base : int;
   mutable next_id : int;
 }
 
-let create ~live ~churn_every ?(flow_base = 0) () =
+let create ~live ~churn_every =
   if live <= 0 then invalid_arg "Churn.create: live must be positive";
   if churn_every <= 0 then
     invalid_arg "Churn.create: churn_every must be positive";
@@ -22,18 +21,12 @@ let create ~live ~churn_every ?(flow_base = 0) () =
     flow_ids = Array.init live (fun i -> i);
     seqs = Array.make live 0;
     churn_every;
-    flow_base;
     next_id = live;
   }
 
 let live t = Array.length t.flow_ids
 
-let source t ~rng ?(wire_len = 64) ?fill () =
-  let write =
-    match fill with
-    | Some f -> f
-    | None -> fun pkt flow -> Gen.fill_flow pkt ~flow ~wire_len
-  in
+let source t ~rng =
   let n = Array.length t.flow_ids in
   Source.make ~name:"churn"
     ~fill:(fun src pkt ->
@@ -46,10 +39,10 @@ let source t ~rng ?(wire_len = 64) ?fill () =
         t.next_id <- t.next_id + 1
       end;
       let slot = Ppp_util.Rng.int rng n in
-      let f = t.flow_base + t.flow_ids.(slot) in
+      let f = t.flow_ids.(slot) in
       let seq = t.seqs.(slot) in
       t.seqs.(slot) <- seq + 1;
-      write pkt f;
+      Gen.fill_flow pkt ~flow:f ~wire_len:64;
       Source.set_meta src ~flow:f ~seq;
       Source.Filled)
     ()

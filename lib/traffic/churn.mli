@@ -10,18 +10,11 @@
 
 type t
 
-val create : live:int -> churn_every:int -> ?flow_base:int -> unit -> t
+val create : live:int -> churn_every:int -> t
 
 val live : t -> int
 (** Number of concurrently-live flows (the slot count). *)
 
-val source :
-  t ->
-  rng:Ppp_util.Rng.t ->
-  ?wire_len:int ->
-  ?fill:(Ppp_net.Packet.t -> int -> unit) ->
-  unit ->
-  Source.t
-(** The churning source; allocation-free fills, per-flow sequence numbers,
-    never exhausts. Packets built by [fill pkt flow] (default
-    {!Gen.fill_flow} at [wire_len], default 64); ids offset by [flow_base]. *)
+val source : t -> rng:Ppp_util.Rng.t -> Source.t
+(** The churning source; allocation-free fills of 64-byte {!Gen.fill_flow}
+    packets, per-flow sequence numbers, never exhausts. *)

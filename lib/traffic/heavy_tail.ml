@@ -9,14 +9,14 @@
 
 type t = {
   flows : int;
-  alpha : float;
-  min_pkts : int;
-  max_pkts : int;
   sizes : int array; (* realized size of each flow, in packets *)
   cum : int array; (* cum.(i) = sizes.(0) + .. + sizes.(i) *)
   total : int; (* exact total mass = cum.(flows - 1) *)
   seq : int array; (* per-flow sequence counters for the source *)
 }
+
+(* Every flow carries at least one packet. *)
+let min_pkts = 1
 
 (* Inverse CDF of the bounded Pareto on [l, h] with tail index alpha:
    x(u) = l / (1 - u * (1 - (l/h)^alpha))^(1/alpha). *)
@@ -24,11 +24,11 @@ let quantile ~alpha ~l ~h u =
   let ratio = 1.0 -. ((l /. h) ** alpha) in
   l /. ((1.0 -. (u *. ratio)) ** (1.0 /. alpha))
 
-let create ~seed ~flows ~alpha ?(min_pkts = 1) ?(max_pkts = 100_000) () =
+let create ~seed ~flows ~alpha ?(max_pkts = 100_000) () =
   if flows <= 0 then invalid_arg "Heavy_tail.create: flows must be positive";
   if alpha <= 0.0 then invalid_arg "Heavy_tail.create: alpha must be positive";
-  if min_pkts < 1 || max_pkts < min_pkts then
-    invalid_arg "Heavy_tail.create: need 1 <= min_pkts <= max_pkts";
+  if max_pkts < min_pkts then
+    invalid_arg "Heavy_tail.create: max_pkts must be >= 1";
   let rng = Ppp_util.Rng.create ~seed in
   let l = float_of_int min_pkts and h = float_of_int max_pkts in
   let sizes =
@@ -46,9 +46,6 @@ let create ~seed ~flows ~alpha ?(min_pkts = 1) ?(max_pkts = 100_000) () =
   done;
   {
     flows;
-    alpha;
-    min_pkts;
-    max_pkts;
     sizes;
     cum;
     total = !acc;
@@ -93,8 +90,7 @@ let top_mass t ~k =
    with sizes capped at 1000 the continuous quantile puts the top-k share
    0.03-0.04 too low. Used by the qcheck property as the analytic
    reference. *)
-let analytic_top_mass ~flows ~alpha ?(min_pkts = 1) ?(max_pkts = 100_000) ~k ()
-    =
+let analytic_top_mass ~flows ~alpha ?(max_pkts = 100_000) ~k () =
   if k <= 0 then 0.0
   else if k >= flows then 1.0
   else if min_pkts = max_pkts then float_of_int k /. float_of_int flows
@@ -115,18 +111,13 @@ let analytic_top_mass ~flows ~alpha ?(min_pkts = 1) ?(max_pkts = 100_000) ~k ()
     mass cut /. mass 0.0
   end
 
-let source t ~rng ?(wire_len = 64) ?(flow_base = 0) ?fill () =
-  let write =
-    match fill with
-    | Some f -> f
-    | None -> fun pkt flow -> Gen.fill_flow pkt ~flow ~wire_len
-  in
+let source t ~rng =
   Source.make ~name:"heavy_tail"
     ~fill:(fun src pkt ->
       let f = sample t rng in
       let seq = t.seq.(f) in
       t.seq.(f) <- seq + 1;
-      write pkt (flow_base + f);
-      Source.set_meta src ~flow:(flow_base + f) ~seq;
+      Gen.fill_flow pkt ~flow:f ~wire_len:64;
+      Source.set_meta src ~flow:f ~seq;
       Source.Filled)
     ()

@@ -1,7 +1,7 @@
 (** Heavy-tailed flow-size sampler: bounded Pareto elephants and mice.
 
     [create] draws one realized size (in packets) per flow from a bounded
-    Pareto distribution on [[min_pkts, max_pkts]] with tail index [alpha]
+    Pareto distribution on [[1, max_pkts]] with tail index [alpha]
     (alpha near 1 = extreme skew, a few elephant flows carry almost all
     bytes; alpha near 2 = milder skew). Mass accounting is exact: the
     realized sizes form an integer prefix-sum, [sample] draws flows with
@@ -16,12 +16,11 @@ val create :
   seed:int ->
   flows:int ->
   alpha:float ->
-  ?min_pkts:int ->
   ?max_pkts:int ->
   unit ->
   t
-(** Realizes the per-flow sizes. [min_pkts] defaults to 1, [max_pkts] to
-    100_000. Equal seeds yield equal size vectors. *)
+(** Realizes the per-flow sizes. [max_pkts] defaults to 100_000. Equal
+    seeds yield equal size vectors. *)
 
 val flows : t -> int
 
@@ -41,7 +40,6 @@ val top_mass : t -> k:int -> float
 val analytic_top_mass :
   flows:int ->
   alpha:float ->
-  ?min_pkts:int ->
   ?max_pkts:int ->
   k:int ->
   unit ->
@@ -51,16 +49,7 @@ val analytic_top_mass :
     the reference value the qcheck property compares {!top_mass}
     against. *)
 
-val source :
-  t ->
-  rng:Ppp_util.Rng.t ->
-  ?wire_len:int ->
-  ?flow_base:int ->
-  ?fill:(Ppp_net.Packet.t -> int -> unit) ->
-  unit ->
-  Source.t
+val source : t -> rng:Ppp_util.Rng.t -> Source.t
 (** A {!Source.t} emitting a size-weighted random flow per fill, with
-    per-flow sequence numbers. Flow ids are offset by [flow_base]
-    (default 0) so several sources can share one id space. Packets are
-    built by [fill pkt flow] (default {!Gen.fill_flow} at [wire_len],
-    default 64). Never exhausts. *)
+    per-flow sequence numbers: 64-byte {!Gen.fill_flow} packets. Never
+    exhausts. *)

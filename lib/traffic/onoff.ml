@@ -38,12 +38,7 @@ let duty_cycle t =
   let total = t.on_packets + t.off_packets in
   if total = 0 then 0.0 else float_of_int t.on_packets /. float_of_int total
 
-let source t ~rng ~base ?(wire_len = 64) ?fill () =
-  let write =
-    match fill with
-    | Some f -> f
-    | None -> fun pkt flow -> Gen.fill_flow pkt ~flow ~wire_len
-  in
+let source t ~rng ~base =
   Source.make ~name:"onoff"
     ~fill:(fun src pkt ->
       (* Geometric dwell: flip with probability 1/mean before each packet. *)
@@ -58,7 +53,7 @@ let source t ~rng ~base ?(wire_len = 64) ?fill () =
         let f = t.burst in
         let seq = t.seq.(f) in
         t.seq.(f) <- seq + 1;
-        write pkt (t.flow_base + f);
+        Gen.fill_flow pkt ~flow:(t.flow_base + f) ~wire_len:64;
         Source.set_meta src ~flow:(t.flow_base + f) ~seq;
         t.on_packets <- t.on_packets + 1;
         Source.Filled

@@ -18,15 +18,7 @@ val create :
 val duty_cycle : t -> float
 (** Realized fraction of packets emitted while ON. *)
 
-val source :
-  t ->
-  rng:Ppp_util.Rng.t ->
-  base:Source.t ->
-  ?wire_len:int ->
-  ?fill:(Ppp_net.Packet.t -> int -> unit) ->
-  unit ->
-  Source.t
+val source : t -> rng:Ppp_util.Rng.t -> base:Source.t -> Source.t
 (** The modulated source. OFF packets come from [base] (its flow/seq
-    metadata is forwarded); ON packets are built by [fill pkt flow]
-    (default {!Gen.fill_flow} at [wire_len], default 64) with per-burst-flow
-    sequence numbers. Exhausts when [base] does. *)
+    metadata is forwarded); ON packets are 64-byte {!Gen.fill_flow} packets
+    with per-burst-flow sequence numbers. Exhausts when [base] does. *)

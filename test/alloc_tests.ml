@@ -89,7 +89,7 @@ let test_flow_table () =
 let test_source_fill () =
   let ht = Ppp_traffic.Heavy_tail.create ~seed:42 ~flows:4096 ~alpha:1.1 () in
   let src =
-    Ppp_traffic.Heavy_tail.source ht ~rng:(Ppp_util.Rng.create ~seed:7) ()
+    Ppp_traffic.Heavy_tail.source ht ~rng:(Ppp_util.Rng.create ~seed:7)
   in
   let pkt = Ppp_net.Packet.create 60 in
   let fill n =

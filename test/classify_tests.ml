@@ -168,7 +168,7 @@ let fastpath_prop kind =
           ~backend:kind rules
       in
       let el = Fastpath.element fp in
-      let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:7) in
+      let ctx = Ppp_click.Ctx.create () in
       let pkt = Ppp_net.Packet.create 60 in
       let packets = ref 0 in
       let ok =
@@ -182,7 +182,7 @@ let fastpath_prop kind =
             let f = { f with Ppp_net.Flowid.proto = Ppp_net.Ipv4.proto_udp } in
             incr packets;
             let expect = oracle rules f in
-            match el.Ppp_click.Element.process ctx pkt with
+            match el ctx pkt with
             | Ppp_click.Element.Drop -> expect = Rule.no_match
             | Ppp_click.Element.Forward ->
                 expect >= 0 && Ppp_net.Packet.get8 pkt 0 = expect land 0xFF)

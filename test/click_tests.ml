@@ -5,21 +5,19 @@ let rng () = Ppp_util.Rng.create ~seed:11
 
 (* --- Element / pipeline --- *)
 
-let counting_element name hits =
-  Element.make ~kind:name (fun _ctx _pkt ->
-      incr hits;
-      Element.Forward)
+let counting_element hits _ctx _pkt =
+  incr hits;
+  Element.Forward
 
-let dropping_element () = Element.make ~kind:"Drop" (fun _ _ -> Element.Drop)
+let dropping_element () _ _ = Element.Drop
 
 let test_chain_runs_in_order () =
   let trace = ref [] in
-  let el name =
-    Element.make ~kind:name (fun _ _ ->
-        trace := name :: !trace;
-        Element.Forward)
+  let el name _ _ =
+    trace := name :: !trace;
+    Element.Forward
   in
-  let ctx = Ctx.create ~rng:(rng ()) in
+  let ctx = Ctx.create () in
   let p = Ppp_net.Packet.create 60 in
   let v = Element.process_all [ el "a"; el "b"; el "c" ] ctx p in
   Alcotest.(check bool) "forwarded" true (v = Element.Forward);
@@ -27,18 +25,18 @@ let test_chain_runs_in_order () =
 
 let test_chain_stops_at_drop () =
   let after = ref 0 in
-  let ctx = Ctx.create ~rng:(rng ()) in
+  let ctx = Ctx.create () in
   let p = Ppp_net.Packet.create 60 in
   let v =
     Element.process_all
-      [ dropping_element (); counting_element "x" after ]
+      [ dropping_element (); counting_element after ]
       ctx p
   in
   Alcotest.(check bool) "dropped" true (v = Element.Drop);
   Alcotest.(check int) "later elements skipped" 0 !after
 
 let test_ctx_touch_packet_lines () =
-  let ctx = Ctx.create ~rng:(rng ()) in
+  let ctx = Ctx.create () in
   let p = Ppp_net.Packet.create 200 in
   p.Ppp_net.Packet.buf_addr <- 0x10000;
   Ctx.touch_packet ctx p ~fn:Ppp_hw.Fn.none ~write:false ~pos:0 ~len:130;
@@ -46,7 +44,7 @@ let test_ctx_touch_packet_lines () =
   Alcotest.(check int) "130B = 3 lines" 3 (Ppp_hw.Trace.length t)
 
 let test_ctx_touch_unplaced_packet_noop () =
-  let ctx = Ctx.create ~rng:(rng ()) in
+  let ctx = Ctx.create () in
   let p = Ppp_net.Packet.create 200 in
   Ctx.touch_packet ctx p ~fn:Ppp_hw.Fn.none ~write:false ~pos:0 ~len:64;
   Alcotest.(check int) "no refs for unplaced packet" 0
@@ -59,8 +57,8 @@ let constant () = Ppp_traffic.Source.constant ()
 let test_flow_produces_packet_traces () =
   let hits = ref 0 in
   let flow =
-    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
-      ~elements:[ counting_element "c" hits ] ()
+    Flow.create ~heap:(heap ()) ~label:"t" ~source:(constant ())
+      ~elements:[ counting_element hits ] ()
   in
   let source = Flow.source flow in
   (match source 0 with
@@ -76,7 +74,7 @@ let test_flow_produces_packet_traces () =
 
 let test_flow_counts_drops () =
   let flow =
-    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
+    Flow.create ~heap:(heap ()) ~label:"t" ~source:(constant ())
       ~elements:[ dropping_element () ] ()
   in
   let source = Flow.source flow in
@@ -87,7 +85,7 @@ let test_flow_counts_drops () =
 
 let test_flow_buffer_rotation () =
   let flow =
-    Flow.create ~heap:(heap ()) ~rng:(rng ()) ~label:"t" ~source:(constant ())
+    Flow.create ~heap:(heap ()) ~label:"t" ~source:(constant ())
       ~elements:[] ~rx_slots:4 ()
   in
   let source = Flow.source flow in
@@ -114,15 +112,15 @@ let test_staged_requires_two_stages () =
   Alcotest.check_raises "one stage"
     (Invalid_argument "Staged.create: need at least two stages") (fun () ->
       ignore
-        (Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
+        (Staged.create ~heap:(heap ()) ~source:(constant ())
            ~stages:[ [] ] ()))
 
 let test_staged_pipeline_flows_packets () =
   let seen0 = ref 0 and seen1 = ref 0 in
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
+    Staged.create ~heap:(heap ()) ~source:(constant ())
       ~stages:
-        [ [ counting_element "s0" seen0 ]; [ counting_element "s1" seen1 ] ]
+        [ [ counting_element seen0 ]; [ counting_element seen1 ] ]
       ~queue_slots:4 ()
   in
   let sources = Staged.sources staged in
@@ -142,7 +140,7 @@ let test_staged_pipeline_flows_packets () =
 
 let test_staged_backpressure () =
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source:(constant ())
+    Staged.create ~heap:(heap ()) ~source:(constant ())
       ~stages:[ []; [] ] ~queue_slots:2 ()
   in
   let sources = Staged.sources staged in
@@ -162,8 +160,8 @@ let test_staged_exhausted_source_idles () =
   in
   let seen = ref 0 in
   let staged =
-    Staged.create ~heap:(heap ()) ~rng:(rng ()) ~source
-      ~stages:[ [ counting_element "s0" seen ]; [] ]
+    Staged.create ~heap:(heap ()) ~source
+      ~stages:[ [ counting_element seen ]; [] ]
       ()
   in
   let sources = Staged.sources staged in

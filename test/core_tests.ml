@@ -198,10 +198,13 @@ let test_placement_rejects_overflow () =
 
 let test_sensitivity_curve_structure () =
   let levels = [ { Ppp_apps.App.reads = 4; instrs = 4000 }; { reads = 64; instrs = 0 } ] in
+  let solo = Runner.solo ~params:quick Ppp_apps.App.MON in
   let c =
     Sensitivity.measure ~params:quick ~levels ~n_competitors:1
-      ~resource:Sensitivity.Both Ppp_apps.App.MON
+      ~resource:Sensitivity.Both ~solo Ppp_apps.App.MON
   in
+  Alcotest.(check (float 0.0)) "baseline is the given solo run"
+    solo.Ppp_hw.Engine.throughput_pps c.Sensitivity.solo_pps;
   Alcotest.(check int) "origin + 2 levels" 3 (List.length c.Sensitivity.points);
   let first = List.hd c.Sensitivity.points in
   Alcotest.(check (float 1e-9)) "origin" 0.0 first.Sensitivity.competing_refs_per_sec;
@@ -218,6 +221,9 @@ let test_predictor_math () =
   in
   let refs_fw = Predictor.solo_refs_per_sec p Ppp_apps.App.FW in
   Alcotest.(check bool) "solo refs positive" true (refs_fw > 0.0);
+  Alcotest.(check (float 0.0)) "solo refs read from the kept solo run"
+    (Runner.solo ~params:quick Ppp_apps.App.FW).Ppp_hw.Engine.l3_refs_per_sec
+    refs_fw;
   let d1 = Predictor.predict_drop p ~target:Ppp_apps.App.MON ~competitors:[ Ppp_apps.App.FW ] in
   let d3 =
     Predictor.predict_drop p ~target:Ppp_apps.App.MON
@@ -374,7 +380,7 @@ let test_two_faced_switches () =
     Throttle.Two_faced.elements ~heap ~rng ~buffer_bytes:65536 ~quiet_reads:1
       ~loud_reads:64 ~switch_after:3
   in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:4) in
+  let ctx = Ppp_click.Ctx.create () in
   let p = Ppp_net.Packet.create 64 in
   let refs_of_packet () =
     let before = Ppp_hw.Trace.Builder.length ctx.Ppp_click.Ctx.builder in

@@ -167,7 +167,7 @@ let test_dpi_instrumented_matches_quiet () =
 let test_dpi_element_drops () =
   let dpi = Ppp_apps.Dpi.create ~heap:(heap ()) [ "EVIL" ] in
   let el = Ppp_apps.Dpi.element dpi in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:1) in
+  let ctx = Ppp_click.Ctx.create () in
   let mk payload =
     let pkt = Ppp_net.Packet.create 256 in
     Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4 ~wire_len:128;
@@ -176,9 +176,9 @@ let test_dpi_element_drops () =
     pkt
   in
   Alcotest.(check bool) "clean forwarded" true
-    (el.Ppp_click.Element.process ctx (mk "nothing to see") = Ppp_click.Element.Forward);
+    (el ctx (mk "nothing to see") = Ppp_click.Element.Forward);
   Alcotest.(check bool) "malicious dropped" true
-    (el.Ppp_click.Element.process ctx (mk "xxEVILxx") = Ppp_click.Element.Drop);
+    (el ctx (mk "xxEVILxx") = Ppp_click.Element.Drop);
   Alcotest.(check bool) "matches counted" true (Ppp_apps.Dpi.matches_seen dpi >= 1)
 
 let naive_matches patterns data =
@@ -379,7 +379,7 @@ let test_flow_cache_fast_path () =
   in
   Ppp_apps.Route_pool.install pool trie;
   let table, el, plain = cached_and_plain h trie in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:6) in
+  let ctx = Ppp_click.Ctx.create () in
   let pkt = Ppp_net.Packet.create 128 in
   let fill () =
     Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:0x0A000001
@@ -390,17 +390,17 @@ let test_flow_cache_fast_path () =
      same egress annotation as the plain lookup element. *)
   fill ();
   Alcotest.(check bool) "first forwards" true
-    (el.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Forward);
+    (el ctx pkt = Ppp_click.Element.Forward);
   let port1 = Ppp_net.Packet.get8 pkt 0 in
   Alcotest.(check int) "miss recorded" 1 (Table.misses table);
   fill ();
   Alcotest.(check bool) "second forwards" true
-    (el.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Forward);
+    (el ctx pkt = Ppp_click.Element.Forward);
   Alcotest.(check int) "hit recorded" 1 (Table.hits table);
   Alcotest.(check int) "same egress" port1 (Ppp_net.Packet.get8 pkt 0);
   fill ();
   Alcotest.(check bool) "plain forwards" true
-    (plain.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Forward);
+    (plain ctx pkt = Ppp_click.Element.Forward);
   Alcotest.(check int) "agrees with RadixIPLookup"
     (Ppp_net.Packet.get8 pkt 0) port1
 
@@ -408,11 +408,11 @@ let test_flow_cache_unrouted_drops () =
   let h = heap () in
   let trie = Ppp_apps.Radix_trie.create ~heap:h ~default_hop:0 () in
   let table, el, _ = cached_and_plain h trie in
-  let ctx = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:6) in
+  let ctx = Ppp_click.Ctx.create () in
   let pkt = Ppp_net.Packet.create 128 in
   Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4 ~wire_len:64;
   Alcotest.(check bool) "unrouted dropped" true
-    (el.Ppp_click.Element.process ctx pkt = Ppp_click.Element.Drop);
+    (el ctx pkt = Ppp_click.Element.Drop);
   (* Negative results are not cached. *)
   Alcotest.(check int) "no fill on drop" 0 (Table.installs table)
 

@@ -11,7 +11,7 @@ let test_vpn_element_encrypts () =
   let h = heap () in
   let key = "0123456789abcdef" in
   let vpn = Ppp_apps.More_elements.vpn_encrypt ~heap:h ~key in
-  let ctx = Ppp_click.Ctx.create ~rng:(rng ()) in
+  let ctx = Ppp_click.Ctx.create () in
   let pkt = Ppp_net.Packet.create 256 in
   Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4
     ~wire_len:128;
@@ -19,7 +19,7 @@ let test_vpn_element_encrypts () =
   let len = 128 - pos in
   Ppp_traffic.Gen.seeded_payload ~seed:5 pkt ~pos ~len;
   let original = Ppp_net.Packet.sub_string pkt ~pos ~len in
-  (match vpn.Ppp_click.Element.process ctx pkt with
+  (match vpn ctx pkt with
   | Ppp_click.Element.Forward -> ()
   | Ppp_click.Element.Drop -> Alcotest.fail "should forward");
   let encrypted = Ppp_net.Packet.sub_string pkt ~pos ~len in
@@ -37,14 +37,14 @@ let test_re_element_shrinks_packets () =
   let h = heap () in
   let re = Ppp_apps.Re.create ~heap:h ~store_bytes:65536 ~table_entries:4096 () in
   let el = Ppp_apps.More_elements.re_encode re in
-  let ctx = Ppp_click.Ctx.create ~rng:(rng ()) in
+  let ctx = Ppp_click.Ctx.create () in
   let send () =
     let pkt = Ppp_net.Packet.create 1024 in
     Ppp_traffic.Gen.fill_ipv4_udp pkt ~src:1 ~dst:2 ~sport:3 ~dport:4
       ~wire_len:512;
     let pos = Ppp_net.Transport.payload_offset pkt in
     Ppp_traffic.Gen.seeded_payload ~seed:99 pkt ~pos ~len:(512 - pos);
-    ignore (el.Ppp_click.Element.process ctx pkt);
+    ignore (el ctx pkt);
     pkt.Ppp_net.Packet.len
   in
   let first = send () in
@@ -59,9 +59,9 @@ let test_re_element_shrinks_packets () =
 (* --- Staged flow drop path --- *)
 
 let test_staged_drop_path () =
-  let dropper = Ppp_click.Element.make ~kind:"D" (fun _ _ -> Ppp_click.Element.Drop) in
+  let dropper = (fun _ _ -> Ppp_click.Element.Drop) in
   let staged =
-    Ppp_click.Staged.create ~heap:(heap ()) ~rng:(rng ())
+    Ppp_click.Staged.create ~heap:(heap ())
       ~source:(Ppp_traffic.Source.constant ())
       ~stages:[ []; [ dropper ] ] ()
   in

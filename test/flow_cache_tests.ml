@@ -7,7 +7,7 @@ module Table = Ppp_classify.Flow_table
 
 let heap () = Ppp_simmem.Heap.create ~node:0
 
-let ctx () = Ppp_click.Ctx.create ~rng:(Ppp_util.Rng.create ~seed:3)
+let ctx () = Ppp_click.Ctx.create ()
 
 let packet ~dst ~sport =
   let pkt = Ppp_net.Packet.create 60 in
@@ -41,13 +41,13 @@ let test_miss_then_hit () =
   let table, el = cached_lookup h ~entries:16 ~trie ~hop_table in
   let ctx = ctx () in
   let pkt = packet ~dst:0x0B000001 ~sport:1000 in
-  (match el.Ppp_click.Element.process ctx pkt with
+  (match el ctx pkt with
   | Ppp_click.Element.Forward -> ()
   | Ppp_click.Element.Drop -> Alcotest.fail "routed packet dropped");
   Alcotest.(check int) "egress port annotated" 4 (Ppp_net.Packet.get8 pkt 0);
   Alcotest.(check (pair int int)) "first probe misses" (0, 1)
     (Table.hits table, Table.misses table);
-  ignore (el.Ppp_click.Element.process ctx pkt : Ppp_click.Element.verdict);
+  ignore (el ctx pkt : Ppp_click.Element.verdict);
   Alcotest.(check (pair int int)) "second probe hits" (1, 1)
     (Table.hits table, Table.misses table)
 
@@ -57,10 +57,10 @@ let test_unrouted_not_cached () =
   let table, el = cached_lookup h ~entries:16 ~trie ~hop_table in
   let ctx = ctx () in
   let pkt = packet ~dst:0xC0000001 ~sport:1000 in
-  (match el.Ppp_click.Element.process ctx pkt with
+  (match el ctx pkt with
   | Ppp_click.Element.Drop -> ()
   | Ppp_click.Element.Forward -> Alcotest.fail "unrouted packet forwarded");
-  ignore (el.Ppp_click.Element.process ctx pkt : Ppp_click.Element.verdict);
+  ignore (el ctx pkt : Ppp_click.Element.verdict);
   Alcotest.(check (pair int int)) "unrouted never fills the cache" (0, 2)
     (Table.hits table, Table.misses table)
 
@@ -108,8 +108,8 @@ let agrees_with_plain_lookup ~entries (seed, n_routes, n_flows) =
     let dst, sport = flows.(Ppp_util.Rng.int rng n_flows) in
     let a = packet ~dst ~sport and b = packet ~dst ~sport in
     Ppp_hw.Trace.Builder.clear ctx.Ppp_click.Ctx.builder;
-    let va = cached.Ppp_click.Element.process ctx a in
-    let vb = plain.Ppp_click.Element.process ctx b in
+    let va = cached ctx a in
+    let vb = plain ctx b in
     incr packets;
     let unrouted = Ppp_apps.Radix_trie.lookup_quiet trie dst = 0 in
     if

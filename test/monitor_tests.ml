@@ -47,7 +47,6 @@ let tame_profile ~core ~rate =
     core;
     solo_pps = 100.0 *. freq_hz /. float_of_int slice;
     solo_l3_refs_per_sec = rate;
-    solo_l3_hits_per_sec = rate /. 2.0;
     predict_drop = None;
   }
 
@@ -153,11 +152,11 @@ let prop_switching_aggressor_always_caught =
 
 (* --- real engine: solo and tame co-runs stay silent --- *)
 
-let profiles_for ~params ?predictor kinds =
+let profiles_for ~params kinds =
   List.mapi
     (fun i kind ->
-      Detector.profile_of ?predictor ~core:i
-        (Ppp_core.Solo_profile.solo ~params kind))
+      Detector.profile ~label:(Ppp_apps.App.name kind) ~core:i
+        (Ppp_core.Runner.solo ~params kind))
     kinds
 
 let monitored_run ~params ~cell kinds =
@@ -174,18 +173,12 @@ let monitored_run ~params ~cell kinds =
     Detector.default_config
       ~sample_cycles:(max 1 (params.Ppp_core.Runner.measure_cycles / 20))
   in
-  let freq_hz =
-    params.Ppp_core.Runner.config.Ppp_hw.Machine.costs.Ppp_hw.Costs.freq_hz
+  let params = Ppp_core.Runner.Params.with_cell cell params in
+  let _, (), det =
+    Report.monitored_run ~params ~config ~budgets:[]
+      (profiles_for ~params kinds) (fun hier ~heaps ~rng ->
+        (Ppp_core.Runner.spec_flows ~params specs hier ~heaps ~rng, ()))
   in
-  let det =
-    Detector.create ~config ~freq_hz (profiles_for ~params kinds)
-  in
-  let _ =
-    Ppp_core.Runner.run
-      ~params:(Ppp_core.Runner.Params.with_cell cell params)
-      ~probe:(Detector.probe det) specs
-  in
-  Detector.finalize det;
   det
 
 let prop_no_events_on_stationary_mixes =

@@ -140,7 +140,7 @@ let test_fastpath_split () =
       ()
   in
   let flow =
-    Ppp_click.Flow.create ~heap ~rng ~label:"classifier" ~source
+    Ppp_click.Flow.create ~heap ~label:"classifier" ~source
       ~elements:[ Fastpath.element fp ] ()
   in
   let at = Attrib.create ~cores:(Topology.cores config.Machine.topology) in

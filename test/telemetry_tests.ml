@@ -430,6 +430,19 @@ let hand_built =
     "throttle"; "traffic";
   ]
 
+(* [data]'s value at a path of object keys. *)
+let json_at data path =
+  List.fold_left
+    (fun j k ->
+      match j with
+      | Json.Obj kvs when List.mem_assoc k kvs -> List.assoc k kvs
+      | _ -> Alcotest.fail ("missing key " ^ k))
+    data path
+
+let json_int = function Json.Int n -> n | _ -> Alcotest.fail "not an int"
+
+let json_list = function Json.Arr l -> l | _ -> Alcotest.fail "not an array"
+
 let test_every_experiment_observed () =
   let params =
     Ppp_core.Runner.Params.(
@@ -485,6 +498,42 @@ let test_every_experiment_observed () =
                       (abs (mean - 10_000) < 1_000)
                   end)
                 series;
+            (* Every monitored run records its detector's events: the
+               traffic cells' false alerts and the monitor's three phases
+               reach the manifest and the trace. *)
+            let recorded p =
+              List.length
+                (List.filter (fun (ev : Event.t) -> p ev.Event.name)
+                   (Recorder.events ()))
+            in
+            let data = out.Ppp_experiments.Output.data in
+            (match id with
+            | "traffic" ->
+                let false_alerts =
+                  List.fold_left
+                    (fun acc c -> acc + json_int (json_at c [ "false_alerts" ]))
+                    0
+                    (json_list (json_at data [ "cells" ]))
+                in
+                Alcotest.(check int)
+                  "traffic: one hidden_aggressor event per false alert"
+                  false_alerts
+                  (recorded (String.equal "monitor.hidden_aggressor"));
+                Alcotest.(check bool) "traffic raised false alerts" true
+                  (false_alerts > 0)
+            | "monitor" ->
+                let phase_events =
+                  List.fold_left
+                    (fun acc phase ->
+                      let events = json_at data [ phase; "alerts"; "events" ] in
+                      acc + List.length (json_list events))
+                    0
+                    [ "tame"; "loud"; "throttled" ]
+                in
+                Alcotest.(check int) "monitor: every phase event recorded"
+                  phase_events
+                  (recorded (String.starts_with ~prefix:"monitor."))
+            | _ -> ());
             rendered out)
       in
       if List.mem id hand_built then

@@ -162,7 +162,7 @@ let prop_onoff_duty_cycle =
       let oo = Onoff.create ~mean_on ~mean_off ~burst_flows:4 ~flow_base:1_000_000 () in
       let rng = Ppp_util.Rng.create ~seed:(seed_of mean_on mean_off) in
       let base = Source.make ~fill:(fun _ _ -> Source.Filled) () in
-      let src = Onoff.source oo ~rng ~base () in
+      let src = Onoff.source oo ~rng ~base in
       let p = Ppp_net.Packet.create 128 in
       (* Enough packets for ~2,000 ON/OFF cycles regardless of the means:
          one 500-cycle run's duty cycle has a standard deviation of up to
@@ -185,7 +185,7 @@ let prop_rss_never_reorders =
       let ht = Heavy_tail.create ~seed ~flows ~alpha:1.3 () in
       let rng = Ppp_util.Rng.create ~seed:(seed + 1) in
       let st = Steering.create ~migrate_every:64 ~cores Steering.Rss in
-      let src = Steering.source st (Heavy_tail.source ht ~rng ()) in
+      let src = Steering.source st (Heavy_tail.source ht ~rng) in
       let det = Reorder.create () in
       let p = Ppp_net.Packet.create 128 in
       for _ = 1 to 20_000 do
@@ -207,7 +207,7 @@ let prop_fdir_reorders_eq_migrations =
       let ht = Heavy_tail.create ~seed ~flows:1024 ~alpha:1.3 () in
       let rng = Ppp_util.Rng.create ~seed:(seed + 1) in
       let st = Steering.create ~migrate_every ~cores Steering.Flow_director in
-      let src = Steering.source st (Heavy_tail.source ht ~rng ()) in
+      let src = Steering.source st (Heavy_tail.source ht ~rng) in
       let det = Reorder.create () in
       let p = Ppp_net.Packet.create 128 in
       for _ = 1 to 30_000 do
