@@ -159,6 +159,14 @@ let run_with ?(params = Params.default) ?probe build =
             ("seed", string_of_int params.seed);
             ("flows", string_of_int (List.length flows));
             ("config", config.Ppp_hw.Machine.name);
+            (* A machine's name does not pin its costs (the ablation
+               overrides them); with their digest, two spans share a key
+               only when they share seed, flow count and machine. *)
+            ( "costs",
+              Digest.to_hex
+                (Digest.string
+                   (Marshal.to_string config.Ppp_hw.Machine.costs
+                      [ Marshal.No_sharing ])) );
           ];
       };
   (results, extra)

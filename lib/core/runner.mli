@@ -107,12 +107,13 @@ val run_with :
     Observation never changes the results. When the
     {!Ppp_telemetry.Recorder} is configured, the run feeds it a per-core
     simulated-time counter series and a wall-clock span, both tagged with
-    [params.cell]; with [params.profile] it records the per-tag profile
-    under the same cell. [?probe] is teed with the telemetry sampler (the
-    engine takes a single probe): both receive every sample, and the
-    sampler records this cell on the probe's slice grid
-    ([probe.sample_cycles]) instead of the recorder's sampling period. This
-    is how the contention monitor observes a run without a second
+    [params.cell] (the span's args: the seed, the flow count, the machine's
+    name and a digest of its {!Ppp_hw.Costs.t}); with [params.profile] it
+    records the per-tag profile under the same cell. [?probe] is teed with
+    the telemetry sampler (the engine takes a single probe): both receive
+    every sample, and the sampler records this cell on the probe's slice
+    grid ([probe.sample_cycles]) instead of the recorder's sampling period.
+    This is how the contention monitor observes a run without a second
     simulation. *)
 
 val spec_flows :

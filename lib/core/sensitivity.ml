@@ -8,20 +8,22 @@ let resource_name = function
 let default_competitors config =
   min 5 (Ppp_hw.Machine.cores_per_socket config - 1)
 
-let placement ~config resource ~n_competitors ~competitor ~target =
+let competitors ~config resource kind =
   let cps = Ppp_hw.Machine.cores_per_socket config in
-  if n_competitors > cps - 1 && resource <> Memctrl_only then
-    invalid_arg "Sensitivity.placement: too many co-located competitors";
-  if n_competitors > cps && resource = Memctrl_only then
-    invalid_arg "Sensitivity.placement: too many remote competitors";
-  let target_spec = { Runner.kind = target; core = 0; data_node = 0 } in
-  let competitor_spec i =
-    match resource with
-    | Cache_only -> { Runner.kind = competitor; core = 1 + i; data_node = 1 }
-    | Memctrl_only -> { Runner.kind = competitor; core = cps + i; data_node = 0 }
-    | Both -> { Runner.kind = competitor; core = 1 + i; data_node = 0 }
-  in
-  target_spec :: List.init n_competitors competitor_spec
+  List.init (default_competitors config) (fun i ->
+      match resource with
+      | Cache_only -> Runner.flow_on ~node:1 ~core:(1 + i) kind
+      | Memctrl_only -> Runner.flow_on ~node:0 ~core:(cps + i) kind
+      | Both -> Runner.flow_on ~node:0 ~core:(1 + i) kind)
+
+let corun ~params resource ~competitor target =
+  match
+    Runner.run ~params
+      (Runner.flow_on ~node:0 ~core:0 target
+      :: competitors ~config:params.Runner.config resource competitor)
+  with
+  | t :: _ as results -> (t, Runner.competing_refs_per_sec results ~target:t)
+  | [] -> assert false
 
 (* Ramp both SYN knobs (the paper's synthetic application has a
    configurable number of CPU operations and of random reads), so that a
@@ -59,12 +61,7 @@ type curve = {
 }
 
 let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
-    ?n_competitors ~resource ~solo target =
-  let n_competitors =
-    match n_competitors with
-    | Some n -> n
-    | None -> default_competitors params.Runner.config
-  in
+    ~resource ~solo target =
   let solo_pps = solo.Ppp_hw.Engine.throughput_pps in
   let run_level i level =
     let params =
@@ -72,19 +69,14 @@ let measure ?(params = Runner.Params.default) ?(levels = default_syn_levels)
         (Printf.sprintf "sens/%s/%s/%d" (Ppp_apps.App.name target)
            (resource_name resource) i)
     in
-    let specs =
-      placement ~config:params.Runner.config resource ~n_competitors
-        ~competitor:(Ppp_apps.App.SYN level) ~target
+    let t, competing_refs_per_sec =
+      corun ~params resource ~competitor:(Ppp_apps.App.SYN level) target
     in
-    match Runner.run ~params specs with
-    | t :: _ as results ->
-        {
-          competing_refs_per_sec =
-            Runner.competing_refs_per_sec results ~target:t;
-          drop = Runner.drop ~solo ~corun:t;
-          target_hits_per_sec = t.Ppp_hw.Engine.l3_hits_per_sec;
-        }
-    | [] -> assert false
+    {
+      competing_refs_per_sec;
+      drop = Runner.drop ~solo ~corun:t;
+      target_hits_per_sec = t.Ppp_hw.Engine.l3_hits_per_sec;
+    }
   in
   let points = Parallel.mapi run_level levels in
   let origin =

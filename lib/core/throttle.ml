@@ -56,4 +56,12 @@ module Two_faced = struct
         done;
         Ppp_click.Element.Forward);
     ]
+
+  let flow ~heap ~rng ~scale ~switch_after =
+    let elements =
+      elements ~heap ~rng ~buffer_bytes:(12 * 1024 * 1024 / scale)
+        ~quiet_reads:4 ~loud_reads:256 ~switch_after
+    in
+    Ppp_click.Flow.create ~heap ~label:"two-faced"
+      ~source:(Ppp_traffic.Source.constant ()) ~elements ()
 end

@@ -8,7 +8,8 @@
     a flow's engine source: it reads the L3 references the flow's core has
     issued from its performance counters, compares them against the budget
     using the core's cycle counter, and inserts idle time until the average
-    rate is back under budget. *)
+    rate is back under budget. [Two_faced] is the flow that needs it: the
+    aggressor the throttle and monitor experiments share. *)
 
 val l3_budget_source :
   budget_l3_refs_per_sec:float ->
@@ -35,4 +36,15 @@ module Two_faced : sig
     loud_reads:int ->
     switch_after:int ->
     Ppp_click.Element.t list
+
+  val flow :
+    heap:Ppp_simmem.Heap.t ->
+    rng:Ppp_util.Rng.t ->
+    scale:int ->
+    switch_after:int ->
+    Ppp_click.Flow.t
+  (** The Section 4 aggressor that the throttle and monitor experiments
+      both run: {!elements} over a 12 MiB / [scale] buffer, 4 reads per
+      packet while tame and 256 once loud, on a constant packet source,
+      labelled ["two-faced"]. *)
 end

@@ -3,26 +3,26 @@ open Ppp_core
 type bound_check = {
   kind : Ppp_apps.App.kind;
   solo_hits_per_sec : float;
-  bound : float;
-  measured_worst : float;
+  bound : float;  (* Equation 1, kappa = 1, platform delta *)
+  measured_worst : float;  (* drop under 5 x SYN_MAX *)
 }
 
 type delta_point = {
   dram_lat_cycles : int;
   delta_ns : float;
-  mon_drop : float;
+  mon_drop : float;  (* MON vs 5 x SYN_MAX at this delta *)
 }
 
 type numa_check = {
   kind : Ppp_apps.App.kind;
   local_pps : float;
   remote_pps : float;
-  penalty : float;
+  penalty : float;  (* fractional loss from remote data *)
 }
 
 type mlp_point = {
   mlp : int;
-  competing_refs_per_sec : float;
+  competing_refs_per_sec : float;  (* from 5 x SYN_MAX *)
   mon_drop_mlp : float;
 }
 
@@ -33,106 +33,95 @@ type data = {
   mlp_sweep : mlp_point list;
 }
 
-let worst_case_run ?(label = "worst") ~params kind =
-  let solo = Runner.solo ~params kind in
-  let specs =
-    Sensitivity.placement ~config:params.Runner.config Sensitivity.Both
-      ~n_competitors:(Sensitivity.default_competitors params.Runner.config)
-      ~competitor:Ppp_apps.App.syn_max ~target:kind
-  in
+(* The worst-case co-run: 5 x SYN_MAX on the target's socket, local data. *)
+let worst_case ~params label kind =
   let params =
     Runner.Params.with_cell
       (Printf.sprintf "ablation/%s/%s" label (Ppp_apps.App.name kind))
       params
   in
-  match Runner.run ~params specs with
-  | t :: _ as results ->
-      ( solo,
-        Runner.drop ~solo ~corun:t,
-        Runner.competing_refs_per_sec results ~target:t )
-  | [] -> assert false
-
-let worst_case_drop ?label ~params kind =
-  let solo, drop, _ = worst_case_run ?label ~params kind in
-  (solo, drop)
-
-let measure_bounds ~params =
-  let costs = params.Runner.config.Ppp_hw.Machine.costs in
-  let delta = Ppp_hw.Costs.delta_seconds costs in
-  List.map
-    (fun kind ->
-      let solo, worst = worst_case_drop ~params kind in
-      let h = solo.Ppp_hw.Engine.l3_hits_per_sec in
-      {
-        kind;
-        solo_hits_per_sec = h;
-        bound = Equation1.max_drop ~delta ~hits_per_sec:h;
-        measured_worst = worst;
-      })
-    Exp_common.realistic
-
-let measure_delta_sweep ~params =
-  List.map
-    (fun dram_lat ->
-      let config = params.Runner.config in
-      let costs = { config.Ppp_hw.Machine.costs with Ppp_hw.Costs.dram_lat } in
-      let config = { config with Ppp_hw.Machine.costs = costs } in
-      let params = { params with Runner.config = config } in
-      let _, drop =
-        worst_case_drop
-          ~label:(Printf.sprintf "delta-%d" dram_lat)
-          ~params Ppp_apps.App.MON
-      in
-      {
-        dram_lat_cycles = dram_lat;
-        delta_ns = Ppp_hw.Costs.delta_seconds costs *. 1e9;
-        mon_drop = drop;
-      })
-    [ 61; 122; 244 ]
-
-let measure_numa ~params =
-  List.map
-    (fun kind ->
-      let local = Runner.solo ~params kind in
-      let remote =
-        let params =
-          Runner.Params.with_cell
-            ("ablation/numa/" ^ Ppp_apps.App.name kind)
-            params
-        in
-        match
-          Runner.run ~params [ { Runner.kind; core = 0; data_node = 1 } ]
-        with
-        | [ r ] -> r
-        | _ -> assert false
-      in
-      let lp = local.Ppp_hw.Engine.throughput_pps in
-      let rp = remote.Ppp_hw.Engine.throughput_pps in
-      { kind; local_pps = lp; remote_pps = rp; penalty = (lp -. rp) /. lp })
-    Ppp_apps.App.[ IP; MON; RE ]
-
-let measure_mlp ~params =
-  List.map
-    (fun mlp ->
-      let config = params.Runner.config in
-      let costs = { config.Ppp_hw.Machine.costs with Ppp_hw.Costs.mlp } in
-      let config = { config with Ppp_hw.Machine.costs = costs } in
-      let params = { params with Runner.config = config } in
-      let _, drop, competing =
-        worst_case_run
-          ~label:(Printf.sprintf "mlp-%d" mlp)
-          ~params Ppp_apps.App.MON
-      in
-      { mlp; competing_refs_per_sec = competing; mon_drop_mlp = drop })
-    [ 1; 2; 4 ]
+  Sensitivity.corun ~params Sensitivity.Both ~competitor:Ppp_apps.App.syn_max
+    kind
 
 let measure ?(params = Runner.Params.default) () =
-  {
-    bounds = measure_bounds ~params;
-    delta_sweep = measure_delta_sweep ~params;
-    numa = measure_numa ~params;
-    mlp_sweep = measure_mlp ~params;
-  }
+  let config = params.Runner.config in
+  let own = config.Ppp_hw.Machine.costs in
+  let solos = Exp_common.solo_results ~params Exp_common.realistic in
+  let worsts =
+    List.map (fun (kind, _) -> (kind, worst_case ~params "worst" kind)) solos
+  in
+  let mon = Ppp_apps.App.MON in
+  (* MON's solo and worst-case runs on the machine with [costs]. At the
+     machine's own costs they are the bounds phase's runs: the same seed,
+     machine and flows, since the co-run's label leaves the seed alone. *)
+  let mon_at label costs =
+    if costs = own then
+      (List.assoc mon solos, List.assoc mon worsts)
+    else
+      let params =
+        { params with Runner.config = { config with Ppp_hw.Machine.costs } }
+      in
+      (Runner.solo ~params mon, worst_case ~params label mon)
+  in
+  let bounds =
+    let delta = Ppp_hw.Costs.delta_seconds own in
+    List.map
+      (fun (kind, solo) ->
+        let t, _ = List.assoc kind worsts in
+        let h = solo.Ppp_hw.Engine.l3_hits_per_sec in
+        {
+          kind;
+          solo_hits_per_sec = h;
+          bound = Equation1.max_drop ~delta ~hits_per_sec:h;
+          measured_worst = Runner.drop ~solo ~corun:t;
+        })
+      solos
+  in
+  let delta_sweep =
+    List.map
+      (fun dram_lat ->
+        let costs = { own with Ppp_hw.Costs.dram_lat } in
+        let solo, (t, _) = mon_at (Printf.sprintf "delta-%d" dram_lat) costs in
+        {
+          dram_lat_cycles = dram_lat;
+          delta_ns = Ppp_hw.Costs.delta_seconds costs *. 1e9;
+          mon_drop = Runner.drop ~solo ~corun:t;
+        })
+      [ 61; 122; 244 ]
+  in
+  let numa =
+    List.map
+      (fun kind ->
+        let remote =
+          let params =
+            Runner.Params.with_cell
+              ("ablation/numa/" ^ Ppp_apps.App.name kind)
+              params
+          in
+          match
+            Runner.run ~params [ { Runner.kind; core = 0; data_node = 1 } ]
+          with
+          | [ r ] -> r
+          | _ -> assert false
+        in
+        let lp = (List.assoc kind solos).Ppp_hw.Engine.throughput_pps in
+        let rp = remote.Ppp_hw.Engine.throughput_pps in
+        { kind; local_pps = lp; remote_pps = rp; penalty = (lp -. rp) /. lp })
+      Ppp_apps.App.[ IP; MON; RE ]
+  in
+  let mlp_sweep =
+    List.map
+      (fun mlp ->
+        let costs = { own with Ppp_hw.Costs.mlp } in
+        let solo, (t, competing) = mon_at (Printf.sprintf "mlp-%d" mlp) costs in
+        {
+          mlp;
+          competing_refs_per_sec = competing;
+          mon_drop_mlp = Runner.drop ~solo ~corun:t;
+        })
+      [ 1; 2; 4 ]
+  in
+  { bounds; delta_sweep; numa; mlp_sweep }
 
 let render data =
   let open Ppp_util in

@@ -13,42 +13,10 @@
     - {b miss overlap (MLP)}: with the optional out-of-order-style miss
       overlap enabled, SYN competitors reach several times more refs/sec —
       explaining why the paper's competing-refs axis extends to 300M where
-      the default in-order model stops near 100M. *)
+      the default in-order model stops near 100M.
 
-type bound_check = {
-  kind : Ppp_apps.App.kind;
-  solo_hits_per_sec : float;
-  bound : float;  (** Equation 1, kappa = 1, platform delta *)
-  measured_worst : float;  (** drop under 5 x SYN_MAX *)
-}
+    Each cell is simulated once: the NUMA phase's local runs are the
+    bounds phase's solos, and a sweep point at the machine's own costs
+    reuses the bounds phase's MON runs. *)
 
-type delta_point = {
-  dram_lat_cycles : int;
-  delta_ns : float;
-  mon_drop : float;  (** MON vs 5 x SYN_MAX at this delta *)
-}
-
-type numa_check = {
-  kind : Ppp_apps.App.kind;
-  local_pps : float;
-  remote_pps : float;
-  penalty : float;  (** fractional loss from remote data *)
-}
-
-type mlp_point = {
-  mlp : int;
-  competing_refs_per_sec : float;  (** from 5 x SYN_MAX *)
-  mon_drop_mlp : float;
-}
-
-type data = {
-  bounds : bound_check list;
-  delta_sweep : delta_point list;
-  numa : numa_check list;
-  mlp_sweep : mlp_point list;
-}
-
-val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

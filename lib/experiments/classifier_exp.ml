@@ -90,7 +90,7 @@ let build_flow ~(params : Runner.params) ~heap ~rng ~backend ~nrules =
    target's simulation is identical in both runs. *)
 let run_one ~(params : Runner.params) ~backend ~nrules ~skew ~contended =
   let results, fp =
-    Runner.run_with ~params (fun _ ~heaps ~rng ->
+    Runner.run_with ~params (fun hier ~heaps ~rng ->
         let heap = heaps.(0) in
         let flow, fp, set_skew =
           build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~backend
@@ -103,7 +103,8 @@ let run_one ~(params : Runner.params) ~backend ~nrules ~skew ~contended =
         in
         let competitors =
           if contended then
-            Exp_common.co_runners ~params ~heap ~rng Ppp_apps.App.syn_max
+            Exp_common.co_runners ~params Ppp_apps.App.syn_max hier ~heaps
+              ~rng
           else []
         in
         (target :: competitors, fp))

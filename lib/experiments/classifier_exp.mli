@@ -27,6 +27,5 @@ type cell = {
 type data = { cells : cell list }
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
 val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

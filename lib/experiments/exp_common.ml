@@ -14,43 +14,29 @@ let solo_results ~params kinds =
   (* One cell per kind; Runner.solo derives each cell's seed. *)
   Parallel.map (fun k -> (k, Runner.solo ~params k)) kinds
 
-let co_runners ~params ~heap ~rng kind =
-  let config = params.Runner.config in
-  List.init (Sensitivity.default_competitors config) (fun i ->
-      let flow =
-        Ppp_apps.App.flow kind ~heap ~rng:(Ppp_util.Rng.split rng)
-          ~scale:config.Ppp_hw.Machine.scale ()
-      in
-      {
-        Ppp_hw.Engine.core = 1 + i;
-        label = Ppp_apps.App.name kind;
-        source = Ppp_click.Flow.source flow;
-      })
+let co_runners ~params kind hier ~heaps ~rng =
+  Runner.spec_flows ~params
+    (Sensitivity.competitors ~config:params.Runner.config Sensitivity.Both
+       kind)
+    hier ~heaps ~rng
 
 let pair_matrix ~params ~solos kinds =
-  let n_competitors = Sensitivity.default_competitors params.Runner.config in
   let pair (target, competitor) =
     let params =
       Runner.cell_params params
         (Printf.sprintf "pair/%s/%s" (Ppp_apps.App.name target)
            (Ppp_apps.App.name competitor))
     in
-    let specs =
-      Sensitivity.placement ~config:params.Runner.config Sensitivity.Both
-        ~n_competitors ~competitor ~target
+    let t, competing_refs_per_sec =
+      Sensitivity.corun ~params Sensitivity.Both ~competitor target
     in
-    match Runner.run ~params specs with
-    | t :: _ as results ->
-        let solo = List.assoc target solos in
-        {
-          target;
-          competitor;
-          drop = Runner.drop ~solo ~corun:t;
-          competing_refs_per_sec =
-            Runner.competing_refs_per_sec results ~target:t;
-          target_result = t;
-        }
-    | [] -> assert false
+    {
+      target;
+      competitor;
+      drop = Runner.drop ~solo:(List.assoc target solos) ~corun:t;
+      competing_refs_per_sec;
+      target_result = t;
+    }
   in
   Parallel.map pair
     (List.concat_map (fun t -> List.map (fun c -> (t, c)) kinds) kinds)

@@ -1,4 +1,6 @@
-(** Shared helpers for the per-figure experiment drivers. *)
+(** Shared helpers for the per-figure experiment drivers: the realistic
+    kinds, their solo baselines, and the Figure 2 pair matrix. Every
+    co-run here goes through {!Ppp_core.Sensitivity}'s placement. *)
 
 val realistic : Ppp_apps.App.kind list
 
@@ -18,25 +20,26 @@ val solo_results :
 
 val co_runners :
   params:Ppp_core.Runner.params ->
-  heap:Ppp_simmem.Heap.t ->
-  rng:Ppp_util.Rng.t ->
   Ppp_apps.App.kind ->
+  Ppp_hw.Hierarchy.t ->
+  heaps:Ppp_simmem.Heap.t array ->
+  rng:Ppp_util.Rng.t ->
   Ppp_hw.Engine.flow list
-(** {!Ppp_core.Sensitivity.default_competitors} flows of one kind on cores
-    1..n, for a {!Ppp_core.Runner.run_with} builder whose target sits on
-    core 0. Each is built on [heap] from its own [Rng.split rng], in core
-    order. *)
+(** The [Both] co-runners of {!Ppp_core.Sensitivity.competitors} as flows,
+    for a {!Ppp_core.Runner.run_with} builder whose own target sits on core
+    0 (classifier, flowcache, traffic's victim):
+    {!Ppp_core.Runner.spec_flows} over them, each from its own
+    [Rng.split rng], in core order. *)
 
 val pair_matrix :
   params:Ppp_core.Runner.params ->
   solos:(Ppp_apps.App.kind * Ppp_hw.Engine.result) list ->
   Ppp_apps.App.kind list ->
   pair_result list
-(** For every ordered pair (X, Y): X co-runs with
-    {!Ppp_core.Sensitivity.default_competitors} flows of type Y, all on one
-    socket with local data — the Figure 2 scenarios. Cells run under
-    {!Ppp_core.Parallel.map}, each seeded from its (target, competitor)
-    label. *)
+(** For every ordered pair (X, Y): the {!Ppp_core.Sensitivity.corun} of X
+    against [Both] co-runners of type Y, all on one socket with local data
+    — the Figure 2 scenarios. Cells run under {!Ppp_core.Parallel.map},
+    each seeded from its (target, competitor) label. *)
 
 val find_pair :
   pair_result list -> target:Ppp_apps.App.kind -> competitor:Ppp_apps.App.kind ->

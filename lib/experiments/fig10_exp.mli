@@ -16,13 +16,9 @@ type data = {
   detail : combo_result;  (** the 6 MON + 6 FW combination *)
 }
 
-(** The paper's eight combinations, with per-kind counts scaled so every
-    combo fills the machine's 2 * cores_per_socket cores. *)
-val default_combos : config:Ppp_hw.Machine.config -> Ppp_core.Scheduler.combo list
 val measure : ?params:Ppp_core.Runner.params -> ?combos:Ppp_core.Scheduler.combo list -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
-val run : ?params:Ppp_core.Runner.params -> unit -> Output.t
+(** [combos] defaults to the paper's eight combinations, with per-kind
+    counts scaled so every combo fills the machine's 2 * cores_per_socket
+    cores. *)
 
-val max_gain : data -> float
-(** Largest best-vs-worst average-drop gap across realistic combos. *)
+val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

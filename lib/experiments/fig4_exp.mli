@@ -10,10 +10,7 @@ val measure :
   unit ->
   data
 
-val render : data -> string
-
 val curve_json : Ppp_core.Sensitivity.curve -> Output.Json.t
 (** Shared with {!Fig5_exp}: one sensitivity curve as JSON. *)
 
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

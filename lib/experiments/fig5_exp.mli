@@ -17,8 +17,6 @@ type data = {
 }
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t
 
 val max_deviation : data -> float

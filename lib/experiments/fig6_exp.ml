@@ -9,12 +9,16 @@ type data = {
 let deltas = [ 30e-9; Equation1.paper_delta; 60e-9 ]
 
 let measure ?(params = Runner.Params.default) () =
-  let profiles = Solo_profile.table1 ~params Exp_common.realistic in
+  (* Each application sits at its Table 1 solo hits/sec; a Table 1 row
+     refuses a window that completed no packet. *)
+  let hits =
+    List.map
+      (fun (k, r) ->
+        (k, (Table1_exp.of_result k r).Table1_exp.l3_hits_per_sec))
+      (Exp_common.solo_results ~params Exp_common.realistic)
+  in
   let max_hits =
-    List.fold_left
-      (fun acc (p : Solo_profile.t) -> Float.max acc p.Solo_profile.l3_hits_per_sec)
-      10e6 profiles
-    *. 1.5
+    List.fold_left (fun acc (_, h) -> Float.max acc h) 10e6 hits *. 1.5
   in
   let samples = 13 in
   let curve_samples =
@@ -24,12 +28,9 @@ let measure ?(params = Runner.Params.default) () =
   in
   let app_points =
     List.map
-      (fun (p : Solo_profile.t) ->
-        ( p.Solo_profile.kind,
-          p.Solo_profile.l3_hits_per_sec,
-          Equation1.max_drop ~delta:Equation1.paper_delta
-            ~hits_per_sec:p.Solo_profile.l3_hits_per_sec ))
-      profiles
+      (fun (k, h) ->
+        (k, h, Equation1.max_drop ~delta:Equation1.paper_delta ~hits_per_sec:h))
+      hits
   in
   { deltas; curve_samples; app_points }
 

@@ -39,40 +39,34 @@ let measure ?(params = Runner.Params.default) () =
   let chunks =
     Ppp_apps.App.working_set_bytes target ~scale:config.Ppp_hw.Machine.scale / 64
   in
-  let n_competitors = Sensitivity.default_competitors config in
   let rows =
     Parallel.mapi
       (fun i level ->
         let params =
           Runner.cell_params params (Printf.sprintf "fig7/%d" i)
         in
-        let specs =
-          Sensitivity.placement ~config Sensitivity.Cache_only ~n_competitors
-            ~competitor:(Ppp_apps.App.SYN level) ~target
+        let t, competing =
+          Sensitivity.corun ~params Sensitivity.Cache_only
+            ~competitor:(Ppp_apps.App.SYN level) target
         in
-        match Runner.run ~params specs with
-        | t :: _ as results ->
-            let competing = Runner.competing_refs_per_sec results ~target:t in
-            {
-              competing_refs_per_sec = competing;
-              measured =
-                conversion
-                  ~solo:(overall_hits_per_packet solo)
-                  ~corun:(overall_hits_per_packet t);
-              per_fn =
-                List.map
-                  (fun fn ->
-                    ( Ppp_hw.Fn.name fn,
-                      conversion
-                        ~solo:(hits_per_packet solo fn)
-                        ~corun:(hits_per_packet t fn) ))
-                  tracked_fns;
-              model =
-                Cache_model.conversion_rate ~cache_lines:l3_lines ~chunks
-                  ~target_hits_per_sec:solo.Ppp_hw.Engine.l3_hits_per_sec
-                  ~competing_refs_per_sec:competing;
-            }
-        | [] -> assert false)
+        {
+          competing_refs_per_sec = competing;
+          measured =
+            conversion
+              ~solo:(overall_hits_per_packet solo)
+              ~corun:(overall_hits_per_packet t);
+          per_fn =
+            List.map
+              (fun fn ->
+                ( Ppp_hw.Fn.name fn,
+                  conversion ~solo:(hits_per_packet solo fn)
+                    ~corun:(hits_per_packet t fn) ))
+              tracked_fns;
+          model =
+            Cache_model.conversion_rate ~cache_lines:l3_lines ~chunks
+              ~target_hits_per_sec:solo.Ppp_hw.Engine.l3_hits_per_sec
+              ~competing_refs_per_sec:competing;
+        })
       Sensitivity.default_syn_levels
   in
   let rows =

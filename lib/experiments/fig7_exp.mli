@@ -12,6 +12,4 @@ type row = {
 type data = { target : Ppp_apps.App.kind; rows : row list }
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

@@ -4,13 +4,13 @@ type cell = {
   target : Ppp_apps.App.kind;
   competitor : Ppp_apps.App.kind;
   measured_drop : float;
-  predicted_drop : float;
-  perfect_drop : float;
+  predicted_drop : float;  (* using competitors' solo refs/sec *)
+  perfect_drop : float;  (* using refs/sec measured during the co-run *)
 }
 
 type data = {
   cells : cell list;
-  avg_error : (Ppp_apps.App.kind * float) list;
+  avg_error : (Ppp_apps.App.kind * float) list;  (* ours, absolute *)
   avg_error_perfect : (Ppp_apps.App.kind * float) list;
 }
 

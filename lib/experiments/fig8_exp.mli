@@ -2,23 +2,4 @@
     the paper's method and the perfect-knowledge variant, plus per-target
     average absolute errors. *)
 
-type cell = {
-  target : Ppp_apps.App.kind;
-  competitor : Ppp_apps.App.kind;
-  measured_drop : float;
-  predicted_drop : float;  (** using competitors' solo refs/sec *)
-  perfect_drop : float;  (** using refs/sec measured during the co-run *)
-}
-
-type data = {
-  cells : cell list;
-  avg_error : (Ppp_apps.App.kind * float) list;  (** ours, absolute *)
-  avg_error_perfect : (Ppp_apps.App.kind * float) list;
-}
-
-val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t
-
-val max_abs_error : data -> float

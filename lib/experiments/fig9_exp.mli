@@ -10,6 +10,4 @@ type flow_check = {
 type data = { flows : flow_check list; max_error : float }
 
 val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

@@ -1,11 +1,11 @@
 open Ppp_core
 
 type cell = {
-  scenario : string;
-  plain_pps : float;
-  cached_pps : float;
-  speedup : float;
-  hit_rate : float;
+  scenario : string;  (* "solo" or "vs 5 SYN_MAX" *)
+  plain_pps : float;  (* IP forwarding via the trie *)
+  cached_pps : float;  (* IP forwarding via [lookup_element] *)
+  speedup : float;  (* cached / plain *)
+  hit_rate : float;  (* flow-cache hit rate in the cached run *)
 }
 
 type data = { cells : cell list }
@@ -83,14 +83,15 @@ let build_flow ~params ~heap ~rng ~cached =
 
 let run_one ~params ~cached ~with_competitors =
   let results, table =
-    Runner.run_with ~params (fun _ ~heaps ~rng ->
+    Runner.run_with ~params (fun hier ~heaps ~rng ->
         let heap = heaps.(0) in
         let flow, table =
           build_flow ~params ~heap ~rng:(Ppp_util.Rng.split rng) ~cached
         in
         let competitors =
           if with_competitors then
-            Exp_common.co_runners ~params ~heap ~rng Ppp_apps.App.syn_max
+            Exp_common.co_runners ~params Ppp_apps.App.syn_max hier ~heaps
+              ~rng
           else []
         in
         ( { Ppp_hw.Engine.core = 0; label = "t";

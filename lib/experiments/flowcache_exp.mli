@@ -12,16 +12,6 @@
     The cache is a {!Ppp_classify.Flow_table} of 4,096 32-byte slots
     (128 KiB) with its default probe window. *)
 
-type cell = {
-  scenario : string;  (** "solo" or "vs 5 SYN_MAX" *)
-  plain_pps : float;  (** IP forwarding via the trie *)
-  cached_pps : float;  (** IP forwarding via {!lookup_element} *)
-  speedup : float;  (** cached / plain *)
-  hit_rate : float;  (** flow-cache hit rate in the cached run *)
-}
-
-type data = { cells : cell list }
-
 val lookup_element :
   Ppp_classify.Flow_table.t ->
   trie:Ppp_apps.Radix_trie.t ->
@@ -33,7 +23,4 @@ val lookup_element :
     installs a routed flow's port. Unrouted packets are dropped and never
     installed. Counts under its own tag, ["cached_ip_lookup"]. *)
 
-val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

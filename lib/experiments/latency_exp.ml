@@ -28,19 +28,13 @@ let measure ?(params = Runner.Params.default) () =
   let target = Ppp_apps.App.MON in
   let solo = Runner.solo ~params target in
   let corun competitor label =
-    let specs =
-      Sensitivity.placement ~config:params.Runner.config Sensitivity.Both
-        ~n_competitors:(Sensitivity.default_competitors params.Runner.config)
-        ~competitor ~target
-    in
     let params =
       Runner.Params.with_cell
         ("latency/vs-" ^ Ppp_apps.App.name competitor)
         params
     in
-    match Runner.run ~params specs with
-    | t :: _ -> row_of label t
-    | [] -> assert false
+    let t, _ = Sensitivity.corun ~params Sensitivity.Both ~competitor target in
+    row_of label t
   in
   {
     target;

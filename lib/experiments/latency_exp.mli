@@ -5,18 +5,4 @@
     shows that cache contention inflates the tail (p99) disproportionately
     to the median — converted misses cluster on unlucky packets. *)
 
-type row = {
-  scenario : string;
-  throughput_pps : float;
-  mean_cycles : float;
-  p50_cycles : int;
-  p99_cycles : int;
-  max_cycles : int;
-}
-
-type data = { target : Ppp_apps.App.kind; rows : row list }
-
-val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
-val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

@@ -41,16 +41,6 @@ let tame_kinds ~config =
     (fun i _ -> 2 + i < cores)
     [ Ppp_apps.App.IP; Ppp_apps.App.FW ]
 
-let aggressor_flow ~params ~switch_after ~heap ~rng =
-  let scale = params.Runner.config.Ppp_hw.Machine.scale in
-  let elements =
-    Throttle.Two_faced.elements ~heap ~rng
-      ~buffer_bytes:(12 * 1024 * 1024 / scale)
-      ~quiet_reads:4 ~loud_reads:256 ~switch_after
-  in
-  Ppp_click.Flow.create ~heap ~label:"two-faced"
-    ~source:(Ppp_traffic.Source.constant ()) ~elements ()
-
 (* The aggressor's offline profile is its tame face: what a solo
    characterization run would have recorded before deployment. *)
 let aggressor_solo ~params =
@@ -58,8 +48,10 @@ let aggressor_solo ~params =
   match
     Runner.run_with ~params (fun _ ~heaps ~rng ->
         let flow =
-          aggressor_flow ~params ~switch_after:max_int ~heap:heaps.(0)
+          Throttle.Two_faced.flow ~heap:heaps.(0)
             ~rng:(Ppp_util.Rng.split rng)
+            ~scale:params.Runner.config.Ppp_hw.Machine.scale
+            ~switch_after:max_int
         in
         ( [ { Ppp_hw.Engine.core = 0; label = "two-faced";
               source = Ppp_click.Flow.source flow } ],
@@ -82,8 +74,8 @@ let run_phase ~params ~cell ~profiles ~config:det_config ~switch_after
             ~rng:(Ppp_util.Rng.split rng) ~scale ~label:"MON" ()
         in
         let aggressor =
-          aggressor_flow ~params ~switch_after ~heap
-            ~rng:(Ppp_util.Rng.split rng)
+          Throttle.Two_faced.flow ~heap ~rng:(Ppp_util.Rng.split rng) ~scale
+            ~switch_after
         in
         let tame =
           List.mapi

@@ -33,18 +33,13 @@ let run_scenario ~params ~cell ~switch_after ~throttle_budget =
          in
          let attackers =
            List.init (n_attackers ~config) (fun i ->
-               let elements =
-                 Throttle.Two_faced.elements ~heap ~rng:(Ppp_util.Rng.split rng)
-                   ~buffer_bytes:(12 * 1024 * 1024 / scale)
-                   ~quiet_reads:4 ~loud_reads:256 ~switch_after
+               let flow =
+                 Throttle.Two_faced.flow ~heap ~rng:(Ppp_util.Rng.split rng)
+                   ~scale ~switch_after
                in
                (* Each attacker draws one more split, unused, so the next
                   attacker's elements keep the stream the goldens pin. *)
                let (_ : Ppp_util.Rng.t) = Ppp_util.Rng.split rng in
-               let flow =
-                 Ppp_click.Flow.create ~heap ~label:"two-faced"
-                   ~source:(Ppp_traffic.Source.constant ()) ~elements ()
-               in
                let source = Ppp_click.Flow.source flow in
                let source =
                  match throttle_budget with

@@ -111,7 +111,7 @@ let model_source cfg ~u ~seed ~rng =
    (built after the victim from the same stream, so the victim's simulation
    is identical either way). Its state is the victim flow, fast path and
    steering model whose counters the cell reads after the run. *)
-let victim_mix ~(params : Runner.params) ~cfg ~steering ?competitor () _
+let victim_mix ~(params : Runner.params) ~cfg ~steering ?competitor () hier
     ~heaps ~rng =
   let config = params.Runner.config in
   let heap = heaps.(0) in
@@ -150,7 +150,7 @@ let victim_mix ~(params : Runner.params) ~cfg ~steering ?competitor () _
   let competitors =
     match competitor with
     | None -> []
-    | Some kind -> Exp_common.co_runners ~params ~heap ~rng kind
+    | Some kind -> Exp_common.co_runners ~params kind hier ~heaps ~rng
   in
   ( { Ppp_hw.Engine.core = 0; label = "victim";
       source = Ppp_click.Flow.source victim }

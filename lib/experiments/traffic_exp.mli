@@ -39,7 +39,5 @@ type data = {
   cells : cell list;
 }
 
-val measure : ?params:Ppp_core.Runner.params -> unit -> data
-val render : data -> string
 val data_json : data -> Output.Json.t
 val run : ?params:Ppp_core.Runner.params -> unit -> Output.t

@@ -150,21 +150,22 @@ let test_competing_refs_sums_others () =
 
 (* --- Profile --- *)
 
+module Table1 = Ppp_experiments.Table1_exp
+
 let test_profile_consistency () =
-  let p = Solo_profile.solo ~params:quick Ppp_apps.App.MON in
-  Alcotest.(check bool) "cycles/packet positive" true (p.Solo_profile.cycles_per_packet > 0.0);
+  let r = Runner.solo ~params:quick Ppp_apps.App.MON in
+  let p = Table1.of_result Ppp_apps.App.MON r in
+  Alcotest.(check bool) "cycles/packet positive" true (p.Table1.cycles_per_packet > 0.0);
   Alcotest.(check bool) "refs >= hits" true
-    (p.Solo_profile.l3_refs_per_sec >= p.Solo_profile.l3_hits_per_sec);
-  Alcotest.(check bool) "refs/packet = hits+misses" true
-    (Float.abs
-       (p.Solo_profile.l3_refs_per_packet
-       -. (p.Solo_profile.l3_misses_per_packet
-          +. (p.Solo_profile.l3_refs_per_packet -. p.Solo_profile.l3_misses_per_packet)))
-    < 1e-9)
+    (p.Table1.l3_refs_per_sec >= p.Table1.l3_hits_per_sec);
+  let refs = float_of_int (Ppp_hw.Counters.l3_refs r.Ppp_hw.Engine.counters) in
+  Alcotest.(check (float (1e-9 *. refs))) "refs/packet x packets = L3 refs"
+    refs
+    (p.Table1.l3_refs_per_packet *. float_of_int r.Ppp_hw.Engine.packets)
 
 let test_profile_table_renders () =
-  let profiles = Solo_profile.table1 ~params:quick [ Ppp_apps.App.IP ] in
-  let s = Ppp_util.Table.to_string (Solo_profile.to_table profiles) in
+  let ip = Runner.solo ~params:quick Ppp_apps.App.IP in
+  let s = Table1.render [ Table1.of_result Ppp_apps.App.IP ip ] in
   Alcotest.(check bool) "mentions IP" true
     (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 2 && String.sub l 0 2 = "IP"))
 
@@ -174,34 +175,25 @@ let test_placement_shapes () =
   let config = Ppp_hw.Machine.tiny in
   let check resource expected_cores expected_nodes =
     let specs =
-      Sensitivity.placement ~config resource ~n_competitors:1
-        ~competitor:Ppp_apps.App.syn_max ~target:Ppp_apps.App.MON
+      Sensitivity.competitors ~config resource Ppp_apps.App.syn_max
     in
     let cores = List.map (fun s -> s.Runner.core) specs in
     let nodes = List.map (fun s -> s.Runner.data_node) specs in
     Alcotest.(check (list int)) "cores" expected_cores cores;
     Alcotest.(check (list int)) "nodes" expected_nodes nodes
   in
-  (* tiny: 2 sockets x 2 cores. Target on core 0 node 0. *)
-  check Sensitivity.Cache_only [ 0; 1 ] [ 0; 1 ];
-  check Sensitivity.Memctrl_only [ 0; 2 ] [ 0; 0 ];
-  check Sensitivity.Both [ 0; 1 ] [ 0; 0 ]
-
-let test_placement_rejects_overflow () =
-  Alcotest.check_raises "too many"
-    (Invalid_argument "Sensitivity.placement: too many co-located competitors")
-    (fun () ->
-      ignore
-        (Sensitivity.placement ~config:Ppp_hw.Machine.tiny Sensitivity.Both
-           ~n_competitors:5 ~competitor:Ppp_apps.App.syn_max
-           ~target:Ppp_apps.App.MON))
+  (* tiny: 2 sockets x 2 cores, so one co-runner beside the target on core
+     0, node 0. *)
+  check Sensitivity.Cache_only [ 1 ] [ 1 ];
+  check Sensitivity.Memctrl_only [ 2 ] [ 0 ];
+  check Sensitivity.Both [ 1 ] [ 0 ]
 
 let test_sensitivity_curve_structure () =
   let levels = [ { Ppp_apps.App.reads = 4; instrs = 4000 }; { reads = 64; instrs = 0 } ] in
   let solo = Runner.solo ~params:quick Ppp_apps.App.MON in
   let c =
-    Sensitivity.measure ~params:quick ~levels ~n_competitors:1
-      ~resource:Sensitivity.Both ~solo Ppp_apps.App.MON
+    Sensitivity.measure ~params:quick ~levels ~resource:Sensitivity.Both
+      ~solo Ppp_apps.App.MON
   in
   Alcotest.(check (float 0.0)) "baseline is the given solo run"
     solo.Ppp_hw.Engine.throughput_pps c.Sensitivity.solo_pps;
@@ -415,7 +407,6 @@ let tests =
     Alcotest.test_case "profile consistency" `Quick test_profile_consistency;
     Alcotest.test_case "profile table renders" `Quick test_profile_table_renders;
     Alcotest.test_case "fig3 placements" `Quick test_placement_shapes;
-    Alcotest.test_case "placement overflow" `Quick test_placement_rejects_overflow;
     Alcotest.test_case "sensitivity curve structure" `Quick test_sensitivity_curve_structure;
     Alcotest.test_case "predictor math" `Quick test_predictor_math;
     Alcotest.test_case "predictor unknown kind" `Quick test_predictor_unknown_kind;

@@ -39,8 +39,8 @@ let test_table1_structure () =
   let profiles = Table1_exp.profiles ~params:fast () in
   Alcotest.(check int) "six rows" 6 (List.length profiles);
   List.iter
-    (fun (p : Solo_profile.t) ->
-      Alcotest.(check bool) "positive throughput" true (p.Solo_profile.throughput_pps > 0.0))
+    (fun (p : Table1_exp.row) ->
+      Alcotest.(check bool) "positive throughput" true (p.Table1_exp.throughput_pps > 0.0))
     profiles
 
 let test_fig2_pairs_and_averages () =

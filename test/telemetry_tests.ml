@@ -543,6 +543,30 @@ let test_every_experiment_observed () =
           observed)
     Ppp_experiments.Registry.all
 
+(* A runner span's key (its name and args) names one simulation, and the
+   ablation simulates each of its cells once: its two sweeps' default-cost
+   points reuse the bounds phase's MON runs, and its NUMA phase the bounds
+   phase's solos. *)
+let test_ablation_spans () =
+  let params =
+    Ppp_core.Runner.Params.(
+      quick |> with_windows ~warmup:50_000 ~measure:200_000)
+  in
+  let spans =
+    Fun.protect ~finally:Recorder.reset (fun () ->
+        Recorder.reset ();
+        Recorder.configure ~spans:true ();
+        ignore (Ppp_experiments.Ablation_exp.run ~params ());
+        List.filter (fun (sp : Span.t) -> sp.Span.cat = "runner")
+          (Recorder.spans ()))
+  in
+  let keys =
+    List.sort_uniq compare
+      (List.map (fun (sp : Span.t) -> (sp.Span.name, sp.Span.args)) spans)
+  in
+  Alcotest.(check int) "runner spans" 21 (List.length spans);
+  Alcotest.(check int) "distinct (name, args) keys" 21 (List.length keys)
+
 let test_recorder_validation () =
   Alcotest.check_raises "sample_cycles < 1 rejected"
     (Invalid_argument "Recorder.configure: sample_cycles must be >= 1")
@@ -575,6 +599,8 @@ let tests =
     Alcotest.test_case "deterministic trace shape" `Quick test_trace_shape;
     Alcotest.test_case "every experiment observable, observation inert" `Slow
       test_every_experiment_observed;
+    Alcotest.test_case "ablation simulates each cell once" `Quick
+      test_ablation_spans;
     Alcotest.test_case "recorder validation and defaults" `Quick
       test_recorder_validation;
   ]
