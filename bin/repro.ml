@@ -508,10 +508,13 @@ let capture_main () =
 
 (* --- monitor --- *)
 
+(* A margin of nan or inf parses as a float but disarms its alarm: no
+   comparison with nan holds, and no excess exceeds inf. *)
 let float_arg cli r ~name =
   match float_of_string_opt !r with
-  | Some v -> v
-  | None -> Cli.die cli (Printf.sprintf "%s expects a number, got %S" name !r)
+  | Some v when Float.is_finite v -> v
+  | _ ->
+      Cli.die cli (Printf.sprintf "%s expects a finite number, got %S" name !r)
 
 let monitor_main () =
   let cli =

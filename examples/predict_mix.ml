@@ -28,13 +28,7 @@ let () =
 
   Printf.printf "\nplanned placement (one socket): %s\n%!"
     (String.concat ", " (List.map Ppp_apps.App.name mix));
-  let predictions =
-    List.mapi
-      (fun i kind ->
-        let competitors = List.filteri (fun j _ -> j <> i) mix in
-        Predictor.predict_drop predictor ~target:kind ~competitors)
-      mix
-  in
+  let predictions = Predictor.predict_mix predictor mix in
 
   Printf.printf "deploying the mix...\n%!";
   let topo = params.Runner.config.Ppp_hw.Machine.topology in
@@ -51,12 +45,11 @@ let () =
     Ppp_util.Table.create ~title:"predicted vs measured contention drop"
       [ "flow"; "predicted (%)"; "measured (%)"; "abs error (pp)" ]
   in
-  List.iteri
-    (fun i kind ->
-      let r = List.nth results i in
-      let solo = Predictor.solo_throughput predictor kind in
-      let measured = (solo -. r.Ppp_hw.Engine.throughput_pps) /. solo in
-      let predicted = List.nth predictions i in
+  List.iter2
+    (fun (kind, predicted, _) corun ->
+      let measured =
+        Runner.drop ~solo:(Predictor.solo predictor kind) ~corun
+      in
       Ppp_util.Table.add_row t
         [
           Ppp_apps.App.name kind;
@@ -64,5 +57,5 @@ let () =
           Printf.sprintf "%.2f" (100.0 *. measured);
           Printf.sprintf "%.2f" (100.0 *. Float.abs (predicted -. measured));
         ])
-    mix;
+    predictions results;
   Ppp_util.Table.print t

@@ -4,9 +4,13 @@
 
    Run with: dune exec examples/trace_replay.exe *)
 
+open Ppp_core
+
 let () =
-  let config = Ppp_hw.Machine.scaled in
-  let scale = config.Ppp_hw.Machine.scale in
+  let params =
+    Runner.Params.(default |> with_windows ~warmup:2_000_000 ~measure:8_000_000)
+  in
+  let scale = params.Runner.config.Ppp_hw.Machine.scale in
   let rng = Ppp_util.Rng.create ~seed:7 in
 
   (* 1. Capture 4096 packets of MON traffic into a pcap. *)
@@ -29,31 +33,33 @@ let () =
     (Ppp_traffic.Pcap.length cap) path
     (Bytes.length (Ppp_traffic.Pcap.to_bytes cap));
 
-  (* 2. Load it back and replay it through a fresh MON flow. *)
+  (* 2. Load it back and replay it through a fresh MON flow on core 0, its
+     data on node 0. *)
   let replayed =
     match Ppp_traffic.Pcap.load path with
     | Ok c -> c
     | Error e -> failwith e
   in
-  let heap = Ppp_simmem.Heap.create ~node:0 in
-  let flow_built = Ppp_apps.App.build Ppp_apps.App.MON ~heap ~rng ~scale in
-  let flow =
-    Ppp_click.Flow.create ~heap ~label:"replay"
-      ~source:(Ppp_traffic.Pcap.replay replayed)
-      ~elements:flow_built.Ppp_apps.App.elements ()
-  in
-  let hier = Ppp_hw.Machine.build config in
-  let results =
-    Ppp_hw.Engine.run hier
-      ~flows:
-        [
-          {
-            Ppp_hw.Engine.core = 0;
-            label = "replay";
-            source = Ppp_click.Flow.source flow;
-          };
-        ]
-      ~warmup_cycles:2_000_000 ~measure_cycles:8_000_000
+  let results, () =
+    Runner.run_with ~params (fun _hier ~heaps ~rng ->
+        let heap = heaps.(0) in
+        let built =
+          Ppp_apps.App.build Ppp_apps.App.MON ~heap ~rng:(Ppp_util.Rng.split rng)
+            ~scale
+        in
+        let flow =
+          Ppp_click.Flow.create ~heap ~label:"replay"
+            ~source:(Ppp_traffic.Pcap.replay replayed)
+            ~elements:built.Ppp_apps.App.elements ()
+        in
+        ( [
+            {
+              Ppp_hw.Engine.core = 0;
+              label = "replay";
+              source = Ppp_click.Flow.source flow;
+            };
+          ],
+          () ))
   in
   List.iter
     (fun (r : Ppp_hw.Engine.result) ->

@@ -236,85 +236,3 @@ let flow kind ~heap ~rng ~scale ?label () =
   let b = build kind ~heap ~rng ~scale in
   let label = match label with Some l -> l | None -> name kind in
   Flow.create ~heap ~label ~source:b.source ~elements:b.elements ()
-
-let registered = ref false
-
-let register_all () =
-  if not !registered then begin
-    registered := true;
-    let module R = Config.Registry in
-    let int_arg ~what = function
-      | s -> (
-          match int_of_string_opt s with
-          | Some v when v > 0 -> v
-          | _ -> invalid_arg (Printf.sprintf "%s: bad integer %S" what s))
-    in
-    R.register "CheckIPHeader" (fun _ctx _args -> Ip_elements.check_ip_header ());
-    R.register "DecIPTTL" (fun _ctx _args -> Ip_elements.dec_ip_ttl ());
-    R.register "RadixIPLookup" (fun ctx args ->
-        let routes, n16 =
-          match args with
-          | [ r ] -> (int_arg ~what:"routes" r, max 16 (base_n16 * int_arg ~what:"routes" r / base_routes))
-          | [ r; n ] -> (int_arg ~what:"routes" r, int_arg ~what:"n16" n)
-          | _ -> invalid_arg "RadixIPLookup(routes[, n16])"
-        in
-        Ip_elements.radix_ip_lookup
-          (Route_pool.shared_trie ~heap:ctx.R.heap ~seed:0x51CC5EED ~n16
-             ~routes));
-    R.register "FlowStats" (fun ctx args ->
-        let flows =
-          match args with
-          | [ f ] -> int_arg ~what:"flows" f
-          | _ -> invalid_arg "FlowStats(flows)"
-        in
-        More_elements.flow_statistics
-          (Netflow.create ~heap:ctx.R.heap ~entries:(2 * flows)));
-    R.register "Firewall" (fun ctx args ->
-        let rules =
-          match args with
-          | [ r ] -> int_arg ~what:"rules" r
-          | _ -> invalid_arg "Firewall(rules)"
-        in
-        More_elements.firewall
-          (Firewall.create ~heap:ctx.R.heap
-             (make_rules ~rng:(Rng.copy ctx.R.rng) rules)));
-    R.register "REEncode" (fun ctx args ->
-        let store, entries =
-          match args with
-          | [ s; e ] -> (int_arg ~what:"store" s, int_arg ~what:"entries" e)
-          | _ -> invalid_arg "REEncode(store_bytes, table_entries)"
-        in
-        More_elements.re_encode
-          (Re.create ~heap:ctx.R.heap ~store_bytes:store ~table_entries:entries
-             ()));
-    R.register "VPNEncrypt" (fun ctx _args ->
-        More_elements.vpn_encrypt ~heap:ctx.R.heap
-          ~key:(random_key (Rng.copy ctx.R.rng)));
-    R.register "DPI" (fun ctx args ->
-        let n =
-          match args with
-          | [ n ] -> int_arg ~what:"patterns" n
-          | _ -> invalid_arg "DPI(patterns)"
-        in
-        let prng = Rng.copy ctx.R.rng in
-        let patterns =
-          List.init (min 62 n) (fun _ ->
-              String.init (8 + Rng.int prng 8) (fun _ ->
-                  Char.chr (1 + Rng.int prng 255)))
-        in
-        Dpi.element ~drop_on_match:false (Dpi.create ~heap:ctx.R.heap patterns));
-    R.register "Syn" (fun ctx args ->
-        let reads, instrs =
-          match args with
-          | [ r; i ] -> (
-              match (int_of_string_opt r, int_of_string_opt i) with
-              | Some r, Some i when r >= 0 && i >= 0 -> (r, i)
-              | _ -> invalid_arg "Syn(reads, instrs)")
-          | _ -> invalid_arg "Syn(reads, instrs)"
-        in
-        More_elements.Syn.element
-          (More_elements.Syn.create ~heap:ctx.R.heap
-             ~rng:(Rng.copy ctx.R.rng)
-             ~buffer_bytes:(max 4096 (base_l3_bytes / ctx.R.scale))
-             ~reads_per_packet:reads ~instrs_per_packet:instrs))
-  end

@@ -90,8 +90,3 @@ val working_set_bytes : kind -> scale:int -> int
 (** Rough estimate of the flow's cacheable data footprint (hot trie levels,
     flow table, rules, RE structures, SYN buffer) — the [W] parameter of the
     Appendix-A cache model. *)
-
-val register_all : unit -> unit
-(** Registers every element class in {!Ppp_click.Config.Registry}
-    (CheckIPHeader, RadixIPLookup, DecIPTTL, FlowStats, Firewall, REEncode,
-    VPNEncrypt, Syn). Idempotent. *)

@@ -75,7 +75,6 @@ let create ~heap patterns =
 
 let patterns t = Array.to_list t.patterns
 let states t = t.nstates
-let footprint_bytes t = Iarray.size_bytes t.delta + Iarray.size_bytes t.output
 
 let scan_gen t read_delta read_output b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then

@@ -16,7 +16,6 @@ val create : heap:Ppp_simmem.Heap.t -> string list -> t
 
 val patterns : t -> string list
 val states : t -> int
-val footprint_bytes : t -> int
 
 val scan :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> Bytes.t -> pos:int ->
@@ -27,8 +26,6 @@ val scan :
 
 val scan_quiet : t -> Bytes.t -> pos:int -> len:int -> (int * int) list
 (** Un-instrumented (tests/oracles). *)
-
-val fn_dpi : Ppp_hw.Fn.t
 
 val element : ?drop_on_match:bool -> t -> Ppp_click.Element.t
 (** Scans each packet's payload; with [drop_on_match] (default true) packets

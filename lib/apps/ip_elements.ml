@@ -13,7 +13,7 @@ let check_ip_header () =
     Ctx.compute ctx ~fn 45;
     if Ppp_net.Ipv4.valid pkt then Element.Forward else Element.Drop)
 
-let radix_ip_lookup ?hop_table trie =
+let radix_ip_lookup ~hop_table trie =
   (fun ctx pkt ->
     let fn = fn_radix_ip_lookup in
     let dst = Ppp_net.Ipv4.dst pkt in
@@ -22,14 +22,9 @@ let radix_ip_lookup ?hop_table trie =
     if hop = 0 then Element.Drop
     else begin
       let port =
-        match hop_table with
-        | None -> hop land 0xFF
-        | Some table ->
-            let info =
-              Ppp_simmem.Iarray.get table ctx.Ctx.builder ~fn
-                ((hop - 1) mod Ppp_simmem.Iarray.length table)
-            in
-            info land 0xFF
+        Ppp_simmem.Iarray.get hop_table ctx.Ctx.builder ~fn
+          ((hop - 1) mod Ppp_simmem.Iarray.length hop_table)
+        land 0xFF
       in
       (* Record the output port in the frame (MAC annotation). *)
       Ppp_net.Packet.set8 pkt 0 port;
@@ -49,5 +44,5 @@ let dec_ip_ttl () =
       Element.Forward
     end)
 
-let forwarding_chain ?hop_table trie =
-  [ check_ip_header (); radix_ip_lookup ?hop_table trie; dec_ip_ttl () ]
+let forwarding_chain ~hop_table trie =
+  [ check_ip_header (); radix_ip_lookup ~hop_table trie; dec_ip_ttl () ]

@@ -4,14 +4,13 @@
 
 val fn_check_ip_header : Ppp_hw.Fn.t
 val fn_radix_ip_lookup : Ppp_hw.Fn.t
-val fn_dec_ip_ttl : Ppp_hw.Fn.t
 
 val check_ip_header : unit -> Ppp_click.Element.t
 (** Reads the IP header from the packet buffer and drops packets with a bad
     version, length, TTL or checksum. *)
 
 val radix_ip_lookup :
-  ?hop_table:int Ppp_simmem.Iarray.t -> Radix_trie.t -> Ppp_click.Element.t
+  hop_table:int Ppp_simmem.Iarray.t -> Radix_trie.t -> Ppp_click.Element.t
 (** LPM lookup of the destination; the matched route's entry in the
     next-hop information table (gateway/egress-port records, as in Click's
     RadixIPLookup) is then read. Stores the port in the destination MAC's
@@ -22,5 +21,5 @@ val dec_ip_ttl : unit -> Ppp_click.Element.t
     packets. *)
 
 val forwarding_chain :
-  ?hop_table:int Ppp_simmem.Iarray.t -> Radix_trie.t -> Ppp_click.Element.t list
+  hop_table:int Ppp_simmem.Iarray.t -> Radix_trie.t -> Ppp_click.Element.t list
 (** [check_ip_header; radix_ip_lookup; dec_ip_ttl] — full IP forwarding. *)

@@ -4,9 +4,6 @@
 
 val fn_flow_statistics : Ppp_hw.Fn.t
 val fn_firewall : Ppp_hw.Fn.t
-val fn_re : Ppp_hw.Fn.t
-val fn_vpn : Ppp_hw.Fn.t
-val fn_syn : Ppp_hw.Fn.t
 
 val flow_statistics : Netflow.t -> Ppp_click.Element.t
 (** NetFlow accounting; the element keeps its own packet counter as the

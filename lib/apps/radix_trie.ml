@@ -140,6 +140,3 @@ let lookup t b ~fn dst =
 let lookup_quiet t dst = lookup_gen t Iarray.peek dst
 let routes t = t.routes
 let nodes t = t.next_node
-
-let footprint_bytes t =
-  Iarray.size_bytes t.root + (t.next_node * node_entries * 8)

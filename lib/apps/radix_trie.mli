@@ -38,4 +38,3 @@ val lookup_quiet : t -> int -> int
 
 val routes : t -> int
 val nodes : t -> int
-val footprint_bytes : t -> int

@@ -79,9 +79,6 @@ let template ~seed ~n16 ~routes =
           Hashtbl.add templates key s;
           s)
 
-let shared_trie ~heap ~seed ~n16 ~routes =
-  Radix_trie.relocate ~heap (template ~seed ~n16 ~routes).trie
-
 let shared ~heap ~seed ~n16 ~routes =
   let s = template ~seed ~n16 ~routes in
   let trie = Radix_trie.relocate ~heap s.trie in

@@ -47,10 +47,6 @@ val shared :
     the next-hop table an {!Ppp_simmem.Iarray.relocate}d one, and [pool]
     is the one shared pool. Safe to call from several domains. *)
 
-val shared_trie :
-  heap:Ppp_simmem.Heap.t -> seed:int -> n16:int -> routes:int -> Radix_trie.t
-(** The trie of {!shared} alone: reserves only the trie's bytes. *)
-
 val random_dst : t -> Ppp_util.Rng.t -> int
 (** A destination covered by a Zipf-popular route, random within the
     prefix's host bits. *)

@@ -7,9 +7,6 @@
     results in input order, so output is byte-identical to a sequential
     run regardless of the job count. *)
 
-val default_jobs : unit -> int
-(** The machine's recommended domain count (physical cores). *)
-
 val set_jobs : int -> unit
 (** Bound the pool: [set_jobs 0] restores the default (physical cores);
     [set_jobs 1] forces sequential execution. Wired to [--jobs]/[-j]. *)
@@ -18,7 +15,8 @@ val configured_jobs : unit -> int
 (** The last value passed to {!set_jobs} (0 = auto). *)
 
 val jobs : unit -> int
-(** The effective pool size: the configured value, or {!default_jobs}. *)
+(** The effective pool size: the configured value, or else the machine's
+    recommended domain count (physical cores). *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] applies [f] to every element, possibly in parallel, and

@@ -27,8 +27,8 @@ type params = {
   measure_cycles : int;
   batch : int;
       (** Engine burst budget: how many trace ops a scheduled core may retire
-          per scheduling decision (see [Engine.run ?batch]). A pure execution
-          knob — results are byte-identical for every value >= 1. *)
+          per scheduling decision (the [?batch] of [Engine.run]). A pure
+          execution knob — results are byte-identical for every value >= 1. *)
   cell : string;
       (** Telemetry label of the experiment cell this run belongs to
           (e.g. "pair/IP/MON"); "" for unlabeled ad-hoc runs. Only consumed

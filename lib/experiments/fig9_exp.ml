@@ -31,16 +31,15 @@ let measure ?(params = Runner.Params.default) () =
   in
   let flows =
     List.map2
-      (fun kind (r : Ppp_hw.Engine.result) ->
-        let solo = Predictor.solo predictor kind in
-        let competitors = List.filteri (fun i _ -> i <> r.Ppp_hw.Engine.core) mix in
+      (fun (kind, predicted_drop, _) corun ->
         {
           kind;
-          measured_drop = Runner.drop ~solo ~corun:r;
-          predicted_drop =
-            Predictor.predict_drop predictor ~target:kind ~competitors;
+          measured_drop =
+            Runner.drop ~solo:(Predictor.solo predictor kind) ~corun;
+          predicted_drop;
         })
-      mix results
+      (Predictor.predict_mix predictor mix)
+      results
   in
   let max_error =
     List.fold_left

@@ -30,9 +30,6 @@ val monitored_run :
     the manifest and the Chrome trace. Returns the results in flow order,
     the builder's state and the detector. *)
 
-val schema : string
-(** ["ppp-monitor-alerts/1"], the [alerts_json] schema tag. *)
-
 val timeline_csv : Detector.t -> string
 (** The interpreted per-slice timeline ([monitor.csv]): one row per
     flow-epoch with instantaneous and EWMA rates, slice latency quantiles,
@@ -40,8 +37,9 @@ val timeline_csv : Detector.t -> string
     condition flags. *)
 
 val alerts_json : Detector.t -> Ppp_telemetry.Json.t
-(** The [alerts.json] document: config echo, per-flow verdicts, the typed
-    event stream, and throttle-budget recommendations. *)
+(** The [alerts.json] document (schema ["ppp-monitor-alerts/1"]): config
+    echo, per-flow verdicts, the typed event stream, and throttle-budget
+    recommendations. *)
 
 val verdict : Detector.t -> Detector.flow_profile -> string
 (** ["aggressor"], ["degraded"], ["recovered"], or ["ok"] — armed alarms

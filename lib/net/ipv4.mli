@@ -24,7 +24,6 @@ val dst : Packet.t -> int
 val ttl : Packet.t -> int
 val proto : Packet.t -> int
 val total_length : Packet.t -> int
-val header_checksum : Packet.t -> int
 val checksum_ok : Packet.t -> bool
 val valid : Packet.t -> bool
 (** Version, header length, total length and checksum all sane (what the

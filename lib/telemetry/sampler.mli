@@ -6,7 +6,8 @@
 
     Slice boundaries live on the simulated clock: the engine delivers a
     core's sample at the first op that carries its local time across the
-    slice edge, whatever burst budget ([Engine.run ?batch]) the run uses —
+    slice edge, whatever burst budget (the [?batch] of [Engine.run]) the run
+    uses —
     bursts are bounded by the next pending boundary, so batching never
     moves, merges or drops a sample. *)
 
@@ -15,7 +16,7 @@ type t
 val create : cell:string -> sample_cycles:int -> t
 
 val probe : t -> Ppp_hw.Engine.probe
-(** The probe to pass to [Engine.run ?probe]. *)
+(** The probe to pass as the [?probe] of [Engine.run]. *)
 
 val series : t -> experiment:string -> freq_hz:float -> Timeseries.t list
 (** The collected series, one per sampled core, sorted by core. *)

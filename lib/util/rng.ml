@@ -100,19 +100,6 @@ let split t =
   let s3 = splitmix64 state in
   of_words s0 s1 s2 s3
 
-let copy t =
-  {
-    s0l = t.s0l;
-    s0h = t.s0h;
-    s1l = t.s1l;
-    s1h = t.s1h;
-    s2l = t.s2l;
-    s2h = t.s2h;
-    s3l = t.s3l;
-    s3h = t.s3h;
-    outl = t.outl;
-    outh = t.outh;
-  }
 
 (* FNV-1a over the label folded into the seed through one extra splitmix64
    round. Keeping this a pure function of (seed, label) — rather than

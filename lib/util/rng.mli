@@ -15,9 +15,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give each flow / generator its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state (the copy evolves independently). *)
-
 val derive : seed:int -> string -> int
 (** [derive ~seed label] deterministically maps a root seed and a stream
     label to a fresh 62-bit seed. A pure function — unlike {!split} it

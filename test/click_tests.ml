@@ -1,7 +1,6 @@
 open Ppp_click
 
 let heap () = Ppp_simmem.Heap.create ~node:0
-let rng () = Ppp_util.Rng.create ~seed:11
 
 (* --- Element / pipeline --- *)
 
@@ -174,87 +173,6 @@ let test_staged_exhausted_source_idles () =
   Alcotest.(check int) "no packet processed" 0 !seen;
   Alcotest.(check int) "nothing forwarded" 0 (Staged.forwarded staged)
 
-(* --- Config parser --- *)
-
-let test_config_parse_simple () =
-  match Config.parse "FromDevice(0) -> CheckIPHeader -> ToDevice(0)" with
-  | Ok [ a; b; c ] ->
-      Alcotest.(check string) "first" "FromDevice" a.Config.kind;
-      Alcotest.(check (list string)) "args" [ "0" ] a.Config.args;
-      Alcotest.(check string) "middle" "CheckIPHeader" b.Config.kind;
-      Alcotest.(check (list string)) "no args" [] b.Config.args;
-      Alcotest.(check string) "last" "ToDevice" c.Config.kind
-  | Ok _ -> Alcotest.fail "wrong arity"
-  | Error e -> Alcotest.fail e
-
-let test_config_parse_multi_args_and_comments () =
-  let src = "RadixIPLookup(16384, 512) // the table\n -> FlowStats(12500)" in
-  match Config.parse src with
-  | Ok [ a; b ] ->
-      Alcotest.(check (list string)) "two args" [ "16384"; "512" ] a.Config.args;
-      Alcotest.(check string) "second" "FlowStats" b.Config.kind
-  | Ok _ -> Alcotest.fail "wrong arity"
-  | Error e -> Alcotest.fail e
-
-let test_config_parse_errors () =
-  let bad s =
-    match Config.parse s with Ok _ -> false | Error _ -> true
-  in
-  Alcotest.(check bool) "empty element" true (bad "A -> -> B");
-  Alcotest.(check bool) "missing paren" true (bad "A(1 -> B");
-  Alcotest.(check bool) "bad name" true (bad "A b(1)");
-  Alcotest.(check bool) "empty arg" true (bad "A(1,,2)")
-
-let test_config_to_string_roundtrip () =
-  let src = "FromDevice(0) -> RadixIPLookup(64, 8) -> ToDevice(0)" in
-  match Config.parse src with
-  | Ok decls -> (
-      Alcotest.(check string) "print form" src (Config.to_string decls);
-      match Config.parse (Config.to_string decls) with
-      | Ok decls' -> Alcotest.(check bool) "reparse" true (decls = decls')
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail e
-
-let test_config_registry_and_instantiate () =
-  Ppp_apps.App.register_all ();
-  let ctx =
-    {
-      Config.Registry.heap = heap ();
-      rng = rng ();
-      scale = 128;
-    }
-  in
-  let src =
-    "FromDevice(0) -> CheckIPHeader -> RadixIPLookup(64, 8) -> DecIPTTL -> \
-     FlowStats(100) -> ToDevice(0)"
-  in
-  match Config.parse src with
-  | Error e -> Alcotest.fail e
-  | Ok decls -> (
-      match Config.instantiate ctx decls with
-      | Ok elements ->
-          (* FromDevice/ToDevice are skipped. *)
-          Alcotest.(check int) "four middle elements" 4 (List.length elements)
-      | Error e -> Alcotest.fail e)
-
-let test_config_unknown_element () =
-  Ppp_apps.App.register_all ();
-  let ctx = { Config.Registry.heap = heap (); rng = rng (); scale = 128 } in
-  match Config.instantiate ctx [ { Config.kind = "NoSuchThing"; args = [] } ] with
-  | Ok _ -> Alcotest.fail "should not resolve"
-  | Error e ->
-      Alcotest.(check bool) "mentions the class" true
-        (String.length e > 0)
-
-let test_config_known_lists_registered () =
-  Ppp_apps.App.register_all ();
-  let known = Config.Registry.known () in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " registered") true (List.mem k known))
-    [ "CheckIPHeader"; "RadixIPLookup"; "DecIPTTL"; "FlowStats"; "Firewall";
-      "REEncode"; "VPNEncrypt"; "Syn" ]
-
 let tests =
   [
     Alcotest.test_case "chain order" `Quick test_chain_runs_in_order;
@@ -269,11 +187,4 @@ let tests =
     Alcotest.test_case "staged backpressure" `Quick test_staged_backpressure;
     Alcotest.test_case "staged exhausted source idles" `Quick
       test_staged_exhausted_source_idles;
-    Alcotest.test_case "config parse simple" `Quick test_config_parse_simple;
-    Alcotest.test_case "config args + comments" `Quick test_config_parse_multi_args_and_comments;
-    Alcotest.test_case "config parse errors" `Quick test_config_parse_errors;
-    Alcotest.test_case "config to_string roundtrip" `Quick test_config_to_string_roundtrip;
-    Alcotest.test_case "config instantiate" `Quick test_config_registry_and_instantiate;
-    Alcotest.test_case "config unknown element" `Quick test_config_unknown_element;
-    Alcotest.test_case "config registry population" `Quick test_config_known_lists_registered;
   ]

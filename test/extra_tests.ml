@@ -2,7 +2,6 @@
    cross-module integration details not covered by the per-module suites. *)
 
 let heap () = Ppp_simmem.Heap.create ~node:0
-let rng () = Ppp_util.Rng.create ~seed:21
 let fn = Ppp_hw.Fn.none
 
 (* --- VPN element really encrypts (and the result is decryptable) --- *)
@@ -74,27 +73,6 @@ let test_staged_drop_path () =
   Alcotest.(check int) "drop counted" 1 (Ppp_click.Staged.dropped staged);
   Alcotest.(check int) "nothing forwarded" 0 (Ppp_click.Staged.forwarded staged)
 
-(* --- registry idempotency and arg errors --- *)
-
-let test_register_all_idempotent () =
-  Ppp_apps.App.register_all ();
-  Ppp_apps.App.register_all ();
-  let known = Ppp_click.Config.Registry.known () in
-  Alcotest.(check bool) "still registered" true (List.mem "Firewall" known)
-
-let test_registry_bad_args () =
-  Ppp_apps.App.register_all ();
-  let ctx =
-    { Ppp_click.Config.Registry.heap = heap (); rng = rng (); scale = 128 }
-  in
-  match
-    Ppp_click.Config.Registry.build ctx
-      { Ppp_click.Config.kind = "Firewall"; args = [ "not_a_number" ] }
-  with
-  | Ok _ -> Alcotest.fail "should reject"
-  | Error e -> Alcotest.(check bool) "mentions the element" true
-                 (String.length e >= 8 && String.sub e 0 8 = "Firewall")
-
 (* --- cross-socket isolation at the runner level --- *)
 
 let test_cross_socket_flows_isolated () =
@@ -155,17 +133,6 @@ let test_trie_pool_exhaustion () =
       Ppp_apps.Radix_trie.add_route t ~prefix:(0x0B010200) ~plen:24 ~hop:2)
 
 (* --- misc small-surface checks --- *)
-
-let test_rng_copy_diverges_from_original () =
-  let a = rng () in
-  let b = Ppp_util.Rng.copy a in
-  Alcotest.(check int64) "same next value" (Ppp_util.Rng.bits64 a)
-    (Ppp_util.Rng.bits64 b);
-  ignore (Ppp_util.Rng.bits64 a);
-  (* The copy does not follow the original's extra draw. *)
-  Alcotest.(check bool) "independent state" true
-    (Ppp_util.Rng.bits64 a <> Ppp_util.Rng.bits64 b
-    || Ppp_util.Rng.bits64 a <> Ppp_util.Rng.bits64 b)
 
 let test_ipv4_invalid_cases () =
   let pkt = Ppp_net.Packet.create 128 in
@@ -245,13 +212,10 @@ let tests =
     Alcotest.test_case "VPN element encrypts" `Quick test_vpn_element_encrypts;
     Alcotest.test_case "RE element shrinks packets" `Quick test_re_element_shrinks_packets;
     Alcotest.test_case "staged drop path" `Quick test_staged_drop_path;
-    Alcotest.test_case "register_all idempotent" `Quick test_register_all_idempotent;
-    Alcotest.test_case "registry bad args" `Quick test_registry_bad_args;
     Alcotest.test_case "cross-socket isolation" `Slow test_cross_socket_flows_isolated;
     Alcotest.test_case "RE decode malformed" `Quick test_re_decode_malformed;
     Alcotest.test_case "store stale read" `Quick test_store_stale_read_raises;
     Alcotest.test_case "trie pool exhaustion" `Quick test_trie_pool_exhaustion;
-    Alcotest.test_case "rng copy independence" `Quick test_rng_copy_diverges_from_original;
     Alcotest.test_case "ipv4 invalid cases" `Quick test_ipv4_invalid_cases;
     Alcotest.test_case "machine helpers" `Quick test_machine_helpers;
     Alcotest.test_case "SYN:0:0 parses" `Quick test_app_syn_zero_params;

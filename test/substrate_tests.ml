@@ -13,8 +13,8 @@ module Builder = Ppp_hw.Trace.Builder
 let fresh () = Heap.create ~node:0
 let fn = Ppp_hw.Fn.none
 
-(* App's substrate key at a machine scale, and the RadixIPLookup(64, 8)
-   element's. *)
+(* App's substrate key at a machine scale, and a small table on a seed no
+   scale gives. *)
 let app_key scale =
   (0x51CC5EED + (scale * 7919), max 16 (4096 / scale), max 64 (131072 / scale))
 
@@ -25,7 +25,7 @@ let keys =
   [
     ("tiny", app_key tiny);
     ("scaled", app_key scaled);
-    ("RadixIPLookup(64, 8)", (0x51CC5EED, 8, 64));
+    ("64 routes over 8 blocks", (0x51CC5EED, 8, 64));
   ]
 
 (* Half routed destinations, half uniform ones (mostly the default
@@ -78,22 +78,7 @@ let test_shared_equals_scratch () =
       let b1 = Builder.create () and b2 = Builder.create () in
       Array.iter (forward b1 scratch) dsts;
       Array.iter (forward b2 shared) dsts;
-      check_ops (what ^ ": trace ops") (ops b1) (ops b2);
-      (* The RadixIPLookup element takes the trie alone. *)
-      let h1 = fresh () and h2 = fresh () in
-      let trie =
-        Radix_trie.create ~heap:h1
-          ~max_nodes:(Route_pool.suggested_max_nodes ~n16 ~routes)
-          ~default_hop:0 ()
-      in
-      Route_pool.install (Route_pool.make ~seed ~n16 ~routes) trie;
-      let view = Route_pool.shared_trie ~heap:h2 ~seed ~n16 ~routes in
-      Alcotest.(check int) (what ^ ": trie-only Heap.used") (Heap.used h1)
-        (Heap.used h2);
-      let b1 = Builder.create () and b2 = Builder.create () in
-      Array.iter (fun d -> ignore (Radix_trie.lookup trie b1 ~fn d : int)) dsts;
-      Array.iter (fun d -> ignore (Radix_trie.lookup view b2 ~fn d : int)) dsts;
-      check_ops (what ^ ": trie-only trace ops") (ops b1) (ops b2))
+      check_ops (what ^ ": trace ops") (ops b1) (ops b2))
     keys
 
 (* The op words of a flow's first 1,000 items, built on a fresh heap. *)
