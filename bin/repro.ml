@@ -483,6 +483,7 @@ let capture_main () =
     | _ -> Cli.die cli "expected exactly one flow type"
   in
   let params = params () in
+  if !count < 1 then Cli.die cli "--count must be >= 1";
   let kind = List.hd (parse_kinds cli [ name ]) in
   check_output_file !out;
   let heap = Ppp_simmem.Heap.create ~node:0 in

@@ -9,8 +9,6 @@ let has_output v = v land (1 lsl 24) <> 0
 type t = {
   delta : int Iarray.t; (* states * 256 *)
   output : int Iarray.t; (* per-state pattern bitmask *)
-  patterns : string array;
-  nstates : int;
   mutable matches_seen : int;
 }
 
@@ -71,10 +69,7 @@ let create ~heap patterns =
       Iarray.poke delta ((s * 256) + c) v
     done
   done;
-  { delta; output; patterns = pats; nstates = n; matches_seen = 0 }
-
-let patterns t = Array.to_list t.patterns
-let states t = t.nstates
+  { delta; output; matches_seen = 0 }
 
 let scan_gen t read_delta read_output b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then

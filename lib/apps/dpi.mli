@@ -14,9 +14,6 @@ val create : heap:Ppp_simmem.Heap.t -> string list -> t
     match sets are bitmasks), with room for the sum of pattern lengths + 1
     states. Raises [Invalid_argument] on empty patterns or too many. *)
 
-val patterns : t -> string list
-val states : t -> int
-
 val scan :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> Bytes.t -> pos:int ->
   len:int -> (int * int) list

@@ -10,7 +10,6 @@ let create ~heap ~entries =
   let cap = pow2 entries 16 in
   { slots = Iarray.create heap ~elem_bytes:8 cap 0; mask = cap - 1 }
 
-let capacity t = t.mask + 1
 let tag_of fp = (fp lsr 8) land 0x3FFFFF
 let index t fp = Ppp_util.Hashes.fnv1a_int fp land t.mask
 

@@ -8,8 +8,6 @@ type t
 val create : heap:Ppp_simmem.Heap.t -> entries:int -> t
 (** [entries] rounded up to a power of two; 8 simulated bytes per entry. *)
 
-val capacity : t -> int
-
 val insert :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> fp:int -> off:int -> unit
 (** Record that content with fingerprint [fp] lives at store offset [off]. *)

@@ -56,5 +56,3 @@ let check t b ~fn pkt =
     end
   in
   scan 0
-
-let rules t = t.count

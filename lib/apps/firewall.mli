@@ -34,5 +34,3 @@ val check :
 (** Instrumented sequential scan; [Some i] is the index of the first
     matching rule ([None] = accept). Every rule read and the per-rule
     comparison compute are traced. *)
-
-val rules : t -> int

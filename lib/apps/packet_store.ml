@@ -7,7 +7,6 @@ let create ~heap ~capacity =
   { buf = Ibuf.create heap capacity; head = 0 }
 
 let capacity t = Ibuf.length t.buf
-let head t = t.head
 
 let readable t ~off ~len =
   len >= 0 && off >= 0 && off + len <= t.head && off >= t.head - capacity t

@@ -8,10 +8,6 @@
 type t
 
 val create : heap:Ppp_simmem.Heap.t -> capacity:int -> t
-val capacity : t -> int
-
-val head : t -> int
-(** Virtual offset one past the newest byte. *)
 
 val append :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> Bytes.t -> pos:int ->

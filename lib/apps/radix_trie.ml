@@ -14,7 +14,6 @@ type t = {
   max_nodes : int;
   default_hop : int;
   mutable next_node : int;
-  mutable routes : int;
   relocated : bool; (* a read-only view of another trie's entries *)
 }
 
@@ -33,7 +32,6 @@ let create ~heap ?(max_nodes = 16384) ~default_hop () =
     max_nodes;
     default_hop;
     next_node = 0;
-    routes = 0;
     relocated = false;
   }
 
@@ -92,8 +90,7 @@ let add_route t ~prefix ~plen ~hop =
       let first = prefix land 0xFF land (lnot ((1 lsl (32 - plen)) - 1) land 0xFF) in
       fill_entries t ~node:n2 ~first ~count:(1 lsl (32 - plen)) ~hop ~plen
     end
-  end;
-  t.routes <- t.routes + 1
+  end
 
 let lookup_gen t read dst =
   let dst = dst land 0xFFFFFFFF in
@@ -138,5 +135,3 @@ let lookup t b ~fn dst =
   !best
 
 let lookup_quiet t dst = lookup_gen t Iarray.peek dst
-let routes t = t.routes
-let nodes t = t.next_node

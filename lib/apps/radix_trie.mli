@@ -35,6 +35,3 @@ val lookup : t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> int -> int
 
 val lookup_quiet : t -> int -> int
 (** Reference lookup without instrumentation (for tests/oracles). *)
-
-val routes : t -> int
-val nodes : t -> int

@@ -45,7 +45,6 @@ let create ~heap ?(probe_limit = 8) ~entries () =
   }
 
 let capacity t = t.mask + 1
-let probe_limit t = t.probe_limit
 let hits t = t.hits
 let misses t = t.misses
 let installs t = t.installs

@@ -20,7 +20,6 @@ val create : heap:Ppp_simmem.Heap.t -> ?probe_limit:int -> entries:int -> unit -
     Raises [Invalid_argument] if [entries <= 0]. *)
 
 val capacity : t -> int
-val probe_limit : t -> int
 
 val find :
   t -> Ppp_hw.Trace.Builder.t -> fn:Ppp_hw.Fn.t -> Ppp_net.Packet.t -> int

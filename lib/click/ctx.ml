@@ -2,8 +2,6 @@ type t = { builder : Ppp_hw.Trace.Builder.t }
 
 let create () = { builder = Ppp_hw.Trace.Builder.create () }
 let compute t ~fn n = Ppp_hw.Trace.Builder.compute t.builder ~fn n
-let read t ~fn addr = Ppp_hw.Trace.Builder.read t.builder ~fn addr
-let write t ~fn addr = Ppp_hw.Trace.Builder.write t.builder ~fn addr
 
 let line = 64
 

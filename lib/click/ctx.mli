@@ -11,9 +11,6 @@ val create : unit -> t
 val compute : t -> fn:Ppp_hw.Fn.t -> int -> unit
 (** Charge [n] instructions of pure compute to [fn]. *)
 
-val read : t -> fn:Ppp_hw.Fn.t -> int -> unit
-val write : t -> fn:Ppp_hw.Fn.t -> int -> unit
-
 val touch_packet :
   t -> Ppp_net.Packet.t -> fn:Ppp_hw.Fn.t -> write:bool -> pos:int -> len:int -> unit
 (** Record references to the packet's NIC buffer covering bytes

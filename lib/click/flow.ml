@@ -75,7 +75,6 @@ let create ~heap ~label ~source ~elements ?(rx_slots = 64) () =
 let label t = t.label
 let forwarded t = t.forwarded
 let dropped t = t.dropped
-let elements t = t.elements
 let packet_source t = t.src
 let reorders t = Ppp_traffic.Reorder.reorders t.reorder
 

@@ -32,7 +32,6 @@ val source : t -> Ppp_hw.Engine.source
 val label : t -> string
 val forwarded : t -> int
 val dropped : t -> int
-val elements : t -> Element.t list
 
 val packet_source : t -> Ppp_traffic.Source.t
 (** The traffic source feeding this flow. *)

@@ -7,12 +7,3 @@ let drop ~delta ~kappa ~hits_per_sec =
   if dkh = 0.0 then 0.0 else 1.0 /. (1.0 +. (1.0 /. dkh))
 
 let max_drop ~delta ~hits_per_sec = drop ~delta ~kappa:1.0 ~hits_per_sec
-
-let curve ~delta ~max_hits_per_sec ~samples =
-  if samples < 2 then invalid_arg "Equation1.curve: samples";
-  Ppp_util.Series.of_points
-    (List.init samples (fun i ->
-         let h =
-           max_hits_per_sec *. float_of_int i /. float_of_int (samples - 1)
-         in
-         (h, max_drop ~delta ~hits_per_sec:h)))

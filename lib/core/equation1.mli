@@ -12,8 +12,5 @@ val drop : delta:float -> kappa:float -> hits_per_sec:float -> float
 val max_drop : delta:float -> hits_per_sec:float -> float
 (** [drop] with kappa = 1. *)
 
-val curve : delta:float -> max_hits_per_sec:float -> samples:int -> Ppp_util.Series.t
-(** The Figure 6 curve: worst-case drop vs solo hits/sec. *)
-
 val paper_delta : float
 (** 43.75ns, the paper's quoted hit-vs-miss latency difference. *)

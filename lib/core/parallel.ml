@@ -89,5 +89,3 @@ let mapi ?jobs:j f xs =
   else pooled_mapi ~jobs f xs
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs
-
-let iter ?jobs f xs = ignore (map ?jobs f xs : unit list)

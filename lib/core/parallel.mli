@@ -31,6 +31,3 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
     When {!Ppp_telemetry.Recorder.spans_enabled}, every pooled work item
     additionally records a wall-clock span (queue wait + run time, owning
     domain) into the telemetry recorder. *)
-
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [map] for effects only. *)

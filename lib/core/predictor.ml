@@ -23,7 +23,6 @@ let find t kind =
 let solo t kind = (find t kind).solo
 let solo_refs_per_sec t kind = (solo t kind).Ppp_hw.Engine.l3_refs_per_sec
 let solo_throughput t kind = (solo t kind).Ppp_hw.Engine.throughput_pps
-let curve t kind = (find t kind).series
 
 let predict_drop_at t ~target ~refs_per_sec =
   Ppp_util.Series.eval (find t target).series refs_per_sec

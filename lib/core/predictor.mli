@@ -29,7 +29,6 @@ val solo : t -> Ppp_apps.App.kind -> Ppp_hw.Engine.result
 
 val solo_refs_per_sec : t -> Ppp_apps.App.kind -> float
 val solo_throughput : t -> Ppp_apps.App.kind -> float
-val curve : t -> Ppp_apps.App.kind -> Ppp_util.Series.t
 
 val predict_drop :
   t -> target:Ppp_apps.App.kind -> competitors:Ppp_apps.App.kind list -> float

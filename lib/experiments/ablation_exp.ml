@@ -123,115 +123,75 @@ let measure ?(params = Runner.Params.default) () =
   in
   { bounds; delta_sweep; numa; mlp_sweep }
 
+let bound_columns =
+  Output.
+    [
+      col "flow" "flow" kind (fun (c : bound_check) -> c.kind);
+      col "solo_hits_per_sec" "solo hits/s (M)" millions (fun c ->
+          c.solo_hits_per_sec);
+      col "bound" "bound (%)" pct (fun c -> c.bound);
+      col "measured_worst" "measured (%)" pct (fun c -> c.measured_worst);
+      col "within_bound" "within bound" bool (fun c ->
+          c.measured_worst <= c.bound +. 0.03);
+    ]
+
+let delta_columns =
+  Output.
+    [
+      col "dram_lat_cycles" "dram_lat (cycles)" int (fun p ->
+          p.dram_lat_cycles);
+      col "delta_ns" "delta (ns)" (num (Printf.sprintf "%.1f")) (fun p ->
+          p.delta_ns);
+      col "mon_drop" "MON drop (%)" pct (fun p -> p.mon_drop);
+    ]
+
+let numa_columns =
+  Output.
+    [
+      col "flow" "flow" kind (fun (c : numa_check) -> c.kind);
+      col "local_pps" "local pps" f0 (fun c -> c.local_pps);
+      col "remote_pps" "remote pps" f0 (fun c -> c.remote_pps);
+      col "penalty" "penalty (%)" pct (fun c -> c.penalty);
+    ]
+
+let mlp_columns =
+  Output.
+    [
+      col "mlp" "mlp" int (fun p -> p.mlp);
+      col "competing_refs_per_sec" "competing refs/s (M)" millions (fun p ->
+          p.competing_refs_per_sec);
+      col "mon_drop" "MON drop (%)" pct (fun p -> p.mon_drop_mlp);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let b =
-    Table.create
-      ~title:
-        "Ablation A: Equation-1 worst-case bound vs measured drop under 5 x \
-         SYN_MAX"
-      [ "flow"; "solo hits/s (M)"; "bound (%)"; "measured (%)"; "within bound" ]
-  in
-  List.iter
-    (fun (c : bound_check) ->
-      Table.add_row b
-        [
-          Ppp_apps.App.name c.kind;
-          Exp_common.millions c.solo_hits_per_sec;
-          Exp_common.pct c.bound;
-          Exp_common.pct c.measured_worst;
-          string_of_bool (c.measured_worst <= c.bound +. 0.03);
-        ])
-    data.bounds;
-  let d =
-    Table.create
+  Output.text_table
+    ~title:
+      "Ablation A: Equation-1 worst-case bound vs measured drop under 5 x \
+       SYN_MAX"
+    bound_columns data.bounds
+  ^ "\n"
+  ^ Output.text_table
       ~title:"Ablation B: MON drop under 5 x SYN_MAX as the miss penalty varies"
-      [ "dram_lat (cycles)"; "delta (ns)"; "MON drop (%)" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row d
-        [
-          string_of_int p.dram_lat_cycles;
-          Printf.sprintf "%.1f" p.delta_ns;
-          Exp_common.pct p.mon_drop;
-        ])
-    data.delta_sweep;
-  let n =
-    Table.create
+      delta_columns data.delta_sweep
+  ^ "\n"
+  ^ Output.text_table
       ~title:"Ablation C: penalty of remote (cross-QPI) data placement, solo"
-      [ "flow"; "local pps"; "remote pps"; "penalty (%)" ]
-  in
-  List.iter
-    (fun (c : numa_check) ->
-      Table.add_row n
-        [
-          Ppp_apps.App.name c.kind;
-          Printf.sprintf "%.0f" c.local_pps;
-          Printf.sprintf "%.0f" c.remote_pps;
-          Exp_common.pct c.penalty;
-        ])
-    data.numa;
-  let m =
-    Table.create
+      numa_columns data.numa
+  ^ "\n"
+  ^ Output.text_table
       ~title:
         "Ablation D: miss-overlap (MLP) factor vs attainable competition \
          (MON vs 5 x SYN_MAX)"
-      [ "mlp"; "competing refs/s (M)"; "MON drop (%)" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row m
-        [
-          string_of_int p.mlp;
-          Exp_common.millions p.competing_refs_per_sec;
-          Exp_common.pct p.mon_drop_mlp;
-        ])
-    data.mlp_sweep;
-  Table.to_string b ^ "\n" ^ Table.to_string d ^ "\n" ^ Table.to_string n
-  ^ "\n" ^ Table.to_string m
+      mlp_columns data.mlp_sweep
 
 let data_json data =
   let open Output in
   Json.Obj
     [
-      ( "bounds",
-        table
-          [
-            Col.str "flow" (fun (c : bound_check) -> Ppp_apps.App.name c.kind);
-            Col.num "solo_hits_per_sec" (fun c -> c.solo_hits_per_sec);
-            Col.num "bound" (fun c -> c.bound);
-            Col.num "measured_worst" (fun c -> c.measured_worst);
-            Col.bool "within_bound" (fun c ->
-                c.measured_worst <= c.bound +. 0.03);
-          ]
-          data.bounds );
-      ( "delta_sweep",
-        table
-          [
-            Col.int "dram_lat_cycles" (fun p -> p.dram_lat_cycles);
-            Col.num "delta_ns" (fun p -> p.delta_ns);
-            Col.num "mon_drop" (fun p -> p.mon_drop);
-          ]
-          data.delta_sweep );
-      ( "numa",
-        table
-          [
-            Col.str "flow" (fun (c : numa_check) -> Ppp_apps.App.name c.kind);
-            Col.num "local_pps" (fun c -> c.local_pps);
-            Col.num "remote_pps" (fun c -> c.remote_pps);
-            Col.num "penalty" (fun c -> c.penalty);
-          ]
-          data.numa );
-      ( "mlp_sweep",
-        table
-          [
-            Col.int "mlp" (fun p -> p.mlp);
-            Col.num "competing_refs_per_sec" (fun p ->
-                p.competing_refs_per_sec);
-            Col.num "mon_drop" (fun p -> p.mon_drop_mlp);
-          ]
-          data.mlp_sweep );
+      ("bounds", table bound_columns data.bounds);
+      ("delta_sweep", table delta_columns data.delta_sweep);
+      ("numa", table numa_columns data.numa);
+      ("mlp_sweep", table mlp_columns data.mlp_sweep);
     ]
 
 let run ?params () =

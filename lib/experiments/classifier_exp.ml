@@ -157,31 +157,27 @@ let measure ?(params = Runner.Params.default) () =
   in
   { cells = Parallel.map cell cells }
 
+let columns =
+  Output.
+    [
+      col "backend" "backend" str (fun c -> c.backend);
+      col "rules" "rules" int (fun c -> c.rules);
+      col "skew" "skew" (num (Printf.sprintf "%.1f")) (fun c -> c.skew);
+      col "hit_rate" "hit rate (%)" pct (fun c -> c.hit_rate);
+      col "upcalls_per_packet" "upcalls/pkt" (num (Printf.sprintf "%.4f"))
+        (fun c -> c.upcalls_per_packet);
+      json_col "lookups" int (fun c -> c.lookups);
+      json_col "hits" int (fun c -> c.hits);
+      json_col "upcalls" int (fun c -> c.upcalls);
+      json_col "installs" int (fun c -> c.installs);
+      json_col "evictions" int (fun c -> c.evictions);
+      col "solo_pps" "solo pps" f0 (fun c -> c.solo_pps);
+      col "drop" "drop vs 5 SYN_MAX (%)" pct (fun c -> c.drop);
+      col "l3_refs_per_sec" "L3 refs/s" (num (Printf.sprintf "%.3g")) (fun c ->
+          c.l3_refs_per_sec);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Flow classification: fast-path economics and contention, by backend"
-      [
-        "backend"; "rules"; "skew"; "hit rate (%)"; "upcalls/pkt";
-        "solo pps"; "drop vs 5 SYN_MAX (%)"; "L3 refs/s";
-      ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          c.backend;
-          string_of_int c.rules;
-          Printf.sprintf "%.1f" c.skew;
-          Exp_common.pct c.hit_rate;
-          Printf.sprintf "%.4f" c.upcalls_per_packet;
-          Printf.sprintf "%.0f" c.solo_pps;
-          Exp_common.pct c.drop;
-          Printf.sprintf "%.3g" c.l3_refs_per_sec;
-        ])
-    data.cells;
   let by_backend name =
     List.filter (fun c -> c.backend = name) data.cells
   in
@@ -190,37 +186,22 @@ let render data =
     | cs -> List.fold_left (fun a c -> a +. f c) 0.0 cs /. float_of_int (List.length cs)
   in
   let tss = by_backend "tss" and range = by_backend "range" in
-  Table.to_string t
+  Output.text_table
+    ~title:
+      "Flow classification: fast-path economics and contention, by backend"
+    columns data.cells
   ^ Printf.sprintf
       "\nskew moves the flow table's hit rate, and the backends only matter \
        on the miss path: mean drop %s%% (tss) vs %s%% (range), mean solo \
        aggressiveness %.3g vs %.3g L3 refs/s. The slow path's memory \
        footprint is a contention story only in proportion to the upcall \
        rate — a hot, skewed universe hides either backend.\n"
-      (Exp_common.pct (avg (fun c -> c.drop) tss))
-      (Exp_common.pct (avg (fun c -> c.drop) range))
+      (Output.show Output.pct (avg (fun c -> c.drop) tss))
+      (Output.show Output.pct (avg (fun c -> c.drop) range))
       (avg (fun c -> c.l3_refs_per_sec) tss)
       (avg (fun c -> c.l3_refs_per_sec) range)
 
-let data_json data =
-  let open Output in
-  table
-    [
-      Col.str "backend" (fun c -> c.backend);
-      Col.int "rules" (fun c -> c.rules);
-      Col.num "skew" (fun c -> c.skew);
-      Col.num "hit_rate" (fun c -> c.hit_rate);
-      Col.num "upcalls_per_packet" (fun c -> c.upcalls_per_packet);
-      Col.int "lookups" (fun c -> c.lookups);
-      Col.int "hits" (fun c -> c.hits);
-      Col.int "upcalls" (fun c -> c.upcalls);
-      Col.int "installs" (fun c -> c.installs);
-      Col.int "evictions" (fun c -> c.evictions);
-      Col.num "solo_pps" (fun c -> c.solo_pps);
-      Col.num "drop" (fun c -> c.drop);
-      Col.num "l3_refs_per_sec" (fun c -> c.l3_refs_per_sec);
-    ]
-    data.cells
+let data_json data = Output.table columns data.cells
 
 let run ?params () =
   let data = measure ?params () in

@@ -60,6 +60,3 @@ let avg_drop_per_target pairs =
       ( t,
         List.fold_left ( +. ) 0.0 drops /. float_of_int (List.length drops) ))
     targets
-
-let pct x = Printf.sprintf "%.2f" (100.0 *. x)
-let millions x = Printf.sprintf "%.1f" (x /. 1e6)

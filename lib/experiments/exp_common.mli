@@ -47,8 +47,3 @@ val find_pair :
 
 val avg_drop_per_target :
   pair_result list -> (Ppp_apps.App.kind * float) list
-
-val pct : float -> string
-(** "12.34" for 0.1234. *)
-
-val millions : float -> string

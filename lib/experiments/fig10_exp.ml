@@ -73,32 +73,16 @@ let max_gain data =
     0.0 data.combos
 
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Figure 10(a): average per-flow drop (%) under best and worst \
-         placement"
-      [ "combination"; "best placement"; "worst placement"; "gain (pp)" ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          Scheduler.combo_name c.combo;
-          Exp_common.pct c.best.Scheduler.avg_drop;
-          Exp_common.pct c.worst.Scheduler.avg_drop;
-          Exp_common.pct
-            (c.worst.Scheduler.avg_drop -. c.best.Scheduler.avg_drop);
-        ])
-    data.combos;
-  let detail =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Figure 10(b): per-flow drop (%%) for %s under best/worst placement"
-           (Scheduler.combo_name data.detail.combo))
-      [ "flow"; "best placement"; "worst placement" ]
+  let combos =
+    Output.
+      [
+        text_col "combination" (fun c -> Scheduler.combo_name c.combo);
+        text_col "best placement" (fun c -> show pct c.best.Scheduler.avg_drop);
+        text_col "worst placement" (fun c ->
+            show pct c.worst.Scheduler.avg_drop);
+        text_col "gain (pp)" (fun c ->
+            show pct (c.worst.Scheduler.avg_drop -. c.best.Scheduler.avg_drop));
+      ]
   in
   let summarize (e : Scheduler.evaluation) =
     (* Average drop per kind across the placement's flows. *)
@@ -109,21 +93,33 @@ let render data =
         (k, List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)))
       kinds
   in
-  let best = summarize data.detail.best and worst = summarize data.detail.worst in
-  List.iter
-    (fun (k, d) ->
-      Table.add_row detail
-        [
-          Ppp_apps.App.name k;
-          Exp_common.pct d;
-          Exp_common.pct (List.assoc k worst);
-        ])
-    best;
-  Table.to_string t ^ "\n" ^ Table.to_string detail
+  let worst = summarize data.detail.worst in
+  let detail =
+    Output.
+      [
+        text_col "flow" (fun (k, _) -> Ppp_apps.App.name k);
+        text_col "best placement" (fun (_, d) -> show pct d);
+        text_col "worst placement" (fun (k, _) ->
+            show pct (List.assoc k worst));
+      ]
+  in
+  Output.text_table
+    ~title:
+      "Figure 10(a): average per-flow drop (%) under best and worst \
+       placement"
+    combos data.combos
+  ^ "\n"
+  ^ Output.text_table
+      ~title:
+        (Printf.sprintf
+           "Figure 10(b): per-flow drop (%%) for %s under best/worst placement"
+           (Scheduler.combo_name data.detail.combo))
+      detail
+      (summarize data.detail.best)
   ^ Printf.sprintf
       "\nmax overall gain from contention-aware scheduling (realistic \
        combos) = %s%%\n"
-      (Exp_common.pct (max_gain data))
+      (Output.show Output.pct (max_gain data))
 
 let data_json data =
   let open Output in
@@ -133,10 +129,7 @@ let data_json data =
         ("avg_drop", Json.Float e.Scheduler.avg_drop);
         ( "per_flow",
           table
-            [
-              Col.str "flow" (fun (k, _) -> Ppp_apps.App.name k);
-              Col.num "drop" snd;
-            ]
+            [ json_col "flow" kind fst; json_col "drop" pct snd ]
             e.Scheduler.per_flow );
       ]
   in

@@ -13,44 +13,40 @@ let measure ?(params = Runner.Params.default) () =
   let pairs = Exp_common.pair_matrix ~params ~solos kinds in
   { pairs; averages = Exp_common.avg_drop_per_target pairs; n_competitors }
 
+let average_columns =
+  Output.
+    [
+      col "target" "target" kind fst;
+      col "avg_drop" "average drop (%)" pct snd;
+    ]
+
 let render data =
   let kinds = Exp_common.realistic in
-  let open Ppp_util in
   let n = data.n_competitors in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Figure 2(a): performance drop (%%) of target X against %d \
-            co-runner%s of type Y"
-           n
-           (if n = 1 then "" else "s"))
-      ("target \\ co-runners"
-      :: List.map (fun k -> Printf.sprintf "%d %s" n (Ppp_apps.App.name k)) kinds)
+  let matrix =
+    Output.text_col "target \\ co-runners" Ppp_apps.App.name
+    :: List.map
+         (fun competitor ->
+           Output.text_col
+             (Printf.sprintf "%d %s" n (Ppp_apps.App.name competitor))
+             (fun target ->
+               Output.show Output.pct
+                 (Exp_common.find_pair data.pairs ~target ~competitor)
+                   .Exp_common.drop))
+         kinds
   in
-  List.iter
-    (fun target ->
-      Table.add_row t
-        (Ppp_apps.App.name target
-        :: List.map
-             (fun competitor ->
-               Exp_common.pct
-                 (Exp_common.find_pair data.pairs ~target ~competitor).Exp_common.drop)
-             kinds))
-    kinds;
-  let avg =
-    Table.create
+  Output.text_table
+    ~title:
+      (Printf.sprintf
+         "Figure 2(a): performance drop (%%) of target X against %d \
+          co-runner%s of type Y"
+         n
+         (if n = 1 then "" else "s"))
+    matrix kinds
+  ^ "\n"
+  ^ Output.text_table
       ~title:"Figure 2(b): average drop (%) per target type across scenarios"
-      [ "target"; "average drop (%)" ]
-  in
-  List.iter
-    (fun k ->
-      match List.assoc_opt k data.averages with
-      | Some d ->
-          Table.add_row avg [ Ppp_apps.App.name k; Exp_common.pct d ]
-      | None -> ())
-    kinds;
-  Table.to_string t ^ "\n" ^ Table.to_string avg
+      average_columns data.averages
 
 let data_json data =
   let open Output in
@@ -60,22 +56,15 @@ let data_json data =
       ( "pairs",
         table
           [
-            Col.str "target" (fun (p : Exp_common.pair_result) ->
-                Ppp_apps.App.name p.Exp_common.target);
-            Col.str "competitor" (fun p ->
-                Ppp_apps.App.name p.Exp_common.competitor);
-            Col.num "drop" (fun p -> p.Exp_common.drop);
-            Col.num "competing_refs_per_sec" (fun p ->
+            json_col "target" kind (fun (p : Exp_common.pair_result) ->
+                p.Exp_common.target);
+            json_col "competitor" kind (fun p -> p.Exp_common.competitor);
+            json_col "drop" pct (fun p -> p.Exp_common.drop);
+            json_col "competing_refs_per_sec" millions (fun p ->
                 p.Exp_common.competing_refs_per_sec);
           ]
           data.pairs );
-      ( "averages",
-        table
-          [
-            Col.str "target" (fun (k, _) -> Ppp_apps.App.name k);
-            Col.num "avg_drop" snd;
-          ]
-          data.averages );
+      ("averages", table average_columns data.averages);
     ]
 
 let run ?params () =

@@ -41,41 +41,41 @@ let measure ?(params = Runner.Params.default) ?(levels = default_levels)
       (resource, List.filteri (fun j _ -> j / per_target = i) curves))
     resources
 
+let point_columns =
+  Output.
+    [
+      col "competing_refs_per_sec" "competing refs/s (M)" millions
+        (fun (p : Sensitivity.point) -> p.Sensitivity.competing_refs_per_sec);
+      col "drop" "drop (%)" pct (fun p -> p.Sensitivity.drop);
+      json_col "target_hits_per_sec" millions (fun p ->
+          p.Sensitivity.target_hits_per_sec);
+    ]
+
 let render data =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (resource, curves) ->
-      let open Ppp_util in
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Figure 4 (%s): drop (%%) vs competing L3 refs/sec (M)"
-               (Sensitivity.resource_name resource))
-          ("competing refs/s (M)"
-          :: List.map
-               (fun (c : Sensitivity.curve) -> Ppp_apps.App.name c.Sensitivity.target)
-               curves)
-      in
-      (* Rows: the levels of the first curve define the x grid; the other
-         curves measured the same levels so indices line up. *)
-      (match curves with
-      | [] -> ()
-      | first :: _ ->
-          List.iteri
-            (fun i (p : Sensitivity.point) ->
-              Table.add_row t
-                (Exp_common.millions p.Sensitivity.competing_refs_per_sec
-                :: List.map
-                     (fun (c : Sensitivity.curve) ->
-                       let q = List.nth c.Sensitivity.points i in
-                       Exp_common.pct q.Sensitivity.drop)
-                     curves))
-            first.Sensitivity.points);
-      Buffer.add_string buf (Table.to_string t);
-      Buffer.add_char buf '\n')
-    data;
-  Buffer.contents buf
+  let grid (resource, curves) =
+    (* Rows: the levels of the first curve define the x grid; the other
+       curves measured the same levels so indices line up. *)
+    let levels =
+      match curves with
+      | [] -> []
+      | first :: _ -> List.mapi (fun i p -> (i, p)) first.Sensitivity.points
+    in
+    let drop_at (c : Sensitivity.curve) =
+      Output.text_col (Ppp_apps.App.name c.Sensitivity.target) (fun (i, _) ->
+          Output.show Output.pct
+            (List.nth c.Sensitivity.points i).Sensitivity.drop)
+    in
+    Output.text_table
+      ~title:
+        (Printf.sprintf "Figure 4 (%s): drop (%%) vs competing L3 refs/sec (M)"
+           (Sensitivity.resource_name resource))
+      (Output.text_col "competing refs/s (M)" (fun (_, p) ->
+           Output.show Output.millions p.Sensitivity.competing_refs_per_sec)
+      :: List.map drop_at curves)
+      levels
+    ^ "\n"
+  in
+  String.concat "" (List.map grid data)
 
 let curve_json (c : Sensitivity.curve) =
   let open Output in
@@ -83,16 +83,7 @@ let curve_json (c : Sensitivity.curve) =
     [
       ("target", Json.Str (Ppp_apps.App.name c.Sensitivity.target));
       ("solo_pps", Json.Float c.Sensitivity.solo_pps);
-      ( "points",
-        table
-          [
-            Col.num "competing_refs_per_sec" (fun (p : Sensitivity.point) ->
-                p.Sensitivity.competing_refs_per_sec);
-            Col.num "drop" (fun p -> p.Sensitivity.drop);
-            Col.num "target_hits_per_sec" (fun p ->
-                p.Sensitivity.target_hits_per_sec);
-          ]
-          c.Sensitivity.points );
+      ("points", table point_columns c.Sensitivity.points);
     ]
 
 let data_json data =

@@ -10,6 +10,10 @@ val measure :
   unit ->
   data
 
+val point_columns : Ppp_core.Sensitivity.point Output.col list
+(** Shared with {!Fig5_exp}: a sensitivity curve's points as table
+    columns. *)
+
 val curve_json : Ppp_core.Sensitivity.curve -> Output.Json.t
 (** Shared with {!Fig5_exp}: one sensitivity curve as JSON. *)
 

@@ -46,59 +46,38 @@ let max_deviation data =
     (fun acc c -> Float.max acc (Float.abs (c.measured_drop -. c.curve_drop)))
     0.0 data.checks
 
+let check_columns =
+  Output.
+    [
+      col "target" "target" kind (fun c -> c.target);
+      json_col "competitor" kind (fun c -> c.competitor);
+      text_col "competitors" (fun c -> "5 " ^ Ppp_apps.App.name c.competitor);
+      col "competing_refs_per_sec" "competing refs/s (M)" millions (fun c ->
+          c.competing_refs_per_sec);
+      col "measured_drop" "measured drop (%)" pct (fun c -> c.measured_drop);
+      col "curve_drop" "SYN-curve drop (%)" pct (fun c -> c.curve_drop);
+      text_col "deviation (pp)" (fun c ->
+          show pct (c.measured_drop -. c.curve_drop));
+    ]
+
 let render data =
-  let open Ppp_util in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (kind, curve) ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf "Figure 5 — %s(S): SYN sensitivity curve"
-               (Ppp_apps.App.name kind))
-          [ "competing refs/s (M)"; "drop (%)" ]
-      in
-      List.iter
-        (fun (p : Sensitivity.point) ->
-          Table.add_row t
-            [
-              Exp_common.millions p.Sensitivity.competing_refs_per_sec;
-              Exp_common.pct p.Sensitivity.drop;
-            ])
-        curve.Sensitivity.points;
-      Buffer.add_string buf (Table.to_string t);
-      Buffer.add_char buf '\n')
-    data.curves;
-  let t =
-    Table.create
+  String.concat ""
+    (List.map
+       (fun (kind, curve) ->
+         Output.text_table
+           ~title:
+             (Printf.sprintf "Figure 5 — %s(S): SYN sensitivity curve"
+                (Ppp_apps.App.name kind))
+           Fig4_exp.point_columns curve.Sensitivity.points
+         ^ "\n")
+       data.curves)
+  ^ Output.text_table
       ~title:
         "Figure 5 — realistic points X(R) against the SYN curve at the same \
          competing refs/sec"
-      [
-        "target";
-        "competitors";
-        "competing refs/s (M)";
-        "measured drop (%)";
-        "SYN-curve drop (%)";
-        "deviation (pp)";
-      ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          Ppp_apps.App.name c.target;
-          "5 " ^ Ppp_apps.App.name c.competitor;
-          Exp_common.millions c.competing_refs_per_sec;
-          Exp_common.pct c.measured_drop;
-          Exp_common.pct c.curve_drop;
-          Exp_common.pct (c.measured_drop -. c.curve_drop);
-        ])
-    data.checks;
-  Buffer.add_string buf (Table.to_string t);
-  Printf.bprintf buf "\nmax |deviation| = %s%%\n"
-    (Exp_common.pct (max_deviation data));
-  Buffer.contents buf
+      check_columns data.checks
+  ^ Printf.sprintf "\nmax |deviation| = %s%%\n"
+      (Output.show Output.pct (max_deviation data))
 
 let data_json data =
   let open Output in
@@ -107,17 +86,7 @@ let data_json data =
       ( "curves",
         Json.Arr (List.map (fun (_, c) -> Fig4_exp.curve_json c) data.curves)
       );
-      ( "checks",
-        table
-          [
-            Col.str "target" (fun c -> Ppp_apps.App.name c.target);
-            Col.str "competitor" (fun c -> Ppp_apps.App.name c.competitor);
-            Col.num "competing_refs_per_sec" (fun c ->
-                c.competing_refs_per_sec);
-            Col.num "measured_drop" (fun c -> c.measured_drop);
-            Col.num "curve_drop" (fun c -> c.curve_drop);
-          ]
-          data.checks );
+      ("checks", table check_columns data.checks);
       ("max_deviation", Json.Float (max_deviation data));
     ]
 

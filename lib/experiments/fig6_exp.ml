@@ -34,35 +34,36 @@ let measure ?(params = Runner.Params.default) () =
   in
   { deltas; curve_samples; app_points }
 
+let app_columns =
+  Output.
+    [
+      col "flow" "flow" kind (fun (k, _, _) -> k);
+      col "solo_hits_per_sec" "solo hits/s (M)" millions (fun (_, h, _) -> h);
+      col "max_drop" "max drop (%)" pct (fun (_, _, d) -> d);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Figure 6: worst-case drop (%) vs solo cache hits/sec (Equation 1, \
-         kappa = 1)"
-      ("hits/s (M)"
-      :: List.map (fun d -> Printf.sprintf "delta=%.2fns" (d *. 1e9)) data.deltas)
+  let curve =
+    Output.text_col "hits/s (M)" (fun (h, _) -> Output.show Output.millions h)
+    :: List.mapi
+         (fun i d ->
+           Output.text_col
+             (Printf.sprintf "delta=%.2fns" (d *. 1e9))
+             (fun (_, drops) -> Output.show Output.pct (List.nth drops i)))
+         data.deltas
   in
-  List.iter
-    (fun (h, drops) ->
-      Table.add_row t
-        (Exp_common.millions h :: List.map Exp_common.pct drops))
-    data.curve_samples;
-  let pts =
-    Table.create
+  Output.text_table
+    ~title:
+      "Figure 6: worst-case drop (%) vs solo cache hits/sec (Equation 1, \
+       kappa = 1)"
+    curve data.curve_samples
+  ^ "\n"
+  ^ Output.text_table
       ~title:
         (Printf.sprintf
            "Application points (delta = %.2fns): worst-case drop bound"
            (Equation1.paper_delta *. 1e9))
-      [ "flow"; "solo hits/s (M)"; "max drop (%)" ]
-  in
-  List.iter
-    (fun (k, h, d) ->
-      Table.add_row pts
-        [ Ppp_apps.App.name k; Exp_common.millions h; Exp_common.pct d ])
-    data.app_points;
-  Table.to_string t ^ "\n" ^ Table.to_string pts
+      app_columns data.app_points
 
 let data_json data =
   let open Output in
@@ -80,14 +81,7 @@ let data_json data =
                      Json.Arr (List.map (fun d -> Json.Float d) drops) );
                  ])
              data.curve_samples) );
-      ( "app_points",
-        table
-          [
-            Col.str "flow" (fun (k, _, _) -> Ppp_apps.App.name k);
-            Col.num "solo_hits_per_sec" (fun (_, h, _) -> h);
-            Col.num "max_drop" (fun (_, _, d) -> d);
-          ]
-          data.app_points );
+      ("app_points", table app_columns data.app_points);
     ]
 
 let run ?params () =

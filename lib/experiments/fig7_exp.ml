@@ -75,28 +75,26 @@ let measure ?(params = Runner.Params.default) () =
   { target; rows }
 
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Figure 7: hit-to-miss conversion (%%) of a %s flow vs cache \
-            competition"
-           (Ppp_apps.App.name data.target))
-      ([ "competing refs/s (M)"; "measured"; "model" ]
-      @ List.map Ppp_hw.Fn.name tracked_fns)
+  let per_fn fn =
+    let name = Ppp_hw.Fn.name fn in
+    Output.text_col name (fun r ->
+        Output.show Output.pct (List.assoc name r.per_fn))
   in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        ([
-           Exp_common.millions r.competing_refs_per_sec;
-           Exp_common.pct r.measured;
-           Exp_common.pct r.model;
-         ]
-        @ List.map (fun (_, v) -> Exp_common.pct v) r.per_fn))
-    data.rows;
-  Table.to_string t
+  Output.text_table
+    ~title:
+      (Printf.sprintf
+         "Figure 7: hit-to-miss conversion (%%) of a %s flow vs cache \
+          competition"
+         (Ppp_apps.App.name data.target))
+    (Output.
+       [
+         text_col "competing refs/s (M)" (fun r ->
+             show millions r.competing_refs_per_sec);
+         text_col "measured" (fun r -> show pct r.measured);
+         text_col "model" (fun r -> show pct r.model);
+       ]
+    @ List.map per_fn tracked_fns)
+    data.rows
 
 let data_json data =
   let open Output in

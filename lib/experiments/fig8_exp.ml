@@ -14,6 +14,8 @@ type data = {
   avg_error_perfect : (Ppp_apps.App.kind * float) list;
 }
 
+let error c = c.predicted_drop -. c.measured_drop
+
 let measure ?(params = Runner.Params.default) () =
   let kinds = Exp_common.realistic in
   let predictor = Predictor.build ~params ~targets:kinds () in
@@ -51,87 +53,63 @@ let measure ?(params = Runner.Params.default) () =
   in
   {
     cells;
-    avg_error = avg (fun c -> c.predicted_drop -. c.measured_drop);
+    avg_error = avg error;
     avg_error_perfect = avg (fun c -> c.perfect_drop -. c.measured_drop);
   }
 
 let max_abs_error data =
   List.fold_left
-    (fun acc c -> Float.max acc (Float.abs (c.predicted_drop -. c.measured_drop)))
+    (fun acc c -> Float.max acc (Float.abs (error c)))
     0.0 data.cells
 
+let cell_columns =
+  Output.
+    [
+      col "target" "target" kind (fun c -> c.target);
+      json_col "competitor" kind (fun c -> c.competitor);
+      text_col "competitors" (fun c -> "5 " ^ Ppp_apps.App.name c.competitor);
+      col "measured_drop" "measured (%)" pct (fun c -> c.measured_drop);
+      col "predicted_drop" "predicted (%)" pct (fun c -> c.predicted_drop);
+      text_col "error" (fun c -> show pct (error c));
+      col "perfect_drop" "perfect-knowledge (%)" pct (fun c -> c.perfect_drop);
+      text_col "error (perfect)" (fun c ->
+          show pct (c.perfect_drop -. c.measured_drop));
+    ]
+
+(* One target's average absolute error; the text table adds the
+   perfect-knowledge average as a third column. *)
+let average_columns =
+  Output.
+    [
+      col "target" "target" kind fst;
+      col "avg_abs_error" "our prediction" pct snd;
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Figure 8(a,b): prediction error (percentage points; positive = \
-         overestimated drop)"
-      [
-        "target";
-        "competitors";
-        "measured (%)";
-        "predicted (%)";
-        "error";
-        "perfect-knowledge (%)";
-        "error (perfect)";
-      ]
+  let perfect =
+    Output.text_col "perfect knowledge" (fun (k, _) ->
+        Output.show Output.pct (List.assoc k data.avg_error_perfect))
   in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          Ppp_apps.App.name c.target;
-          "5 " ^ Ppp_apps.App.name c.competitor;
-          Exp_common.pct c.measured_drop;
-          Exp_common.pct c.predicted_drop;
-          Exp_common.pct (c.predicted_drop -. c.measured_drop);
-          Exp_common.pct c.perfect_drop;
-          Exp_common.pct (c.perfect_drop -. c.measured_drop);
-        ])
-    data.cells;
-  let avg =
-    Table.create
+  Output.text_table
+    ~title:
+      "Figure 8(a,b): prediction error (percentage points; positive = \
+       overestimated drop)"
+    cell_columns data.cells
+  ^ "\n"
+  ^ Output.text_table
       ~title:"Figure 8(c): average absolute prediction error per target"
-      [ "target"; "our prediction"; "perfect knowledge" ]
-  in
-  List.iter
-    (fun (k, e) ->
-      Table.add_row avg
-        [
-          Ppp_apps.App.name k;
-          Exp_common.pct e;
-          Exp_common.pct (List.assoc k data.avg_error_perfect);
-        ])
-    data.avg_error;
-  Table.to_string t ^ "\n" ^ Table.to_string avg
-  ^ Printf.sprintf "\nmax |error| = %s%%\n" (Exp_common.pct (max_abs_error data))
+      (average_columns @ [ perfect ])
+      data.avg_error
+  ^ Printf.sprintf "\nmax |error| = %s%%\n"
+      (Output.show Output.pct (max_abs_error data))
 
 let data_json data =
   let open Output in
-  let avg name pairs =
-    ( name,
-      table
-        [
-          Col.str "target" (fun (k, _) -> Ppp_apps.App.name k);
-          Col.num "avg_abs_error" snd;
-        ]
-        pairs )
-  in
   Json.Obj
     [
-      ( "cells",
-        table
-          [
-            Col.str "target" (fun c -> Ppp_apps.App.name c.target);
-            Col.str "competitor" (fun c -> Ppp_apps.App.name c.competitor);
-            Col.num "measured_drop" (fun c -> c.measured_drop);
-            Col.num "predicted_drop" (fun c -> c.predicted_drop);
-            Col.num "perfect_drop" (fun c -> c.perfect_drop);
-          ]
-          data.cells );
-      avg "avg_error" data.avg_error;
-      avg "avg_error_perfect" data.avg_error_perfect;
+      ("cells", table cell_columns data.cells);
+      ("avg_error", table average_columns data.avg_error);
+      ("avg_error_perfect", table average_columns data.avg_error_perfect);
       ("max_abs_error", Json.Float (max_abs_error data));
     ]
 

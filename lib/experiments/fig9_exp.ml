@@ -48,8 +48,17 @@ let measure ?(params = Runner.Params.default) () =
   in
   { flows; max_error }
 
+let columns =
+  Output.
+    [
+      col "flow" "flow" kind (fun f -> f.kind);
+      col "measured_drop" "measured (%)" pct (fun f -> f.measured_drop);
+      col "predicted_drop" "predicted (%)" pct (fun f -> f.predicted_drop);
+      text_col "abs error" (fun f ->
+          show pct (Float.abs (f.predicted_drop -. f.measured_drop)));
+    ]
+
 let render data =
-  let open Ppp_util in
   let mix_label =
     let kinds = List.sort_uniq compare (List.map (fun f -> f.kind) data.flows) in
     kinds
@@ -60,39 +69,20 @@ let render data =
            Printf.sprintf "%d %s" n (Ppp_apps.App.name k))
     |> String.concat ", "
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Figure 9: mixed workload (%s) — measured vs predicted drop"
-           mix_label)
-      [ "flow"; "measured (%)"; "predicted (%)"; "abs error" ]
-  in
-  List.iter
-    (fun f ->
-      Table.add_row t
-        [
-          Ppp_apps.App.name f.kind;
-          Exp_common.pct f.measured_drop;
-          Exp_common.pct f.predicted_drop;
-          Exp_common.pct (Float.abs (f.predicted_drop -. f.measured_drop));
-        ])
-    data.flows;
-  Table.to_string t
-  ^ Printf.sprintf "\nmax |error| = %s%%\n" (Exp_common.pct data.max_error)
+  Output.text_table
+    ~title:
+      (Printf.sprintf
+         "Figure 9: mixed workload (%s) — measured vs predicted drop"
+         mix_label)
+    columns data.flows
+  ^ Printf.sprintf "\nmax |error| = %s%%\n"
+      (Output.show Output.pct data.max_error)
 
 let data_json data =
   let open Output in
   Json.Obj
     [
-      ( "flows",
-        table
-          [
-            Col.str "flow" (fun f -> Ppp_apps.App.name f.kind);
-            Col.num "measured_drop" (fun f -> f.measured_drop);
-            Col.num "predicted_drop" (fun f -> f.predicted_drop);
-          ]
-          data.flows );
+      ("flows", table columns data.flows);
       ("max_abs_error", Json.Float data.max_error);
     ]
 

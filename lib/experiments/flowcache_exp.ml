@@ -131,26 +131,22 @@ let measure ?(params = Runner.Params.default) () =
   in
   { cells = [ cell "solo" false; cell "vs 5 SYN_MAX" true ] }
 
+let columns =
+  Output.
+    [
+      col "scenario" "scenario" str (fun c -> c.scenario);
+      col "plain_pps" "plain pps" f0 (fun c -> c.plain_pps);
+      col "cached_pps" "cached pps" f0 (fun c -> c.cached_pps);
+      col "speedup" "speedup" (num (Printf.sprintf "%.2fx")) (fun c ->
+          c.speedup);
+      col "hit_rate" "cache hit rate (%)" pct (fun c -> c.hit_rate);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:"Flow-cache fast path: speedup over plain LPM, solo vs contended"
-      [ "scenario"; "plain pps"; "cached pps"; "speedup"; "cache hit rate (%)" ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          c.scenario;
-          Printf.sprintf "%.0f" c.plain_pps;
-          Printf.sprintf "%.0f" c.cached_pps;
-          Printf.sprintf "%.2fx" c.speedup;
-          Exp_common.pct c.hit_rate;
-        ])
-    data.cells;
   let solo = List.hd data.cells and contended = List.nth data.cells 1 in
-  Table.to_string t
+  Output.text_table
+    ~title:"Flow-cache fast path: speedup over plain LPM, solo vs contended"
+    columns data.cells
   ^ Printf.sprintf
       "\nthe fast path's advantage moves from %.2fx (solo) to %.2fx under \
        contention: every avoided trie reference is one whose cost \
@@ -158,18 +154,6 @@ let render data =
        contention-mitigation lever.\n"
       solo.speedup contended.speedup
 
-let data_json data =
-  let open Output in
-  table
-    [
-      Col.str "scenario" (fun c -> c.scenario);
-      Col.num "plain_pps" (fun c -> c.plain_pps);
-      Col.num "cached_pps" (fun c -> c.cached_pps);
-      Col.num "speedup" (fun c -> c.speedup);
-      Col.num "hit_rate" (fun c -> c.hit_rate);
-    ]
-    data.cells
-
 let run ?params () =
   let data = measure ?params () in
-  Output.make ~text:(render data) ~data:(data_json data)
+  Output.make ~text:(render data) ~data:(Output.table columns data.cells)

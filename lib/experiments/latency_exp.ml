@@ -48,32 +48,27 @@ let measure ?(params = Runner.Params.default) () =
       ];
   }
 
+let columns =
+  Output.
+    [
+      col "scenario" "scenario" str (fun r -> r.scenario);
+      col "throughput_pps" "pps" f0 (fun r -> r.throughput_pps);
+      col "mean_cycles" "mean" f0 (fun r -> r.mean_cycles);
+      col "p50_cycles" "p50" int (fun r -> r.p50_cycles);
+      col "p99_cycles" "p99" int (fun r -> r.p99_cycles);
+      col "max_cycles" "max" int (fun r -> r.max_cycles);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Per-packet latency of a %s flow under increasing contention \
-            (cycles)"
-           (Ppp_apps.App.name data.target))
-      [ "scenario"; "pps"; "mean"; "p50"; "p99"; "max" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.scenario;
-          Printf.sprintf "%.0f" r.throughput_pps;
-          Printf.sprintf "%.0f" r.mean_cycles;
-          string_of_int r.p50_cycles;
-          string_of_int r.p99_cycles;
-          string_of_int r.max_cycles;
-        ])
-    data.rows;
   let solo = List.hd data.rows in
   let worst = List.nth data.rows (List.length data.rows - 1) in
-  Table.to_string t
+  Output.text_table
+    ~title:
+      (Printf.sprintf
+         "Per-packet latency of a %s flow under increasing contention \
+          (cycles)"
+         (Ppp_apps.App.name data.target))
+    columns data.rows
   ^ Printf.sprintf
       "\ncontention inflated the median %.1fx but the p99 tail %.1fx.\n"
       (float_of_int worst.p50_cycles /. float_of_int (max 1 solo.p50_cycles))
@@ -84,17 +79,7 @@ let data_json data =
   Json.Obj
     [
       ("target", Json.Str (Ppp_apps.App.name data.target));
-      ( "rows",
-        table
-          [
-            Col.str "scenario" (fun r -> r.scenario);
-            Col.num "throughput_pps" (fun r -> r.throughput_pps);
-            Col.num "mean_cycles" (fun r -> r.mean_cycles);
-            Col.int "p50_cycles" (fun r -> r.p50_cycles);
-            Col.int "p99_cycles" (fun r -> r.p99_cycles);
-            Col.int "max_cycles" (fun r -> r.max_cycles);
-          ]
-          data.rows );
+      ("rows", table columns data.rows);
     ]
 
 let run ?params () =

@@ -186,39 +186,31 @@ let measure ?(params = Runner.Params.default) () =
   }
 
 let render d =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Online contention monitor (victim = MON, two-faced aggressor, tame \
-         mix)"
-      [
-        "scenario"; "victim pps"; "drop (%)"; "aggr refs/s (M)"; "degr";
-        "aggr"; "recov"; "verdicts";
-      ]
-  in
-  let verdict_cell p =
-    String.concat " "
-      (List.map (fun (flow, v) -> flow ^ "=" ^ v) p.verdicts)
-  in
-  let row name p =
-    Table.add_row t
-      [
-        name;
-        Printf.sprintf "%.0f" p.victim_pps;
-        Exp_common.pct
-          ((d.victim_solo_pps -. p.victim_pps) /. d.victim_solo_pps);
-        Exp_common.millions p.aggressor_l3_refs_per_sec;
-        string_of_int p.n_degraded;
-        string_of_int p.n_aggressor;
-        string_of_int p.n_recovered;
-        verdict_cell p;
-      ]
-  in
-  row "tame mix (as profiled)" d.tame;
-  row "aggressor switches mid-run" d.loud;
-  row "closed loop: throttled to alert budget" d.throttled;
-  Table.to_string t
+  let open Output in
+  text_table
+    ~title:
+      "Online contention monitor (victim = MON, two-faced aggressor, tame \
+       mix)"
+    [
+      text_col "scenario" fst;
+      text_col "victim pps" (fun (_, p) -> show f0 p.victim_pps);
+      text_col "drop (%)" (fun (_, p) ->
+          show pct
+            ((d.victim_solo_pps -. p.victim_pps) /. d.victim_solo_pps));
+      text_col "aggr refs/s (M)" (fun (_, p) ->
+          show millions p.aggressor_l3_refs_per_sec);
+      text_col "degr" (fun (_, p) -> string_of_int p.n_degraded);
+      text_col "aggr" (fun (_, p) -> string_of_int p.n_aggressor);
+      text_col "recov" (fun (_, p) -> string_of_int p.n_recovered);
+      text_col "verdicts" (fun (_, p) ->
+          String.concat " "
+            (List.map (fun (flow, v) -> flow ^ "=" ^ v) p.verdicts));
+    ]
+    [
+      ("tame mix (as profiled)", d.tame);
+      ("aggressor switches mid-run", d.loud);
+      ("closed loop: throttled to alert budget", d.throttled);
+    ]
   ^ Printf.sprintf
       "\naggressor profiled at %.1fM L3 refs/s; switches after %d packets\n"
       (d.aggressor_profiled_refs /. 1e6)

@@ -91,28 +91,22 @@ let measure ?(params = Runner.Params.default) () =
       /. Float.max 0.01 separate.fw_rule_l3_refs_per_fw_packet;
   }
 
+let columns =
+  Output.
+    [
+      col "configuration" "configuration" str (fun s -> s.label);
+      col "total_pps" "total pps" f0 (fun s -> s.total_pps);
+      col "fw_rule_l3_refs_per_fw_packet" "FW-rule L3 refs / FW pkt" f2
+        (fun s -> s.fw_rule_l3_refs_per_fw_packet);
+      col "fw_rule_l3_miss_per_fw_packet" "FW-rule L3 misses / FW pkt" f2
+        (fun s -> s.fw_rule_l3_miss_per_fw_packet);
+    ]
+
 let render data =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Section 6: one flow per core vs two flows multiplexed on one core"
-      [
-        "configuration"; "total pps"; "FW-rule L3 refs / FW pkt";
-        "FW-rule L3 misses / FW pkt";
-      ]
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [
-          s.label;
-          Printf.sprintf "%.0f" s.total_pps;
-          Table.cell_f s.fw_rule_l3_refs_per_fw_packet;
-          Table.cell_f s.fw_rule_l3_miss_per_fw_packet;
-        ])
-    [ data.separate; data.multiplexed ];
-  Table.to_string t
+  Output.text_table
+    ~title:"Section 6: one flow per core vs two flows multiplexed on one core"
+    columns
+    [ data.separate; data.multiplexed ]
   ^ Printf.sprintf
       "\nsharing the core multiplies the firewall's rule references that \
        escape the private caches by %.0fx —\nprivate-cache contention that \
@@ -122,21 +116,10 @@ let render data =
 
 let data_json data =
   let open Output in
-  let side_json s =
-    Json.Obj
-      [
-        ("configuration", Json.Str s.label);
-        ("total_pps", Json.Float s.total_pps);
-        ( "fw_rule_l3_refs_per_fw_packet",
-          Json.Float s.fw_rule_l3_refs_per_fw_packet );
-        ( "fw_rule_l3_miss_per_fw_packet",
-          Json.Float s.fw_rule_l3_miss_per_fw_packet );
-      ]
-  in
   Json.Obj
     [
-      ("separate", side_json data.separate);
-      ("multiplexed", side_json data.multiplexed);
+      ("separate", row columns data.separate);
+      ("multiplexed", row columns data.multiplexed);
       ("escalation", Json.Float data.escalation);
     ]
 

@@ -163,29 +163,27 @@ let baseline_pps s =
          s.label);
   s.per_core_pps
 
+let columns =
+  Output.
+    [
+      col "configuration" "configuration" str (fun s -> s.label);
+      col "cores" "cores" int (fun s -> s.cores);
+      col "throughput_pps" "throughput (pps)" f0 (fun s -> s.throughput_pps);
+      col "per_core_pps" "pps/core" f0 (fun s -> s.per_core_pps);
+      col "l3_refs_per_packet" "L3 refs/packet" f2 (fun s ->
+          s.l3_refs_per_packet);
+      col "l3_misses_per_packet" "L3 misses/packet" f2 (fun s ->
+          s.l3_misses_per_packet);
+    ]
+
+let sides data =
+  [ data.ip_parallel; data.ip_pipeline; data.syn_parallel; data.syn_pipeline ]
+
 let render data =
   let ip_par = baseline_pps data.ip_parallel
   and syn_par = baseline_pps data.syn_parallel in
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:"Section 2.2: parallel vs pipelined parallelization"
-      [ "configuration"; "cores"; "throughput (pps)"; "pps/core";
-        "L3 refs/packet"; "L3 misses/packet" ]
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [
-          s.label;
-          string_of_int s.cores;
-          Printf.sprintf "%.0f" s.throughput_pps;
-          Printf.sprintf "%.0f" s.per_core_pps;
-          Table.cell_f s.l3_refs_per_packet;
-          Table.cell_f s.l3_misses_per_packet;
-        ])
-    [ data.ip_parallel; data.ip_pipeline; data.syn_parallel; data.syn_pipeline ];
-  Table.to_string t
+  Output.text_table ~title:"Section 2.2: parallel vs pipelined parallelization"
+    columns (sides data)
   ^ Printf.sprintf
       "\npipelining the IP workload costs %.1f extra L3 refs/packet and %.1f%% \
        of per-core throughput;\nthe contrived 2xL3 workload gains %.1fx \
@@ -198,22 +196,7 @@ let data_json data =
   let open Output in
   Json.Obj
     [
-      ( "sides",
-        table
-          [
-            Col.str "configuration" (fun s -> s.label);
-            Col.int "cores" (fun s -> s.cores);
-            Col.num "throughput_pps" (fun s -> s.throughput_pps);
-            Col.num "per_core_pps" (fun s -> s.per_core_pps);
-            Col.num "l3_refs_per_packet" (fun s -> s.l3_refs_per_packet);
-            Col.num "l3_misses_per_packet" (fun s -> s.l3_misses_per_packet);
-          ]
-          [
-            data.ip_parallel;
-            data.ip_pipeline;
-            data.syn_parallel;
-            data.syn_pipeline;
-          ] );
+      ("sides", table columns (sides data));
       ("extra_refs_per_packet", Json.Float data.extra_refs_per_packet);
     ]
 

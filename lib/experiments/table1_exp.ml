@@ -37,55 +37,31 @@ let profiles ?(params = Runner.Params.default) () =
     (Exp_common.solo_results ~params
        (Ppp_apps.App.realistic @ [ Ppp_apps.App.syn_max ]))
 
-let render rows =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:"Table 1: solo-run characteristics of each packet-processing type"
-      [
-        "Flow";
-        "cycles/instr";
-        "L3 refs/sec (M)";
-        "L3 hits/sec (M)";
-        "cycles/packet";
-        "L3 refs/packet";
-        "L3 misses/packet";
-        "L2 hits/packet";
-      ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          Ppp_apps.App.name p.kind;
-          Table.cell_f p.cycles_per_instruction;
-          Table.cell_millions p.l3_refs_per_sec;
-          Table.cell_millions p.l3_hits_per_sec;
-          Printf.sprintf "%.0f" p.cycles_per_packet;
-          Table.cell_f p.l3_refs_per_packet;
-          Table.cell_f p.l3_misses_per_packet;
-          Table.cell_f p.l2_hits_per_packet;
-        ])
-    rows;
-  Table.to_string t
-
-let data_json rows =
+let columns =
   let open Output in
-  table
-    [
-      Col.str "flow" (fun p -> Ppp_apps.App.name p.kind);
-      Col.num "throughput_pps" (fun p -> p.throughput_pps);
-      Col.num "cycles_per_instruction" (fun p -> p.cycles_per_instruction);
-      Col.num "l3_refs_per_sec" (fun p -> p.l3_refs_per_sec);
-      Col.num "l3_hits_per_sec" (fun p -> p.l3_hits_per_sec);
-      Col.num "cycles_per_packet" (fun p -> p.cycles_per_packet);
-      Col.num "l3_refs_per_packet" (fun p -> p.l3_refs_per_packet);
-      Col.num "l3_misses_per_packet" (fun p -> p.l3_misses_per_packet);
-      Col.num "l2_hits_per_packet" (fun p -> p.l2_hits_per_packet);
-      Col.num "l1_hits_per_packet" (fun p -> p.l1_hits_per_packet);
-    ]
-    rows
+  let m2 = num Ppp_util.Table.cell_millions in
+  [
+    col "flow" "Flow" kind (fun p -> p.kind);
+    json_col "throughput_pps" f0 (fun p -> p.throughput_pps);
+    col "cycles_per_instruction" "cycles/instr" f2 (fun p ->
+        p.cycles_per_instruction);
+    col "l3_refs_per_sec" "L3 refs/sec (M)" m2 (fun p -> p.l3_refs_per_sec);
+    col "l3_hits_per_sec" "L3 hits/sec (M)" m2 (fun p -> p.l3_hits_per_sec);
+    col "cycles_per_packet" "cycles/packet" f0 (fun p -> p.cycles_per_packet);
+    col "l3_refs_per_packet" "L3 refs/packet" f2 (fun p ->
+        p.l3_refs_per_packet);
+    col "l3_misses_per_packet" "L3 misses/packet" f2 (fun p ->
+        p.l3_misses_per_packet);
+    col "l2_hits_per_packet" "L2 hits/packet" f2 (fun p ->
+        p.l2_hits_per_packet);
+    json_col "l1_hits_per_packet" f2 (fun p -> p.l1_hits_per_packet);
+  ]
+
+let render rows =
+  Output.text_table
+    ~title:"Table 1: solo-run characteristics of each packet-processing type"
+    columns rows
 
 let run ?params () =
   let rows = profiles ?params () in
-  Output.make ~text:(render rows) ~data:(data_json rows)
+  Output.make ~text:(render rows) ~data:(Output.table columns rows)

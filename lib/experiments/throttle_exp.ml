@@ -98,38 +98,33 @@ let measure ?(params = Runner.Params.default) () =
   }
 
 let render d =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Section 4: containing hidden aggressiveness (victim = MON, 5 \
-         two-faced co-runners)"
-      [ "scenario"; "victim pps"; "victim drop (%)"; "attacker refs/s (M)" ]
-  in
-  Table.add_row t
-    [ "victim solo"; Printf.sprintf "%.0f" d.victim_solo_pps; "0.00"; "-" ];
-  Table.add_row t
+  let open Output in
+  text_table
+    ~title:
+      "Section 4: containing hidden aggressiveness (victim = MON, 5 \
+       two-faced co-runners)"
     [
-      "attackers as profiled (tame)";
-      Printf.sprintf "%.0f" d.victim_with_tame_pps;
-      Exp_common.pct d.victim_tame_drop;
-      Exp_common.millions (d.attacker_refs_budget /. 1.05);
-    ];
-  Table.add_row t
+      text_col "scenario" (fun (s, _, _, _) -> s);
+      text_col "victim pps" (fun (_, pps, _, _) -> show f0 pps);
+      text_col "victim drop (%)" (fun (_, _, drop, _) -> show pct drop);
+      text_col "attacker refs/s (M)" (fun (_, _, _, refs) ->
+          Option.fold ~none:"-" ~some:(show millions) refs);
+    ]
     [
-      "attackers switch to SYN_MAX";
-      Printf.sprintf "%.0f" d.victim_with_loud_pps;
-      Exp_common.pct d.victim_loud_drop;
-      Exp_common.millions d.attacker_loud_refs;
-    ];
-  Table.add_row t
-    [
-      "switched but throttled to profile";
-      Printf.sprintf "%.0f" d.victim_with_throttled_pps;
-      Exp_common.pct d.victim_throttled_drop;
-      Exp_common.millions d.attacker_throttled_refs;
-    ];
-  Table.to_string t
+      ("victim solo", d.victim_solo_pps, 0.0, None);
+      ( "attackers as profiled (tame)",
+        d.victim_with_tame_pps,
+        d.victim_tame_drop,
+        Some (d.attacker_refs_budget /. 1.05) );
+      ( "attackers switch to SYN_MAX",
+        d.victim_with_loud_pps,
+        d.victim_loud_drop,
+        Some d.attacker_loud_refs );
+      ( "switched but throttled to profile",
+        d.victim_with_throttled_pps,
+        d.victim_throttled_drop,
+        Some d.attacker_throttled_refs );
+    ]
   ^ Printf.sprintf
       "\nthrottle budget %.1fM refs/s; throttled attackers stayed at %.1fM \
        refs/s (within budget: %b)\n"

@@ -284,39 +284,32 @@ let measure ?(params = Runner.Params.default) () =
         cells;
   }
 
+let columns =
+  Output.
+    [
+      col "model" "model" str (fun c -> c.model);
+      col "knob" "knob" str (fun c -> c.knob);
+      col "steering" "steering" str (fun c -> c.steering);
+      col "solo_pps" "solo pps" f0 (fun c -> c.solo_pps);
+      col "measured_drop" "drop (%)" pct (fun c -> c.measured_drop);
+      col "predicted_drop" "pred (%)" pct (fun c -> c.predicted_drop);
+      col "abs_err" "|err| (pp)"
+        (num (fun e -> Printf.sprintf "%.1f" (100.0 *. e)))
+        (fun c -> c.abs_err);
+      col "false_alerts" "false alerts" int (fun c -> c.false_alerts);
+      col "reorders" "reorders" int (fun c -> c.reorders);
+      col "migrations" "migr" int (fun c -> c.migrations);
+      col "evictions" "evict" int (fun c -> c.evictions);
+      json_col "packets" int (fun c -> c.packets);
+      col "lat_p99_inorder" "p99 in-ord" int (fun c -> c.lat_p99_inorder);
+      (* No reordered packet in the window (every RSS cell): "-" in text. *)
+      json_col "lat_p99_reordered" int (fun c -> c.lat_p99_reordered);
+      text_col "p99 reord" (fun c ->
+          if c.lat_p99_reordered = 0 then "-"
+          else string_of_int c.lat_p99_reordered);
+    ]
+
 let render d =
-  let open Ppp_util in
-  let t =
-    Table.create
-      ~title:
-        "Traffic realism: stationary-calibrated prediction and monitoring \
-         under production source models"
-      [
-        "model"; "knob"; "steering"; "solo pps"; "drop (%)"; "pred (%)";
-        "|err| (pp)"; "false alerts"; "reorders"; "migr"; "evict";
-        "p99 in-ord"; "p99 reord";
-      ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          c.model;
-          c.knob;
-          c.steering;
-          Printf.sprintf "%.0f" c.solo_pps;
-          Exp_common.pct c.measured_drop;
-          Exp_common.pct c.predicted_drop;
-          Printf.sprintf "%.1f" (100.0 *. c.abs_err);
-          string_of_int c.false_alerts;
-          string_of_int c.reorders;
-          string_of_int c.migrations;
-          string_of_int c.evictions;
-          string_of_int c.lat_p99_inorder;
-          (if c.lat_p99_reordered = 0 then "-"
-           else string_of_int c.lat_p99_reordered);
-        ])
-    d.cells;
   let by_steering s = List.filter (fun c -> c.steering = s) d.cells in
   let sum f cs = List.fold_left (fun a c -> a + f c) 0 cs in
   let mean_err cs =
@@ -327,7 +320,11 @@ let render d =
         /. float_of_int (List.length cs)
   in
   let rss = by_steering "rss" and fdir = by_steering "fdir" in
-  Table.to_string t
+  Output.text_table
+    ~title:
+      "Traffic realism: stationary-calibrated prediction and monitoring \
+       under production source models"
+    columns d.cells
   ^ Printf.sprintf
       "\nstationary twin solo %.0f pps; curve sampled at %d SYN levels\n"
       d.twin_solo_pps
@@ -356,25 +353,7 @@ let data_json d =
           (List.map
              (fun (x, y) -> Json.Arr [ Json.Float x; Json.Float y ])
              d.curve_points) );
-      ( "cells",
-        table
-          [
-            Col.str "model" (fun c -> c.model);
-            Col.str "knob" (fun c -> c.knob);
-            Col.str "steering" (fun c -> c.steering);
-            Col.num "solo_pps" (fun c -> c.solo_pps);
-            Col.num "measured_drop" (fun c -> c.measured_drop);
-            Col.num "predicted_drop" (fun c -> c.predicted_drop);
-            Col.num "abs_err" (fun c -> c.abs_err);
-            Col.int "false_alerts" (fun c -> c.false_alerts);
-            Col.int "reorders" (fun c -> c.reorders);
-            Col.int "migrations" (fun c -> c.migrations);
-            Col.int "evictions" (fun c -> c.evictions);
-            Col.int "packets" (fun c -> c.packets);
-            Col.int "lat_p99_inorder" (fun c -> c.lat_p99_inorder);
-            Col.int "lat_p99_reordered" (fun c -> c.lat_p99_reordered);
-          ]
-          d.cells );
+      ("cells", table columns d.cells);
     ]
 
 let run ?params () =

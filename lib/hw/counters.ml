@@ -107,8 +107,3 @@ let equal a b =
   && a.l3_misses = b.l3_misses && a.reads = b.reads && a.writes = b.writes
   && a.packets = b.packets && a.fn_refs = b.fn_refs
   && a.fn_l3_hits = b.fn_l3_hits && a.fn_l3_misses = b.fn_l3_misses
-
-let pp fmt t =
-  Format.fprintf fmt
-    "instr=%d l1=%d l2=%d l3h=%d l3m=%d pkts=%d"
-    t.instructions t.l1_hits t.l2_hits t.l3_hits t.l3_misses t.packets

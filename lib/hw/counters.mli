@@ -52,5 +52,3 @@ val fn_l3_refs : t -> Fn.t -> int
 val fn_l3_hits : t -> Fn.t -> int
 val fn_l3_misses : t -> Fn.t -> int
 val fn_refs : t -> Fn.t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -16,6 +16,3 @@ let local_index t core = core - (socket_of_core t core * t.cores_per_socket)
 let node_window_bits = 40
 let node_base node = node lsl node_window_bits
 let node_of_addr addr = addr lsr node_window_bits
-
-let pp fmt t =
-  Format.fprintf fmt "%d socket(s) x %d cores" t.sockets t.cores_per_socket

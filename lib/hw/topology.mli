@@ -21,5 +21,3 @@ val node_base : int -> int
 
 val node_of_addr : int -> int
 (** Home NUMA node of an address. *)
-
-val pp : Format.formatter -> t -> unit

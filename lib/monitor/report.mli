@@ -41,10 +41,6 @@ val alerts_json : Detector.t -> Ppp_telemetry.Json.t
     echo, per-flow verdicts, the typed event stream, and throttle-budget
     recommendations. *)
 
-val verdict : Detector.t -> Detector.flow_profile -> string
-(** ["aggressor"], ["degraded"], ["recovered"], or ["ok"] — armed alarms
-    win (aggressor over degraded); released alarms read "recovered". *)
-
 val verdicts : Detector.t -> (Detector.flow_profile * string) list
 
 val verdict_table : Detector.t -> Ppp_util.Table.t

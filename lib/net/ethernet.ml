@@ -12,12 +12,6 @@ let set_header p ~src ~dst ~ethertype =
   Packet.set16 p 12 ethertype
 
 let ethertype p = Packet.get16 p 12
-let src p = Packet.sub_string p ~pos:6 ~len:6
-let dst p = Packet.sub_string p ~pos:0 ~len:6
-
-let set_dst p mac =
-  check_mac mac;
-  Packet.blit_string mac p 0
 
 let mac_of_string s =
   let octet x =

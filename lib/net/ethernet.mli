@@ -7,9 +7,6 @@ val set_header : Packet.t -> src:string -> dst:string -> ethertype:int -> unit
 
 val ethertype : Packet.t -> int
 val ethertype_ipv4 : int
-val src : Packet.t -> string
-val dst : Packet.t -> string
-val set_dst : Packet.t -> string -> unit
 val mac_of_string : string -> string
 (** Parses "aa:bb:cc:dd:ee:ff" into a 6-byte MAC. Each octet is one or two
     hex digits; anything else raises [Invalid_argument]. *)

@@ -33,8 +33,6 @@ let equal a b =
   a.src = b.src && a.dst = b.dst && a.sport = b.sport && a.dport = b.dport
   && a.proto = b.proto
 
-let compare = Stdlib.compare
-
 let pp fmt t =
   Format.fprintf fmt "%s:%d -> %s:%d (%d)" (Ipv4.addr_to_string t.src) t.sport
     (Ipv4.addr_to_string t.dst) t.dport t.proto

@@ -11,5 +11,4 @@ val hash_of_packet : Packet.t -> int
     per-packet fast paths. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let create ?(cap = 1514) len =
   if len < 0 || len > cap then invalid_arg "Packet.create: bad length";
   { data = Bytes.make cap '\000'; len; buf_addr = 0 }
 
-let of_bytes b = { data = b; len = Bytes.length b; buf_addr = 0 }
 let copy t = { data = Bytes.copy t.data; len = t.len; buf_addr = t.buf_addr }
 let capacity t = Bytes.length t.data
 

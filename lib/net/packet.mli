@@ -15,7 +15,6 @@ val create : ?cap:int -> int -> t
 (** [create ?cap len] makes a zeroed packet of wire length [len]; capacity
     defaults to 1514. *)
 
-val of_bytes : Bytes.t -> t
 val copy : t -> t
 val capacity : t -> int
 

@@ -8,8 +8,6 @@ let create ~node =
   (* Skip the window's first line so address 0 is never handed out. *)
   { node; next = base + line; limit = base + (1 lsl Ppp_hw.Topology.node_window_bits) }
 
-let node t = t.node
-
 let alloc t ~bytes =
   if bytes <= 0 then invalid_arg "Heap.alloc: size must be positive";
   let rounded = (bytes + line - 1) / line * line in

@@ -9,7 +9,6 @@
 type t
 
 val create : node:int -> t
-val node : t -> int
 
 val alloc : t -> bytes:int -> int
 (** [alloc t ~bytes] reserves a region and returns its base address,

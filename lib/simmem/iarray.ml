@@ -18,9 +18,6 @@ let relocate heap t =
   { t with base = Heap.alloc heap ~bytes }
 
 let length t = Array.length t.data
-let elem_bytes t = t.elem_bytes
-let base t = t.base
-let size_bytes t = Array.length t.data * t.elem_bytes
 let addr_of t i = t.base + (i * t.elem_bytes)
 
 let touch t b ~fn ~write i =

@@ -22,9 +22,6 @@ val relocate : Heap.t -> 'a t -> 'a t
     in both: treat both as read-only. *)
 
 val length : 'a t -> int
-val elem_bytes : 'a t -> int
-val base : 'a t -> int
-val size_bytes : 'a t -> int
 
 val addr_of : 'a t -> int -> int
 (** Simulated address of element [i]. *)

@@ -7,7 +7,6 @@ let create heap n =
   { data = Bytes.make n '\000'; base = Heap.alloc heap ~bytes:n }
 
 let length t = Bytes.length t.data
-let addr t = t.base
 let bytes t = t.data
 
 let touch t b ~fn ~write ~pos ~len =

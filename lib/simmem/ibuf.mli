@@ -9,7 +9,6 @@ type t
 val create : Heap.t -> int -> t
 
 val length : t -> int
-val addr : t -> int
 val bytes : t -> Bytes.t
 (** The backing store, for real data manipulation. *)
 

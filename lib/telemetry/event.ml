@@ -13,15 +13,3 @@ type t = {
    is a safe deterministic total order — same discipline as
    {!Timeseries.compare}. *)
 let compare (a : t) (b : t) = Stdlib.compare a b
-
-let json e =
-  Json.Obj
-    [
-      ("experiment", Json.Str e.experiment);
-      ("cell", Json.Str e.cell);
-      ("t_cycles", Json.Int e.t_cycles);
-      ("core", Json.Int e.core);
-      ("flow", Json.Str e.flow);
-      ("name", Json.Str e.name);
-      ("args", Json.Obj e.args);
-    ]

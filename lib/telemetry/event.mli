@@ -22,6 +22,3 @@ type t = {
 val compare : t -> t -> int
 (** Total order on (experiment, cell, t_cycles, core, ...): deterministic
     for a fixed simulation regardless of insertion order. *)
-
-val json : t -> Json.t
-(** The event as a JSON object (what [alerts.json] serializes). *)

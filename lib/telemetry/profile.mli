@@ -10,17 +10,11 @@
     {e name} and sorted, so profile output is byte-identical across
     [--jobs] settings. *)
 
-val entries :
-  cell:string ->
-  flow:(core:int -> string) ->
-  Ppp_hw.Attrib.t ->
-  Recorder.profile_entry list
-(** One entry per (core, tag) pair with nonzero attribution. [flow]
-    labels the flow pinned to a core. Sorted by (cell, core, tag name). *)
-
 val record :
   cell:string -> flow:(core:int -> string) -> Ppp_hw.Attrib.t -> unit
-(** [entries] pushed into the global {!Recorder}. *)
+(** One entry per (core, tag) pair with nonzero attribution, sorted by
+    (cell, core, tag name), pushed into the global {!Recorder}. [flow]
+    labels the flow pinned to a core. *)
 
 val folded_cycles : Recorder.profile_entry list -> string
 (** Folded flamegraph stacks — one ["flow;tag cycles"] line per stack,

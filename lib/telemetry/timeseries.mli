@@ -34,9 +34,6 @@ type t = {
 val l3_refs : slice -> int
 val cycles : slice -> int
 
-val seconds : t -> slice -> float
-(** Slice duration in simulated seconds. *)
-
 val rate : t -> slice -> int -> float
 (** [rate t s n] is [n] per simulated second of slice [s]. *)
 

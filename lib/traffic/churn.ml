@@ -24,8 +24,6 @@ let create ~live ~churn_every =
     next_id = live;
   }
 
-let live t = Array.length t.flow_ids
-
 let source t ~rng =
   let n = Array.length t.flow_ids in
   Source.make ~name:"churn"

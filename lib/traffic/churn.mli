@@ -12,9 +12,6 @@ type t
 
 val create : live:int -> churn_every:int -> t
 
-val live : t -> int
-(** Number of concurrently-live flows (the slot count). *)
-
 val source : t -> rng:Ppp_util.Rng.t -> Source.t
 (** The churning source; allocation-free fills of 64-byte {!Gen.fill_flow}
     packets, per-flow sequence numbers, never exhausts. *)

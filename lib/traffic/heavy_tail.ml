@@ -52,7 +52,6 @@ let create ~seed ~flows ~alpha ?(max_pkts = 100_000) () =
     seq = Array.make flows 0;
   }
 
-let flows t = t.flows
 let total_pkts t = t.total
 let size t i = t.sizes.(i)
 

@@ -22,8 +22,6 @@ val create :
 (** Realizes the per-flow sizes. [max_pkts] defaults to 100_000. Equal
     seeds yield equal size vectors. *)
 
-val flows : t -> int
-
 val total_pkts : t -> int
 (** Exact total mass (sum of realized sizes), in packets. *)
 

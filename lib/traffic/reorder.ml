@@ -18,7 +18,6 @@ type t = {
   mask : int;
   tags : int array; (* flow id resident in the slot; -1 = empty *)
   marks : int array; (* that flow's highest sequence seen *)
-  mutable distinct : int; (* slots ever occupied + evictions = flows seen *)
   mutable observed : int;
   mutable reorders : int;
 }
@@ -30,7 +29,6 @@ let create ?(slots = 16384) () =
     mask = slots - 1;
     tags = Array.make slots (-1);
     marks = Array.make slots 0;
-    distinct = 0;
     observed = 0;
     reorders = 0;
   }
@@ -51,7 +49,6 @@ let observe t ~flow ~seq =
   end
   else begin
     (* Empty slot or eviction: either way a flow we have no state for. *)
-    t.distinct <- t.distinct + 1;
     t.tags.(i) <- flow;
     t.marks.(i) <- seq;
     false
@@ -59,8 +56,3 @@ let observe t ~flow ~seq =
 
 let observed t = t.observed
 let reorders t = t.reorders
-let flows t = t.distinct
-
-let rate t =
-  if t.observed = 0 then 0.0
-  else float_of_int t.reorders /. float_of_int t.observed

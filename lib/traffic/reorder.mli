@@ -30,10 +30,3 @@ val observed : t -> int
 
 val reorders : t -> int
 (** Packets that arrived below their flow's high-water mark. *)
-
-val flows : t -> int
-(** Flow arrivals observed: distinct flows, plus re-entries of flows that
-    were evicted by an index collision (none below the aliasing point). *)
-
-val rate : t -> float
-(** [reorders / observed] (0 when nothing observed). *)

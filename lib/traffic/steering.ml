@@ -48,12 +48,12 @@ let create ?(migrate_every = 0) ~cores model =
     next_core = 0;
   }
 
-let model t = t.model
-let cores t = t.cores
 let migrations t = t.migrations
 
 (* Deliver one packet of [flow] carrying sender sequence [seq]; returns the
-   receive core and the sequence number the observer sees. *)
+   receive core and the sequence number the observer sees. Under RSS the
+   sequence passes through; under Flow Director a migrating flow's stranded
+   packet is swapped behind its successor. *)
 let route t ~flow ~seq =
   t.delivered <- t.delivered + 1;
   let core, seq' =

@@ -26,18 +26,9 @@ val create : ?migrate_every:int -> cores:int -> model -> t
     of the flow being delivered every that-many deliveries; ignored under
     RSS and when [cores = 1]. *)
 
-val model : t -> model
-val cores : t -> int
-
 val migrations : t -> int
 (** Completed Flow-Director migrations (stranded packet drained). Equals
     the reorder count an observer sees. Always 0 under RSS. *)
-
-val route : t -> flow:int -> seq:int -> int * int
-(** [route t ~flow ~seq] delivers one packet: returns
-    [(receive core, observed sequence number)]. Under RSS the sequence
-    passes through; under Flow Director a migrating flow's stranded packet
-    is swapped behind its successor. *)
 
 val source : t -> Source.t -> Source.t
 (** Wraps a source so its flow/sequence metadata passes through the

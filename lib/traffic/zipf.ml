@@ -15,8 +15,6 @@ let create ~n ~s =
   done;
   { cdf }
 
-let n t = Array.length t.cdf
-
 let sample t rng =
   let u = Ppp_util.Rng.float rng 1.0 in
   (* First index with cdf >= u. *)

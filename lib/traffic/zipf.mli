@@ -7,7 +7,6 @@ type t
 val create : n:int -> s:float -> t
 (** Rank-frequency exponent [s] (0 = uniform; ~1 = classic Zipf). *)
 
-val n : t -> int
 val sample : t -> Ppp_util.Rng.t -> int
 val expected_mass : t -> int -> float
 (** Probability mass of the top-[k] ranks. *)

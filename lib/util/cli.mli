@@ -28,8 +28,6 @@ val string : t -> string list -> docv:string -> doc:string -> string -> string r
 val opt_string : t -> string list -> docv:string -> doc:string -> string option ref
 (** A string option that records whether it was given at all. *)
 
-val usage : t -> string
-
 val parse : t -> ?start:int -> string array -> string list
 (** Parse [argv] from index [start] (default 1); returns the positional
     arguments in order. Exits on [--help] or malformed input as described

@@ -51,6 +51,5 @@ let to_string t =
   Buffer.contents buf
 
 let print t = print_string (to_string t)
-let cell_f x = Printf.sprintf "%.2f" x
 let cell_pct x = Printf.sprintf "%.2f" (100.0 *. x)
 let cell_millions x = Printf.sprintf "%.2f" (x /. 1e6)

@@ -12,9 +12,6 @@ val add_row : t -> string list -> unit
 val to_string : t -> string
 val print : t -> unit
 
-val cell_f : float -> string
-(** Format a float with 2 decimals. *)
-
 val cell_pct : float -> string
 (** Format a fraction as a percentage with 2 decimals, e.g. [0.27] -> "27.00". *)
 

@@ -1,7 +1,8 @@
-(* Print one registered experiment's rendered output under the pinned golden
-   parameters: tiny machine, seed 42, quick windows, sequential execution.
-   The dune rules in this directory diff the output against the committed
-   <id>.expected snapshots; `dune promote` updates them. *)
+(* Render one registered experiment under the pinned golden parameters:
+   tiny machine, seed 42, quick windows, sequential execution. The dune
+   rules in this directory diff its text and its --json envelope against
+   the committed <id>.expected and <id>_json.expected snapshots;
+   `dune promote` updates them. *)
 
 let golden_params = Ppp_core.Runner.Params.quick
 
@@ -66,16 +67,19 @@ let () =
       print_string
         (Ppp_telemetry.Profile.top ~title:id
            (Ppp_telemetry.Recorder.profile ()))
-  | [| _; "json"; id |] ->
-      (* The `repro run <id> --json` envelope, byte-for-byte: the structured
-         result wrapped in {id, title, paper_ref, data}. *)
+  | [| _; id; json_file |] ->
+      (* One run, both renderings: the text on stdout, and the
+         `repro run <id> --json` envelope (the structured result wrapped in
+         {id, title, paper_ref, data}) byte-for-byte in [json_file]. *)
       let e, out = run id in
-      print_string
-        (Ppp_telemetry.Json.to_string
-           (Ppp_experiments.Registry.envelope e out));
-      print_newline ()
-  | [| _; id |] -> print_string (snd (run id)).Ppp_experiments.Output.text
+      print_string out.Ppp_experiments.Output.text;
+      Out_channel.with_open_text json_file (fun oc ->
+          output_string oc
+            (Ppp_telemetry.Json.to_string
+               (Ppp_experiments.Registry.envelope e out));
+          output_char oc '\n')
   | _ ->
       Printf.eprintf
-        "usage: golden_gen [trace|metrics|alerts|json|top] <experiment-id>\n";
+        "usage: golden_gen <experiment-id> <json-file>\n\
+        \       golden_gen [trace|metrics|alerts|top] <experiment-id>\n";
       exit 1

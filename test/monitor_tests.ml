@@ -314,6 +314,6 @@ let tests =
       test_monitor_experiment_story;
     Alcotest.test_case "monitor outputs byte-identical across --jobs" `Slow
       test_monitor_jobs_determinism;
-    Alcotest.test_case "monitor outputs byte-identical across --batch" `Slow
+    Alcotest.test_case "monitor outputs batch-invariant" `Slow
       test_monitor_batch_determinism;
   ]
